@@ -312,10 +312,6 @@ def time_translation(order: int) -> AlgebraElement:
     )
 
 
-def normal_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b - b * a
 
@@ -366,10 +362,6 @@ def z_power(exponent, order: int) -> AlgebraElement:
         cached = graded_exp(time_translation(order).scale(Scalar.from_value(cp, order)))
         _Z_CACHE[key] = cached
     return cached
-
-
-def substitute_lambda_element(a: AlgebraElement, value) -> AlgebraElement:
-    return a.substitute_lambda(value)
 
 
 class Polynomial:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement, element_str
 from .hopf import TwistContext
 from .parser import ParseError, elaborate, parse
-from .scalars import UsageError
+from .scalars import DomainError, UsageError
 from .tensor import TensorElement, canonicalize, equal_mod, tensor_str
 from .verify import run_suite
 
@@ -391,7 +391,7 @@ def run(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

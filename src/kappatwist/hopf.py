@@ -286,10 +286,7 @@ class TwistContext:
             return x(0, n) - self.S.scale(
                 Scalar.a0(n) * (Scalar.one(n) - Scalar.from_value(self.lam_poly, n))
             )
-        return x(mu, n) * self.z(-self.lam_poly_expr())
-
-    def lam_poly_expr(self) -> LambdaPoly:
-        return self.lam_poly
+        return x(mu, n) * self.z(-self.lam_poly)
 
     def star_product(self, f: Polynomial, g: Polynomial, which: str = "F") -> Polynomial:
         if which == "F":

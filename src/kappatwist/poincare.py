@@ -27,10 +27,8 @@ from .hopf import TwistContext
 from .linsolve import SolutionSpace, solve
 from .scalars import (
     GR_I,
-    GaussianRational,
     LP_LAM,
     LP_ONE,
-    LP_ZERO,
     LambdaPoly,
     OneVarSeries,
     Scalar,
@@ -505,12 +503,9 @@ def p_leftward(mu: int, ctx: TwistContext) -> AlgebraElement:
     n = ctx.order
     if mu == 0:
         diff = ctx.one - ctx.z(-1)
-        shifted = {}
-        for m, s in diff.terms.items():
-            if s.components[0]:
-                raise UsageError("a0-division of an ungraded element")
-            shifted[m] = Scalar(s.components[1:] + (LP_ZERO,), n)
-        return AlgebraElement(shifted, n)
+        return AlgebraElement(
+            {m: s.divide_by_a0() for m, s in diff.terms.items()}, n
+        )
     return p(mu, n) * ctx.z(ctx.lam_poly - LP_ONE)
 
 
@@ -564,17 +559,10 @@ def boost_coproduct_order1_match(
     for key in sorted(keys):
         for grade in (0, 1):
             row = [
-                _grade_coeff(col.coefficient(key), grade) for col in columns
+                col.coefficient(key).numeric_coefficient(grade) for col in columns
             ]
-            val = _grade_coeff(target.coefficient(key), grade)
+            val = target.coefficient(key).numeric_coefficient(grade)
             if any(row) or val:
                 rows.append(row)
                 rhs.append(val)
     return solve(rows, rhs)
-
-
-def _grade_coeff(s: Scalar, grade: int) -> GaussianRational:
-    poly = s.components[grade]
-    if poly.degree() > 0:
-        raise UsageError("symbolic lam leaked into a numeric system")
-    return poly.constant_term()

@@ -266,8 +266,8 @@ def solve_order(
     concrete = []
     by_pattern: dict[tuple, tuple] = {}
     for key in sorted(keys):
-        row = tuple(_numeric(col.coefficient(key), k) for col in columns)
-        val = _numeric(target.coefficient(key), k)
+        row = tuple(col.coefficient(key).numeric_coefficient(k) for col in columns)
+        val = target.coefficient(key).numeric_coefficient(k)
         if not any(row) and not val:
             continue
         concrete.append((row, val))
@@ -314,13 +314,6 @@ def _check_concrete(sol: SolutionSpace, concrete) -> None:
                 )
 
 
-def _numeric(s: Scalar, grade: int) -> GaussianRational:
-    poly = s.components[grade]
-    if poly.degree() > 0:
-        raise UsageError("symbolic twist parameter leaked into the system")
-    return poly.constant_term()
-
-
 def assemble(
     terms: list[AnsatzTerm], coeffs, k: int, ctx: TwistContext
 ) -> TensorElement:
@@ -339,6 +332,8 @@ def expand(
     """Solve orders 1..up_to sequentially, feeding each solution forward.
 
     Stops early when an order is infeasible."""
+    if up_to < 1:
+        raise UsageError("expansion order must be positive")
     results = []
     prior: list[TensorElement] = []
     for k in range(1, up_to + 1):

@@ -1,15 +1,26 @@
 """Exact coefficient arithmetic.
 
-The coefficient ring is built in three layers:
+Every exact number is a Gaussian rational stored as one normalised integer
+triple ``(a, b, d)`` meaning ``(a + b*i)/d``, with ``d > 0`` and
+``gcd(a, b, d) == 1``: real and imaginary parts share one denominator, as
+in FLINT's ``fmpq_poly``.  On top of that triple:
 
-* ``GaussianRational`` -- complex numbers with rational real/imaginary parts,
-* ``LambdaPoly`` -- polynomials in the twist parameter ``lam`` over the above,
-* ``Scalar`` -- graded polynomials in the deformation parameter ``a0``,
-  truncated at a fixed order ``N`` (everything above ``a0^N`` is discarded).
+* ``GaussianRational`` -- one triple as a number object, with ``re`` and
+  ``im`` read back as ``Fraction``,
+* ``LambdaPoly`` -- polynomials in the twist parameter ``lam`` with
+  ``GaussianRational`` coefficients; used for exponents and for reading
+  coefficients out,
+* ``Scalar`` -- a sparse dict ``{(k, j): (a, b, d)}`` for the coefficient
+  ``sum (a + b*i)/d * a0^k * lam^j``, truncated at a fixed order ``N``:
+  every term above ``a0^N`` is dropped, which is a filter on ``k``,
+* ``OneVarSeries`` -- the same sparse ring with the power of a formal
+  variable ``u`` in place of the a0 power; it holds the generator-profile
+  functions that get evaluated at ``A = a0*p0``.
 
-``OneVarSeries`` holds truncated formal series in an auxiliary variable ``u``
-with ``LambdaPoly`` entries; it is used for the generator-profile functions
-that get evaluated at ``A = a0*p0``.
+``Scalar`` and ``OneVarSeries`` arithmetic works on the integer triples
+directly and builds no intermediate ``GaussianRational``, ``LambdaPoly`` or
+``Fraction`` objects.  ``Scalar.components`` and ``OneVarSeries.coeffs``
+are dense ``LambdaPoly`` views built on demand.
 
 All values are immutable; operations return fresh objects.
 """
@@ -31,36 +42,85 @@ class DomainError(ArithmeticError):
 
 RationalLike = Union[int, Fraction]
 
+# (a, b, d) meaning (a + b*i)/d, d > 0, gcd(a, b, d) == 1; zero is (0, 0, 1)
+Triple = tuple[int, int, int]
+# {(grade, lam power): Triple}, no zero values
+Terms = dict[tuple[int, int], Triple]
+
+_gcd = math.gcd
+_new = object.__new__
+
+
+def _normed(acc: Terms) -> Terms:
+    """Reduce every triple to lowest terms and drop the zero ones."""
+    out = {}
+    for key, (a, b, d) in acc.items():
+        if a or b:
+            g = _gcd(a, b, d)
+            out[key] = (a // g, b // g, d // g) if g != 1 else (a, b, d)
+    return out
+
+
+def _reduce(a: int, b: int, d: int) -> Triple:
+    g = _gcd(a, b, d)
+    return (a // g, b // g, d // g) if g != 1 else (a, b, d)
+
 
 class GaussianRational:
-    """A complex number re + i*im with exact rational parts."""
+    """A complex number re + i*im with exact rational parts.
 
-    __slots__ = ("re", "im")
+    Stored as the normalised triple ``(a, b, d)`` with re = a/d, im = b/d.
+    """
+
+    __slots__ = ("triple",)
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if re.__class__ is int and im.__class__ is int:
+            triple = (re, im, 1)
+        else:
+            fr, fi = Fraction(re), Fraction(im)
+            q1, q2 = fr.denominator, fi.denominator
+            d = q1 * q2 // _gcd(q1, q2)
+            # with both parts in lowest terms the lcm is the least common
+            # denominator, so the triple is already normalised
+            triple = (fr.numerator * (d // q1), fi.numerator * (d // q2), d)
+        _set_triple(self, triple)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self.triple
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self.triple
+        return Fraction(b, d)
+
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        a, b, _ = self.triple
+        return bool(a or b)
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.triple == other.triple
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.triple)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a1, b1, d1 = self.triple
+        a2, b2, d2 = other.triple
+        if d1 == d2:
+            return _gr(_reduce(a1 + a2, b1 + b2, d1))
+        return _gr(_reduce(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2))
 
     __radd__ = __add__
 
@@ -68,7 +128,9 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a1, b1, d1 = self.triple
+        a2, b2, d2 = other.triple
+        return _gr(_reduce(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2))
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -77,24 +139,25 @@ class GaussianRational:
         return other - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self.triple
+        return _gr((-a, -b, d))
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, d1 = self.triple
+        a2, b2, d2 = other.triple
+        return _gr(_reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.triple
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _gr(_reduce(d * a, -d * b, n))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -109,7 +172,8 @@ class GaussianRational:
         return other * self.inverse()
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self.triple
+        return _gr((a, -b, d))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -127,15 +191,37 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        return gaussian_str(self)
+        return _triple_str(self.triple)
+
+
+_set_triple = GaussianRational.triple.__set__
+
+
+def _gr(triple: Triple) -> GaussianRational:
+    """Wrap an already normalised triple."""
+    g = _new(GaussianRational)
+    _set_triple(g, triple)
+    return g
 
 
 def _coerce(value) -> GaussianRational | None:
-    if isinstance(value, GaussianRational):
+    if value.__class__ is GaussianRational or isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
         return GaussianRational(value)
     return None
+
+
+def _triple(value) -> Triple:
+    """The normalised triple of an int, Fraction or GaussianRational."""
+    if value.__class__ is GaussianRational:
+        return value.triple
+    if value.__class__ is int:
+        return (value, 0, 1)
+    g = _coerce(value)
+    if g is None:
+        raise UsageError(f"cannot interpret {value!r} as a Gaussian rational")
+    return g.triple
 
 
 GR_ZERO = GaussianRational(0)
@@ -145,18 +231,31 @@ GR_I = GaussianRational(0, 1)
 
 def gaussian_str(g: GaussianRational) -> str:
     """Canonical text form: ``a/b``, ``c/d*I`` or ``a/b + c/d*I``."""
-    if not g:
+    return _triple_str(g.triple)
+
+
+def _rational_str(n: int, d: int) -> str:
+    g = _gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _triple_str(triple: Triple) -> str:
+    a, b, d = triple
+    if not a and not b:
         return "0"
     parts = []
-    if g.re:
-        parts.append(str(g.re))
-    if g.im:
-        if g.im == 1:
+    if a:
+        parts.append(_rational_str(a, d))
+    if b:
+        if b == d:
             parts.append("I")
-        elif g.im == -1:
+        elif b == -d:
             parts.append("-I")
         else:
-            parts.append(f"{g.im}*I")
+            parts.append(f"{_rational_str(b, d)}*I")
     if len(parts) == 2 and not parts[1].startswith("-"):
         return parts[0] + " + " + parts[1]
     if len(parts) == 2:
@@ -271,156 +370,301 @@ def as_lambda_poly(value) -> LambdaPoly:
     raise UsageError(f"cannot interpret {value!r} as a lam-polynomial")
 
 
-class Scalar:
-    """Graded truncated element: sum over k<=N of a0^k * (lam-polynomial)."""
+def _const_terms(value, grade: int = 0) -> Terms:
+    """Terms of a constant (int, Fraction, GaussianRational or LambdaPoly)
+    placed at one grade."""
+    if isinstance(value, LambdaPoly):
+        return {(grade, j): g.triple for j, g in value.c.items()}
+    if isinstance(value, (int, Fraction, GaussianRational)):
+        t = _triple(value)
+        return {(grade, 0): t} if t[0] or t[1] else {}
+    raise UsageError(f"cannot interpret {value!r} as a lam-polynomial")
 
-    __slots__ = ("components", "order")
 
-    def __init__(self, components: Iterable[LambdaPoly], order: int):
-        if not 1 <= order <= 16:
-            raise UsageError(f"truncation order {order} out of range")
-        comps = tuple(components)
-        if len(comps) != order + 1:
-            raise UsageError("component count must be order + 1")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "order", order)
+def _neg(terms: Terms) -> Terms:
+    return {key: (-a, -b, d) for key, (a, b, d) in terms.items()}
+
+
+def _add(t1: Terms, t2: Terms) -> Terms:
+    if not t2:
+        return t1
+    if not t1:
+        return t2
+    out = dict(t1)
+    for key, (a2, b2, d2) in t2.items():
+        cur = out.get(key)
+        if cur is None:
+            out[key] = (a2, b2, d2)
+            continue
+        a1, b1, d1 = cur
+        if d1 == d2:
+            a, b, d = a1 + a2, b1 + b2, d1
+        else:
+            a, b, d = a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2
+        if a or b:
+            out[key] = _reduce(a, b, d)
+        else:
+            del out[key]
+    return out
+
+
+def _mul(t1: Terms, t2: Terms, order: int) -> Terms:
+    """Product truncated above grade `order`; sums are collected over a
+    common denominator and reduced once at the end."""
+    # min() of the keys gives the lowest grade; most products in a
+    # truncated exponential vanish by this test alone
+    if not t1 or not t2 or min(t1)[0] + min(t2)[0] > order:
+        return {}
+    acc: Terms = {}
+    for (k1, j1), (a1, b1, d1) in t1.items():
+        room = order - k1
+        for (k2, j2), (a2, b2, d2) in t2.items():
+            if k2 > room:
+                continue
+            key = (k1 + k2, j1 + j2)
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * d2
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = (a, b, d)
+            elif cur[2] == d:
+                acc[key] = (cur[0] + a, cur[1] + b, d)
+            else:
+                dc = cur[2]
+                acc[key] = (cur[0] * d + a * dc, cur[1] * d + b * dc, dc * d)
+    return _normed(acc)
+
+
+def _scale(terms: Terms, factor: Triple) -> Terms:
+    a2, b2, d2 = factor
+    out = {}
+    for key, (a, b, d) in terms.items():
+        out[key] = _reduce(a * a2 - b * b2, a * b2 + b * a2, d * d2)
+    return out
+
+
+class _Graded:
+    """Sparse truncated series in one grading variable (a0 for Scalar, u
+    for OneVarSeries) with lam-polynomial coefficients.
+
+    ``terms`` maps (grade, lam power) to a normalised triple; it holds no
+    zero value and no grade above ``order``.
+    """
+
+    __slots__ = ("terms", "order")
 
     def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def zero(order: int) -> "Scalar":
-        return Scalar((LP_ZERO,) * (order + 1), order)
+    def _init_dense(self, polys: tuple, order: int) -> None:
+        if len(polys) != order + 1:
+            raise UsageError("component count must be order + 1")
+        terms: Terms = {}
+        for k, poly in enumerate(polys):
+            terms.update(_const_terms(poly, k))
+        _set_terms(self, terms)
+        _set_order(self, order)
 
-    @staticmethod
-    def one(order: int) -> "Scalar":
-        return Scalar((LP_ONE,) + (LP_ZERO,) * order, order)
+    @classmethod
+    def zero(cls, order: int):
+        return _build(cls, {}, order)
 
-    @staticmethod
-    def from_value(value, order: int) -> "Scalar":
-        return Scalar((as_lambda_poly(value),) + (LP_ZERO,) * order, order)
+    @classmethod
+    def one(cls, order: int):
+        return _build(cls, {(0, 0): (1, 0, 1)}, order)
 
-    @staticmethod
-    def i(order: int) -> "Scalar":
-        return Scalar.from_value(GR_I, order)
+    def _dense(self) -> tuple[LambdaPoly, ...]:
+        per: list[dict[int, GaussianRational]] = [{} for _ in range(self.order + 1)]
+        for (k, j), t in sorted(self.terms.items()):
+            per[k][j] = _gr(t)
+        return tuple(_lambda_poly(c) for c in per)
 
-    @staticmethod
-    def lam(order: int) -> "Scalar":
-        return Scalar.from_value(LP_LAM, order)
-
-    @staticmethod
-    def a0(order: int, power: int = 1) -> "Scalar":
-        if power < 0:
-            raise UsageError("negative a0 power")
-        if power > order:
-            return Scalar.zero(order)
-        comps = [LP_ZERO] * (order + 1)
-        comps[power] = LP_ONE
-        return Scalar(comps, order)
-
-    @staticmethod
-    def graded(value, a0_power: int, order: int) -> "Scalar":
-        if a0_power > order:
-            return Scalar.zero(order)
-        comps = [LP_ZERO] * (order + 1)
-        comps[a0_power] = as_lambda_poly(value)
-        return Scalar(comps, order)
-
-    def _check(self, other: "Scalar"):
-        if self.order != other.order:
-            raise UsageError(
-                f"truncation order mismatch: {self.order} != {other.order}"
-            )
+    def _mismatch(self, other) -> UsageError:
+        return UsageError(
+            f"truncation order mismatch: {self.order} != {other.order}"
+        )
 
     def __bool__(self):
-        return any(self.components)
+        return bool(self.terms)
 
     def is_zero(self) -> bool:
-        return not any(self.components)
+        return not self.terms
 
     def __eq__(self, other):
-        if not isinstance(other, Scalar):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        self._check(other)
-        return self.components == other.components
+        if self.order != other.order:
+            raise self._mismatch(other)
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.components, self.order))
+        return hash((frozenset(self.terms.items()), self.order))
+
+    def _operand(self, other) -> Terms | None:
+        """Terms of a same-kind operand or of a constant; None otherwise."""
+        if other.__class__ is self.__class__:
+            if self.order != other.order:
+                raise self._mismatch(other)
+            return other.terms
+        if isinstance(other, (int, Fraction, GaussianRational, LambdaPoly)):
+            return _const_terms(other)
+        return None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, LambdaPoly)):
-            other = Scalar.from_value(other, self.order)
-        if not isinstance(other, Scalar):
+        terms = self._operand(other)
+        if terms is None:
             return NotImplemented
-        self._check(other)
-        return Scalar(
-            tuple(a + b for a, b in zip(self.components, other.components)),
-            self.order,
-        )
+        return _build(self.__class__, _add(self.terms, terms), self.order)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Scalar) else -Scalar.from_value(other, self.order))
+        terms = self._operand(other)
+        if terms is None:
+            return NotImplemented
+        return _build(self.__class__, _add(self.terms, _neg(terms)), self.order)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Scalar(tuple(-p for p in self.components), self.order)
+        return _build(self.__class__, _neg(self.terms), self.order)
 
     def __mul__(self, other):
+        cls = self.__class__
+        if other.__class__ is cls:
+            if self.order != other.order:
+                raise self._mismatch(other)
+            return _build(cls, _mul(self.terms, other.terms, self.order), self.order)
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         if isinstance(other, LambdaPoly):
-            return Scalar(tuple(p * other for p in self.components), self.order)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        self._check(other)
-        n = self.order
-        out = [LP_ZERO] * (n + 1)
-        for i, pi in enumerate(self.components):
-            if pi.is_zero():
-                continue
-            for j in range(0, n - i + 1):
-                pj = other.components[j]
-                if pj.is_zero():
-                    continue
-                out[i + j] = out[i + j] + pi * pj
-        return Scalar(out, n)
+            return _build(cls, _mul(self.terms, _const_terms(other), self.order), self.order)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def scale(self, factor) -> "Scalar":
-        g = factor if isinstance(factor, GaussianRational) else GaussianRational(factor)
-        if not g:
-            return Scalar.zero(self.order)
-        return Scalar(tuple(p.scale(g) for p in self.components), self.order)
+    def scale(self, factor):
+        t = _triple(factor)
+        if t == (1, 0, 1):
+            return self
+        if not t[0] and not t[1]:
+            return _build(self.__class__, {}, self.order)
+        return _build(self.__class__, _scale(self.terms, t), self.order)
+
+    def substitute_lambda(self, value: RationalLike):
+        v = Fraction(value)
+        p, q = v.numerator, v.denominator
+        acc: Terms = {}
+        for (k, j), (a, b, d) in self.terms.items():
+            pj, qj = p**j, q**j
+            a, b, d = a * pj, b * pj, d * qj
+            cur = acc.get((k, 0))
+            if cur is not None:
+                a, b, d = cur[0] * d + a * cur[2], cur[1] * d + b * cur[2], cur[2] * d
+            acc[(k, 0)] = (a, b, d)
+        return _build(self.__class__, _normed(acc), self.order)
+
+
+_set_terms = _Graded.terms.__set__
+_set_order = _Graded.order.__set__
+
+
+def _build(cls, terms: Terms, order: int):
+    obj = _new(cls)
+    _set_terms(obj, terms)
+    _set_order(obj, order)
+    return obj
+
+
+def _lambda_poly(coeffs: dict[int, GaussianRational]) -> LambdaPoly:
+    """Wrap nonzero coefficients without re-validating them."""
+    poly = _new(LambdaPoly)
+    object.__setattr__(poly, "c", coeffs)
+    return poly
+
+
+class Scalar(_Graded):
+    """Graded truncated element: sum over k<=N of a0^k * (lam-polynomial)."""
+
+    __slots__ = ()
+
+    def __init__(self, components: Iterable[LambdaPoly], order: int):
+        if not 1 <= order <= 16:
+            raise UsageError(f"truncation order {order} out of range")
+        self._init_dense(tuple(components), order)
+
+    # Scalar's own entries for the shared arithmetic, so that instrumenting
+    # the Scalar class leaves OneVarSeries untouched.
+    __add__ = __radd__ = _Graded.__add__
+    __mul__ = __rmul__ = _Graded.__mul__
+
+    @property
+    def components(self) -> tuple[LambdaPoly, ...]:
+        """Dense read-only view: the lam-polynomial at a0^0 .. a0^N."""
+        return self._dense()
+
+    @staticmethod
+    def from_value(value, order: int) -> "Scalar":
+        return _build(Scalar, _const_terms(value), order)
+
+    @staticmethod
+    def i(order: int) -> "Scalar":
+        return _build(Scalar, {(0, 0): (0, 1, 1)}, order)
+
+    @staticmethod
+    def lam(order: int) -> "Scalar":
+        return _build(Scalar, {(0, 1): (1, 0, 1)}, order)
+
+    @staticmethod
+    def a0(order: int, power: int = 1) -> "Scalar":
+        return Scalar.graded(1, power, order)
+
+    @staticmethod
+    def graded(value, a0_power: int, order: int) -> "Scalar":
+        if a0_power < 0:
+            raise UsageError("negative a0 power")
+        if a0_power > order:
+            return Scalar.zero(order)
+        return _build(Scalar, _const_terms(value, a0_power), order)
 
     def min_grade(self) -> int | None:
         """Lowest a0 power with a nonzero coefficient, or None for zero."""
-        for k, p in enumerate(self.components):
-            if p:
-                return k
-        return None
+        return min(self.terms)[0] if self.terms else None
 
     def grade_part(self, k: int) -> "Scalar":
-        if k > self.order:
-            return Scalar.zero(self.order)
-        return Scalar.graded(self.components[k], k, self.order)
+        return _build(
+            Scalar, {key: t for key, t in self.terms.items() if key[0] == k}, self.order
+        )
 
     def a0_limit(self) -> "Scalar":
         """Drop every positive power of a0."""
-        return Scalar((self.components[0],) + (LP_ZERO,) * self.order, self.order)
-
-    def substitute_lambda(self, value: RationalLike) -> "Scalar":
-        return Scalar(
-            tuple(LambdaPoly.const(p.eval(value)) if p else LP_ZERO for p in self.components),
-            self.order,
-        )
+        return self.grade_part(0)
 
     def lambda_degree(self) -> int:
-        return max((p.degree() for p in self.components), default=-1)
+        return max((j for _, j in self.terms), default=-1)
+
+    def numeric_coefficient(self, grade: int) -> GaussianRational:
+        """The number multiplying a0^grade; the twist parameter must not
+        appear at that grade."""
+        for k, j in self.terms:
+            if k == grade and j:
+                raise UsageError("symbolic twist parameter leaked into a numeric system")
+        t = self.terms.get((grade, 0))
+        return GR_ZERO if t is None else _gr(t)
+
+    def divide_by_a0(self) -> "Scalar":
+        """Exact division by a0: every grade shifts down by one.
+
+        The top grade of the result is unknowable at this truncation and is
+        left zero, consistent with working modulo a0^(N+1).
+        """
+        if self.min_grade() == 0:
+            raise UsageError("a0-division of an ungraded element")
+        return _build(
+            Scalar, {(k - 1, j): t for (k, j), t in self.terms.items()}, self.order
+        )
 
     def __repr__(self):
         return f"Scalar({scalar_str(self)!r}, N={self.order})"
@@ -429,35 +673,16 @@ class Scalar:
         return scalar_str(self)
 
 
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def scalar_neg(a: Scalar) -> Scalar:
-    return -a
-
-
-def substitute_lambda(s: Scalar, value: RationalLike) -> Scalar:
-    return s.substitute_lambda(value)
-
-
 def scalar_str(s: Scalar) -> str:
     """Grammar-compatible rendering, e.g. ``1/2 + 3*I*a0^2*lam``."""
     pieces = []
-    for k, poly in enumerate(s.components):
-        for deg in sorted(poly.c):
-            coef = poly.c[deg]
-            factors = []
-            if k:
-                factors.append("a0" if k == 1 else f"a0^{k}")
-            if deg:
-                factors.append("lam" if deg == 1 else f"lam^{deg}")
-            body = "*".join(factors)
-            pieces.append(_coef_factor_str(coef, body))
+    for (k, deg), coef in sorted(s.terms.items()):
+        factors = []
+        if k:
+            factors.append("a0" if k == 1 else f"a0^{k}")
+        if deg:
+            factors.append("lam" if deg == 1 else f"lam^{deg}")
+        pieces.append(_coef_factor_str(coef, "*".join(factors)))
     if not pieces:
         return "0"
     text = pieces[0]
@@ -469,118 +694,47 @@ def scalar_str(s: Scalar) -> str:
     return text
 
 
-def _coef_factor_str(coef: GaussianRational, body: str) -> str:
+def _coef_factor_str(coef: Triple, body: str) -> str:
     """Render coef * body with minimal parentheses."""
     if not body:
-        ctext = gaussian_str(coef)
+        ctext = _triple_str(coef)
         return f"({ctext})" if (" " in ctext) else ctext
-    if coef == GR_ONE:
+    if coef == (1, 0, 1):
         return body
-    if coef == -GR_ONE:
+    if coef == (-1, 0, 1):
         return "-" + body
-    ctext = gaussian_str(coef)
+    ctext = _triple_str(coef)
     if " " in ctext:
         return f"({ctext})*{body}"
     return f"{ctext}*{body}"
 
 
-class OneVarSeries:
-    """Truncated series in a formal variable u with LambdaPoly entries."""
+class OneVarSeries(_Graded):
+    """Truncated series in a formal variable u with lam-polynomial entries;
+    the grade of a term is its power of u."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[LambdaPoly], order: int):
-        cs = tuple(coeffs)
-        if len(cs) != order + 1:
-            raise UsageError("coefficient count must be order + 1")
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "order", order)
+        self._init_dense(tuple(coeffs), order)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OneVarSeries is immutable")
-
-    @staticmethod
-    def zero(order: int) -> "OneVarSeries":
-        return OneVarSeries((LP_ZERO,) * (order + 1), order)
-
-    @staticmethod
-    def one(order: int) -> "OneVarSeries":
-        return OneVarSeries((LP_ONE,) + (LP_ZERO,) * order, order)
+    @property
+    def coeffs(self) -> tuple[LambdaPoly, ...]:
+        """Dense read-only view: the lam-polynomial at u^0 .. u^N."""
+        return self._dense()
 
     @staticmethod
     def u(order: int) -> "OneVarSeries":
-        comps = [LP_ZERO] * (order + 1)
-        if order >= 1:
-            comps[1] = LP_ONE
-        return OneVarSeries(comps, order)
+        return OneVarSeries.linear(1, order)
 
     @staticmethod
     def linear(c, order: int) -> "OneVarSeries":
         """The series c*u."""
-        comps = [LP_ZERO] * (order + 1)
-        if order >= 1:
-            comps[1] = as_lambda_poly(c)
-        return OneVarSeries(comps, order)
-
-    def _check(self, other: "OneVarSeries"):
-        if self.order != other.order:
-            raise UsageError("series order mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, OneVarSeries):
-            return NotImplemented
-        self._check(other)
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs, self.order))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, OneVarSeries):
-            return NotImplemented
-        self._check(other)
-        return OneVarSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return OneVarSeries(tuple(-c for c in self.coeffs), self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, LambdaPoly)):
-            f = as_lambda_poly(other)
-            return OneVarSeries(tuple(c * f for c in self.coeffs), self.order)
-        if not isinstance(other, OneVarSeries):
-            return NotImplemented
-        self._check(other)
-        n = self.order
-        out = [LP_ZERO] * (n + 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j in range(0, n - i + 1):
-                cj = other.coeffs[j]
-                if cj.is_zero():
-                    continue
-                out[i + j] = out[i + j] + ci * cj
-        return OneVarSeries(out, n)
-
-    __rmul__ = __mul__
+        terms = _const_terms(c, 1) if order >= 1 else {}
+        return _build(OneVarSeries, terms, order)
 
     def constant_term(self) -> LambdaPoly:
         return self.coeffs[0]
-
-    def substitute_lambda(self, value: RationalLike) -> "OneVarSeries":
-        return OneVarSeries(
-            tuple(LambdaPoly.const(c.eval(value)) if c else LP_ZERO for c in self.coeffs),
-            self.order,
-        )
 
     def __repr__(self):
         return f"OneVarSeries({self.coeffs!r}, N={self.order})"
@@ -596,28 +750,10 @@ def series_exp(s: OneVarSeries) -> OneVarSeries:
         power = power * s
         if power.is_zero():
             break
-        inv_fact = Fraction(1, math.factorial(n))
-        acc = acc + power * inv_fact
+        acc = acc + power * Fraction(1, math.factorial(n))
     return acc
-
-
-def series_div_u(s: OneVarSeries) -> OneVarSeries:
-    """Exact division by u; shifts every degree down by one.
-
-    The top coefficient of the result is unknowable at this truncation and is
-    set to zero, consistent with working modulo u^(N+1).
-    """
-    if s.constant_term():
-        raise DomainError("series_div_u needs zero constant term")
-    return OneVarSeries(s.coeffs[1:] + (LP_ZERO,), s.order)
 
 
 def series_exp_linear(c, order: int) -> OneVarSeries:
     """exp(c*u) for a lam-polynomial constant c."""
-    cp = as_lambda_poly(c)
-    comps = []
-    power = LP_ONE
-    for n in range(order + 1):
-        comps.append(power * Fraction(1, math.factorial(n)))
-        power = power * cp
-    return OneVarSeries(comps, order)
+    return series_exp(OneVarSeries.linear(c, order))

@@ -35,7 +35,6 @@ from .scalars import (
     LP_ONE,
     Scalar,
     UsageError,
-    as_lambda_poly,
     scalar_str,
 )
 
@@ -139,18 +138,6 @@ class TensorElement:
         return TensorElement(
             {key: s.grade_part(k) for key, s in self.terms.items()}, self.order
         )
-
-    def up_to_grade(self, k: int) -> "TensorElement":
-        """Keep only a0 powers <= k in every coefficient."""
-        out = {}
-        for key, s in self.terms.items():
-            trimmed = Scalar(
-                s.components[: k + 1] + (as_lambda_poly(0),) * (s.order - k),
-                s.order,
-            )
-            if not trimmed.is_zero():
-                out[key] = trimmed
-        return TensorElement(out, self.order)
 
     def a0_limit(self) -> "TensorElement":
         return TensorElement(

@@ -1,12 +1,17 @@
 """Expression parser and command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kappatwist
 from kappatwist.algebra import AlgebraElement, Monomial, element_str, p, x
 from kappatwist.cli import run
 from kappatwist.hopf import TwistContext
@@ -199,3 +204,29 @@ class TestCLI:
         assert run(["coproduct", "--gen", "q7"]) == 2
         assert run(["bogus"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rexpand", "--order", "0"],
+        ["rexpand", "--order", "-1"],
+        ["eval", "exp(x1)"],
+    ],
+)
+def test_bad_input_exits_2_without_traceback(argv):
+    """Exit 2 with a one-line error, in a fresh interpreter so that an
+    escaping exception would show as a traceback on stderr."""
+    src = str(Path(kappatwist.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kappatwist.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
