@@ -5,6 +5,13 @@ Generators are four coordinates x0..x3 and four momenta p0..p3 with
 sums of normal-ordered monomials x^alpha p^beta (all x left of all p) with
 Scalar coefficients.  The polynomial algebra of the coordinates alone acts
 as the module the full algebra operates on via `act`.
+
+`SparseElement` is the one container behind these elements, the
+coordinate polynomials and the two- and three-leg tensors of `tensor`: an
+immutable {key: Scalar} dict at one truncation order, with all arithmetic
+shared and only the product of two keys left to each subclass.
+`power_series` is the one truncated power-series loop over any of them
+(exponentials, series substitution, the adjoint action).
 """
 
 from __future__ import annotations
@@ -12,11 +19,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from operator import itemgetter
+from typing import Callable, Mapping, NamedTuple
 
 from .scalars import (
     DomainError,
-    GR_I,
     GR_ONE,
     GaussianRational,
     LambdaPoly,
@@ -25,6 +32,8 @@ from .scalars import (
     UsageError,
     as_lambda_poly,
     scalar_str,
+    sum_str,
+    term_str,
 )
 
 ETA = (-1, 1, 1, 1)
@@ -33,6 +42,9 @@ DIM = 4
 Exponents = tuple[int, int, int, int]
 ZERO_EXP: Exponents = (0, 0, 0, 0)
 
+# what a container multiplies as a coefficient rather than as an element
+_CONSTANTS = (int, Fraction, GaussianRational, LambdaPoly, Scalar)
+
 
 class Monomial(NamedTuple):
     """Normal-ordered monomial x^alpha p^beta."""
@@ -40,14 +52,8 @@ class Monomial(NamedTuple):
     alpha: Exponents
     beta: Exponents
 
-    def degree(self) -> int:
-        return sum(self.alpha) + sum(self.beta)
-
     def x_degree(self) -> int:
         return sum(self.alpha)
-
-    def p_degree(self) -> int:
-        return sum(self.beta)
 
     def __str__(self):
         return monomial_str(self)
@@ -117,35 +123,36 @@ def monomial_product(m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, Gaussi
     return tuple(out)
 
 
-class AlgebraElement:
-    """Finite Scalar-linear combination of normal-ordered monomials."""
+class SparseElement:
+    """Immutable finite sum of basis keys with nonzero Scalar coefficients,
+    all truncated at one order N.
+
+    Subclasses differ only in their keys: each names the key of its unit
+    (`UNIT_KEY`) and the product of two keys, which it passes to
+    `_product` from its own `__mul__`.
+    """
 
     __slots__ = ("terms", "order")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar], order: int):
-        clean = {m: s for m, s in terms.items() if not s.is_zero()}
+    UNIT_KEY: object = None
+
+    def __init__(self, terms: Mapping[object, Scalar], order: int):
+        clean = {k: s for k, s in terms.items() if not s.is_zero()}
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "order", order)
 
     def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def zero(order: int) -> "AlgebraElement":
-        return AlgebraElement({}, order)
+    @classmethod
+    def zero(cls, order: int):
+        return cls({}, order)
 
-    @staticmethod
-    def one(order: int) -> "AlgebraElement":
-        return AlgebraElement({UNIT_MONOMIAL: Scalar.one(order)}, order)
+    @classmethod
+    def one(cls, order: int):
+        return cls({cls.UNIT_KEY: Scalar.one(order)}, order)
 
-    @staticmethod
-    def monomial(m: Monomial, order: int, coeff=None) -> "AlgebraElement":
-        s = coeff if isinstance(coeff, Scalar) else Scalar.from_value(
-            1 if coeff is None else coeff, order
-        )
-        return AlgebraElement({m: s}, order)
-
-    def _check(self, other: "AlgebraElement"):
+    def _check(self, other: "SparseElement"):
         if self.order != other.order:
             raise UsageError("mixing elements of different truncation orders")
 
@@ -156,95 +163,119 @@ class AlgebraElement:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         self._check(other)
         return self.terms == other.terms
 
     def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
-        for m, s in other.terms.items():
-            cur = out.get(m)
-            out[m] = s if cur is None else cur + s
-        return AlgebraElement(out, self.order)
+        for k, s in other.terms.items():
+            cur = out.get(k)
+            out[k] = s if cur is None else cur + s
+        return self.__class__(out, self.order)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement({m: -s for m, s in self.terms.items()}, self.order)
+        return self.__class__({k: -s for k, s in self.terms.items()}, self.order)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, LambdaPoly, Scalar)):
+    def _product(self, other, key_product: Callable):
+        """self * other; `key_product(k1, k2)` gives the (key, coefficient)
+        pairs of the product of two basis keys."""
+        if isinstance(other, _CONSTANTS):
             return self.scale(other)
-        if not isinstance(other, AlgebraElement):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         self._check(other)
-        out: dict[Monomial, Scalar] = {}
-        for m1, s1 in self.terms.items():
-            for m2, s2 in other.terms.items():
+        order = self.order
+        # A pair whose lowest a0 grades add up above the order truncates to
+        # zero, so the right factor is walked by grade and the walk stops
+        # there.
+        right = sorted(
+            ((s.min_grade(), k, s) for k, s in other.terms.items()),
+            key=itemgetter(0),
+        )
+        out: dict = {}
+        for k1, s1 in self.terms.items():
+            room = order - s1.min_grade()
+            for g2, k2, s2 in right:
+                if g2 > room:
+                    break
                 s = s1 * s2
-                if s.is_zero():
-                    continue
-                for m, c in monomial_product(m1, m2):
+                for k, c in key_product(k1, k2):
                     contrib = s.scale(c)
-                    cur = out.get(m)
-                    out[m] = contrib if cur is None else cur + contrib
-        return AlgebraElement(out, self.order)
+                    cur = out.get(k)
+                    out[k] = contrib if cur is None else cur + contrib
+        return self.__class__(out, order)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, LambdaPoly, Scalar)):
+        if isinstance(other, _CONSTANTS):
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, factor) -> "AlgebraElement":
-        if isinstance(factor, Scalar):
-            return AlgebraElement(
-                {m: s * factor for m, s in self.terms.items()}, self.order
-            )
-        return AlgebraElement(
-            {m: s * factor for m, s in self.terms.items()}, self.order
+    def scale(self, factor):
+        return self.__class__(
+            {k: s * factor for k, s in self.terms.items()}, self.order
         )
 
     def __pow__(self, n: int):
         if n < 0:
             raise UsageError("negative powers are not defined")
-        acc = AlgebraElement.one(self.order)
+        acc = self.one(self.order)
         for _ in range(n):
             acc = acc * self
         return acc
 
     def min_grade(self) -> int | None:
-        grades = [s.min_grade() for s in self.terms.values()]
-        grades = [g for g in grades if g is not None]
-        return min(grades) if grades else None
+        """Lowest a0 power over all coefficients, or None for zero."""
+        return min((s.min_grade() for s in self.terms.values()), default=None)
 
-    def grade_part(self, k: int) -> "AlgebraElement":
-        return AlgebraElement(
-            {m: s.grade_part(k) for m, s in self.terms.items()}, self.order
+    def grade_part(self, k: int):
+        return self.__class__(
+            {key: s.grade_part(k) for key, s in self.terms.items()}, self.order
         )
 
-    def a0_limit(self) -> "AlgebraElement":
-        return AlgebraElement(
-            {m: s.a0_limit() for m, s in self.terms.items()}, self.order
+    def a0_limit(self):
+        return self.__class__(
+            {k: s.a0_limit() for k, s in self.terms.items()}, self.order
         )
 
-    def substitute_lambda(self, value) -> "AlgebraElement":
-        return AlgebraElement(
-            {m: s.substitute_lambda(value) for m, s in self.terms.items()}, self.order
+    def substitute_lambda(self, value):
+        return self.__class__(
+            {k: s.substitute_lambda(value) for k, s in self.terms.items()}, self.order
         )
 
-    def max_x_degree(self) -> int:
-        return max((m.x_degree() for m in self.terms), default=0)
+    def coefficient(self, key) -> Scalar:
+        return self.terms.get(key, Scalar.zero(self.order))
 
-    def coefficient(self, m: Monomial) -> Scalar:
-        return self.terms.get(m, Scalar.zero(self.order))
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items(), key=itemgetter(0))
 
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+
+def _as_scalar(coeff, order: int) -> Scalar:
+    if isinstance(coeff, Scalar):
+        return coeff
+    return Scalar.from_value(1 if coeff is None else coeff, order)
+
+
+class AlgebraElement(SparseElement):
+    """Finite Scalar-linear combination of normal-ordered monomials."""
+
+    __slots__ = ()
+
+    UNIT_KEY = UNIT_MONOMIAL
+
+    def __mul__(self, other):
+        return self._product(other, monomial_product)
+
+    @staticmethod
+    def monomial(m: Monomial, order: int, coeff=None) -> "AlgebraElement":
+        return AlgebraElement({m: _as_scalar(coeff, order)}, order)
 
     def __str__(self):
         return element_str(self)
@@ -254,34 +285,9 @@ class AlgebraElement:
 
 
 def element_str(e: AlgebraElement) -> str:
-    if e.is_zero():
-        return "0"
-    pieces = []
-    for m, s in e.sorted_terms():
-        stext = scalar_str(s)
-        mtext = monomial_str(m)
-        if mtext == "1":
-            body = stext if _is_atomic(stext) else f"({stext})"
-        elif stext == "1":
-            body = mtext
-        elif stext == "-1":
-            body = "-" + mtext
-        elif _is_atomic(stext):
-            body = f"{stext}*{mtext}"
-        else:
-            body = f"({stext})*{mtext}"
-        pieces.append(body)
-    text = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            text += " - " + piece[1:]
-        else:
-            text += " + " + piece
-    return text
-
-
-def _is_atomic(text: str) -> bool:
-    return " " not in text
+    return sum_str(
+        term_str(scalar_str(s), monomial_str(m)) for m, s in e.sorted_terms()
+    )
 
 
 def x(mu: int, order: int) -> AlgebraElement:
@@ -316,38 +322,43 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b - b * a
 
 
-def graded_exp(a: AlgebraElement) -> AlgebraElement:
-    """exp of an element whose every term carries at least one power of a0."""
+def power_series(a: SparseElement, coeffs, start=None, step=None):
+    """sum_k coeffs[k] * t_k, truncated: t_0 = start (the unit by default),
+    t_k = step(t_(k-1)) (t_(k-1) * a by default).
+
+    Every term of `a` must carry at least one power of a0, so each step
+    raises the grade; the sum stops at the first t_k that truncates to zero.
+    """
     g = a.min_grade()
     if g is not None and g < 1:
-        raise DomainError("graded_exp needs every term at a0-grade >= 1")
-    acc = AlgebraElement.one(a.order)
-    power = AlgebraElement.one(a.order)
-    for n in range(1, a.order + 1):
-        power = power * a
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, math.factorial(n)))
+        raise DomainError("a power series needs its argument at a0-grade >= 1")
+    term = a.one(a.order) if start is None else start
+    acc = term.zero(term.order)
+    for k, c in enumerate(coeffs):
+        if k:
+            term = term * a if step is None else step(term)
+            if term.is_zero():
+                break
+        if c:
+            acc = acc + (term if c == 1 else term.scale(c))
     return acc
+
+
+def exp_coeffs(order: int) -> list[Fraction]:
+    """1/k! for k = 0..order."""
+    return [Fraction(1, math.factorial(k)) for k in range(order + 1)]
+
+
+def graded_exp(a: AlgebraElement) -> AlgebraElement:
+    """exp of an element whose every term carries at least one power of a0."""
+    return power_series(a, exp_coeffs(a.order))
 
 
 def apply_series(series: OneVarSeries, at: AlgebraElement) -> AlgebraElement:
     """Substitute u := at into a truncated series; `at` must be a0-graded."""
     if series.order != at.order:
         raise UsageError("series and element truncation orders differ")
-    g = at.min_grade()
-    if g is not None and g < 1:
-        raise DomainError("apply_series needs the argument at a0-grade >= 1")
-    acc = AlgebraElement.zero(at.order)
-    power = AlgebraElement.one(at.order)
-    for k, coeff in enumerate(series.coeffs):
-        if k:
-            power = power * at
-            if power.is_zero():
-                break
-        if coeff:
-            acc = acc + power.scale(Scalar.from_value(coeff, at.order))
-    return acc
+    return power_series(at, series.coeffs)
 
 
 _Z_CACHE: dict[tuple, AlgebraElement] = {}
@@ -364,74 +375,19 @@ def z_power(exponent, order: int) -> AlgebraElement:
     return cached
 
 
-class Polynomial:
+class Polynomial(SparseElement):
     """Element of the commutative coordinate algebra (functions of x)."""
 
-    __slots__ = ("terms", "order")
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Exponents, Scalar], order: int):
-        clean = {e: s for e, s in terms.items() if not s.is_zero()}
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "order", order)
+    UNIT_KEY = ZERO_EXP
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @staticmethod
-    def zero(order: int) -> "Polynomial":
-        return Polynomial({}, order)
-
-    @staticmethod
-    def one(order: int) -> "Polynomial":
-        return Polynomial({ZERO_EXP: Scalar.one(order)}, order)
+    def __mul__(self, other):
+        return self._product(other, _exponent_sum)
 
     @staticmethod
     def x_monomial(exps: Exponents, order: int, coeff=None) -> "Polynomial":
-        s = coeff if isinstance(coeff, Scalar) else Scalar.from_value(
-            1 if coeff is None else coeff, order
-        )
-        return Polynomial({exps: s}, order)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.order == other.order and self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, s in other.terms.items():
-            cur = out.get(e)
-            out[e] = s if cur is None else cur + s
-        return Polynomial(out, self.order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Polynomial({e: -s for e, s in self.terms.items()}, self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, Scalar)):
-            return Polynomial(
-                {e: s * other for e, s in self.terms.items()}, self.order
-            )
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out: dict[Exponents, Scalar] = {}
-        for e1, s1 in self.terms.items():
-            for e2, s2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = s1 * s2
-                cur = out.get(e)
-                out[e] = s if cur is None else cur + s
-        return Polynomial(out, self.order)
-
-    __rmul__ = __mul__
+        return Polynomial({exps: _as_scalar(coeff, order)}, order)
 
     def to_element(self) -> AlgebraElement:
         return AlgebraElement(
@@ -443,6 +399,10 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({str(self)!r}, N={self.order})"
+
+
+def _exponent_sum(e1: Exponents, e2: Exponents):
+    return ((tuple(a + b for a, b in zip(e1, e2)), GR_ONE),)
 
 
 def act(h: AlgebraElement, f: Polynomial) -> Polynomial:

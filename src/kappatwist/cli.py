@@ -26,7 +26,7 @@ from .algebra import AlgebraElement, element_str
 from .hopf import TwistContext
 from .parser import ParseError, elaborate, parse
 from .scalars import DomainError, UsageError
-from .tensor import TensorElement, canonicalize, equal_mod, tensor_str
+from .tensor import TensorElement, canonicalize, tensor_str
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -73,31 +73,11 @@ def _closed_form_string(node, case: str | None) -> str:
         g = f"M[{i},{j}]"
         return f"{g} ox 1 + 1 ox {g}"
     if kind == "Mhat":
-        i = node[1]
-        others = [j for j in (1, 2, 3) if j != i]
-        g = f"Mhat[{i},0]"
+        from .poincare import boost_closed_form_string
+
         if case is None:
             raise UsageError("boost coproducts need --case i|ii|iii")
-        if case == "i":
-            parts = [f"{g} ox 1 + Z ox {g}"]
-            for j in others:
-                parts.append(f"- a0*Z^[lam]*p{j} ox M[{i},{j}]")
-            return " ".join(parts)
-        if case == "ii":
-            parts = [f"{g} ox Z^[-1/2] + Z^[1/2] ox {g}"]
-            for j in others:
-                parts.append(f"+ 1/2*a0*M[{i},{j}]*Z^[1/2] ox p{j}")
-            for j in others:
-                parts.append(f"- 1/2*a0*p{j} ox M[{i},{j}]*Z^[-1/2]")
-            return " ".join(parts)
-        if case == "iii":
-            return (
-                f"x{i}*p0 ox Z^[lam] + Z^[lam-1] ox x{i}*p0"
-                f" - x0*p{i} ox Z^[-lam] - Z^[1-lam] ox x0*p{i}"
-                f" - a0*(1-lam)*p{i} ox S*Z^[-lam]"
-                f" + a0*lam*S*Z^[1-lam] ox p{i}"
-            )
-        raise UsageError(f"unknown case {case!r}")
+        return boost_closed_form_string(node[1], case)
     raise UsageError("--gen must name a single generator")
 
 

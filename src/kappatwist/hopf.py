@@ -17,21 +17,17 @@ from fractions import Fraction
 from .algebra import (
     AlgebraElement,
     DIM,
-    Monomial,
     Polynomial,
     UNIT_MONOMIAL,
     act,
     dilatation,
-    graded_exp,
     p,
     time_translation,
     x,
     z_power,
 )
 from .scalars import (
-    GR_I,
     LP_LAM,
-    LP_ONE,
     LambdaPoly,
     Scalar,
     UsageError,
@@ -43,8 +39,6 @@ from .tensor import (
     canonicalize,
     embed_left,
     embed_right,
-    equal_mod,
-    m0,
     t3_exp,
     t_adjoint,
     t_exp,

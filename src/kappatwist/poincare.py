@@ -18,6 +18,9 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraElement,
+    Monomial,
+    ZERO_EXP,
+    _bump,
     apply_series,
     commutator,
     p,
@@ -25,9 +28,8 @@ from .algebra import (
 )
 from .hopf import TwistContext
 from .linsolve import SolutionSpace, solve
+from .parser import elaborate, parse
 from .scalars import (
-    GR_I,
-    LP_LAM,
     LP_ONE,
     LambdaPoly,
     OneVarSeries,
@@ -35,7 +37,7 @@ from .scalars import (
     UsageError,
     series_exp_linear,
 )
-from .tensor import TensorElement, canonicalize, equal_mod, t_commutator, tensor
+from .tensor import TensorElement, canonicalize, t_commutator, tensor
 
 SPATIAL = (1, 2, 3)
 
@@ -154,91 +156,78 @@ def rotation_coproduct(
     return ctx.coproduct(m) if method == "twist" else ctx.coproduct_hom(m)
 
 
-def _closed_form_terms(
-    i: int, real: LorentzRealization, ctx: TwistContext
-) -> list[tuple[str, str, TensorElement]]:
-    """Closed-form boost coproduct as labelled tensor terms.
+# The published boost coproducts, one template per preset case: {i} is the
+# boost index and {j} < {k} are the other two spatial indices.
+BOOST_CLOSED_FORMS = {
+    "i": (
+        "Mhat[{i},0] ox 1 + Z ox Mhat[{i},0]"
+        " - a0*Z^[lam]*p{j} ox M[{i},{j}] - a0*Z^[lam]*p{k} ox M[{i},{k}]"
+    ),
+    "ii": (
+        "Mhat[{i},0] ox Z^[-1/2] + Z^[1/2] ox Mhat[{i},0]"
+        " + 1/2*a0*M[{i},{j}]*Z^[1/2] ox p{j} + 1/2*a0*M[{i},{k}]*Z^[1/2] ox p{k}"
+        " - 1/2*a0*p{j} ox M[{i},{j}]*Z^[-1/2] - 1/2*a0*p{k} ox M[{i},{k}]*Z^[-1/2]"
+    ),
+    "iii": (
+        "x{i}*p0 ox Z^[lam] + Z^[lam-1] ox x{i}*p0"
+        " - x0*p{i} ox Z^[-lam] - Z^[1-lam] ox x0*p{i}"
+        " - a0*(1-lam)*p{i} ox S*Z^[-lam]"
+        " + a0*lam*S*Z^[1-lam] ox p{i}"
+    ),
+}
 
-    Each entry is (left_kind, right_kind, term) where a kind classifies the
-    non-scalar content of the leg: 'unit', 'momentum' (momenta and Z-powers
-    only), 'lorentz' (a boost or rotation times momenta), 'coordinate'
-    (a bare x_mu p_nu product that is not a Lorentz combination) or
-    'dilatation' (the x_k p_k leg).
-    """
-    n = ctx.order
-    one = ctx.one
-    a0 = Scalar.a0(n)
-    lam = ctx.lam_poly
-    lam_s = Scalar.from_value(lam, n)
-    one_s = Scalar.one(n)
-    if real.label == "case_i":
-        b = mhat(i, real, ctx)
-        terms = [
-            ("lorentz", "unit", tensor(b, one)),
-            ("momentum", "lorentz", tensor(ctx.z(1), b)),
-        ]
-        for j in SPATIAL:
-            if j == i:
-                continue
-            terms.append(
-                (
-                    "momentum",
-                    "lorentz",
-                    -tensor(ctx.z(lam) * p(j, n), mij(i, j, ctx)).scale(a0),
-                )
-            )
-        return terms
-    if real.label == "case_ii":
-        b = mhat(i, real, ctx)
-        half = Fraction(1, 2)
-        zp = ctx.z(half)
-        zm = ctx.z(-half)
-        terms = [
-            ("lorentz", "momentum", tensor(b, zm)),
-            ("momentum", "lorentz", tensor(zp, b)),
-        ]
-        for j in SPATIAL:
-            if j == i:
-                continue
-            m = mij(i, j, ctx)
-            terms.append(
-                ("lorentz", "momentum", tensor(m * zp, p(j, n)).scale(a0 * half))
-            )
-            terms.append(
-                ("momentum", "lorentz", -tensor(p(j, n), m * zm).scale(a0 * half))
-            )
-        return terms
-    if real.label == "case_iii":
-        xi_p0 = x(i, n) * p(0, n)
-        x0_pi = x(0, n) * p(i, n)
-        return [
-            ("coordinate", "momentum", tensor(xi_p0, ctx.z(lam))),
-            ("momentum", "coordinate", tensor(ctx.z(lam - LP_ONE), xi_p0)),
-            ("coordinate", "momentum", -tensor(x0_pi, ctx.z(-lam))),
-            ("momentum", "coordinate", -tensor(ctx.z(LP_ONE - lam), x0_pi)),
-            (
-                "momentum",
-                "dilatation",
-                -tensor(p(i, n), ctx.S * ctx.z(-lam)).scale(a0 * (one_s - lam_s)),
-            ),
-            (
-                "dilatation",
-                "momentum",
-                tensor(ctx.S * ctx.z(LP_ONE - lam), p(i, n)).scale(a0 * lam_s),
-            ),
-        ]
-    raise UsageError(f"no closed form recorded for {real.label!r}")
+
+def boost_closed_form_string(i: int, case: str) -> str:
+    """The published coproduct of the boost Mhat[i,0] in case i, ii or iii."""
+    if i not in SPATIAL:
+        raise UsageError("boost index must be spatial (1..3)")
+    if case not in BOOST_CLOSED_FORMS:
+        raise UsageError(f"unknown case {case!r}")
+    j, k = (m for m in SPATIAL if m != i)
+    return BOOST_CLOSED_FORMS[case].format(i=i, j=j, k=k)
+
+
+def _case(real: LorentzRealization) -> str:
+    return real.label.removeprefix("case_")
+
+
+def _closed_form_legs(i: int, case: str) -> list[tuple[int, tuple, tuple]]:
+    """(sign, left leg, right leg) of each parsed term of a closed form."""
+    return [
+        (sign, left, right)
+        for sign, (_, left, right) in parse(boost_closed_form_string(i, case))[1]
+    ]
+
+
+def _generator_names(node) -> set[str]:
+    """The plain generators (x0..x3, p0..p3, A, S, Z) named in a parsed
+    expression."""
+    if isinstance(node, tuple) and node[:1] == ("gen",):
+        return {node[1]}
+    if isinstance(node, (tuple, list)):
+        return set().union(*map(_generator_names, node))
+    return set()
+
+
+def _leg_kind(leg) -> str:
+    """'dilatation' for a leg naming S, 'coordinate' for a leg with a bare
+    coordinate generator, '' for Poincare content (momenta, Z-powers, boosts
+    and rotations)."""
+    names = _generator_names(leg)
+    if "S" in names:
+        return "dilatation"
+    if names & {"x0", "x1", "x2", "x3"}:
+        return "coordinate"
+    return ""
 
 
 def boost_coproduct_closed_form(
     i: int, real: LorentzRealization, ctx: TwistContext
 ) -> TensorElement:
     """The published closed forms for the three preset cases, canonical mod R."""
-    n = ctx.order
-    out = TensorElement.zero(n)
-    for _, _, term in _closed_form_terms(i, real, ctx):
-        out = out + term
-    return canonicalize(out, ctx.R)
+    case = _case(real)
+    text = boost_closed_form_string(i, case)
+    return canonicalize(elaborate(parse(text), ctx, case), ctx.R)
 
 
 def nonpoincare_leg_kinds(
@@ -250,14 +239,13 @@ def nonpoincare_leg_kinds(
     only Lorentz-generator and momentum legs for cases (i) and (ii).  Case
     (iii) needs bare coordinate-momentum legs (x_i p0 and x0 p_i appear with
     different cofactors, so they never assemble into the boost) and the
-    dilatation x_k p_k: the gl(4)-type content of the extension.
+    dilatation x_k p_k: the gl(4)-type content of the extension.  The kinds
+    are read off the parsed closed form, so `ctx` is not needed.
     """
-    offending = set()
-    for lkind, rkind, _ in _closed_form_terms(i, real, ctx):
-        for kind in (lkind, rkind):
-            if kind in ("coordinate", "dilatation"):
-                offending.add(kind)
-    return offending
+    kinds = set()
+    for _, left, right in _closed_form_legs(i, _case(real)):
+        kinds |= {_leg_kind(left), _leg_kind(right)}
+    return kinds - {""}
 
 
 def case_iii_x_leg_mismatch(i: int, ctx: TwistContext) -> bool:
@@ -266,37 +254,27 @@ def case_iii_x_leg_mismatch(i: int, ctx: TwistContext) -> bool:
 
     Returns True when the mismatch is present (i.e. the coproduct does not
     close in the Poincare span)."""
-    from .algebra import Monomial
-
-    real = realization("iii", ctx)
     n = ctx.order
-
-    def unit_exp(mu):
-        e = [0, 0, 0, 0]
-        e[mu] = 1
-        return tuple(e)
-
-    xi_p0 = Monomial(unit_exp(i), unit_exp(0))
-    x0_pi = Monomial(unit_exp(0), unit_exp(i))
+    xi_p0 = Monomial(_bump(ZERO_EXP, i), _bump(ZERO_EXP, 0))
+    x0_pi = Monomial(_bump(ZERO_EXP, 0), _bump(ZERO_EXP, i))
+    legs = _closed_form_legs(i, "iii")
 
     # If the coordinate bilinears assembled into M~_{i0} = x_i p0 - x0 p_i,
     # the cofactor of x0 p_i would be minus the cofactor of x_i p0 on each
     # side of the tensor product.
     mismatch = False
-    for left_side in (True, False):
+    for side in (0, 1):
         xi_cof = AlgebraElement.zero(n)
         x0_cof = AlgebraElement.zero(n)
-        for lkind, rkind, term in _closed_form_terms(i, real, ctx):
-            kind = lkind if left_side else rkind
-            if kind != "coordinate":
+        for sign, left, right in legs:
+            if _leg_kind((left, right)[side]) != "coordinate":
                 continue
-            for (l, r), s in term.terms.items():
-                mono = l if left_side else r
-                other = r if left_side else l
-                cof = AlgebraElement.monomial(other, n, s)
-                if mono == xi_p0:
+            term = elaborate(("tensor", left, right), ctx)
+            for key, s in term.terms.items():
+                cof = AlgebraElement.monomial(key[1 - side], n, s if sign > 0 else -s)
+                if key[side] == xi_p0:
                     xi_cof = xi_cof + cof
-                elif mono == x0_pi:
+                elif key[side] == x0_pi:
                     x0_cof = x0_cof + cof
                 else:
                     mismatch = True

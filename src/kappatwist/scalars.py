@@ -682,31 +682,34 @@ def scalar_str(s: Scalar) -> str:
             factors.append("a0" if k == 1 else f"a0^{k}")
         if deg:
             factors.append("lam" if deg == 1 else f"lam^{deg}")
-        pieces.append(_coef_factor_str(coef, "*".join(factors)))
-    if not pieces:
-        return "0"
-    text = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
+        pieces.append(term_str(_triple_str(coef), "*".join(factors) or "1"))
+    return sum_str(pieces)
+
+
+def term_str(ctext: str, body: str) -> str:
+    """Render the coefficient text times the basis text ``body`` ("1" for
+    the unit) with minimal parentheses."""
+    atomic = " " not in ctext
+    if body == "1":
+        return ctext if atomic else f"({ctext})"
+    if ctext == "1":
+        return body
+    if ctext == "-1":
+        return "-" + body
+    return f"{ctext}*{body}" if atomic else f"({ctext})*{body}"
+
+
+def sum_str(pieces) -> str:
+    """Join rendered terms with " + " and " - "; "0" for no terms."""
+    text = ""
+    for piece in pieces:
+        if not text:
+            text = piece
+        elif piece.startswith("-"):
             text += " - " + piece[1:]
         else:
             text += " + " + piece
-    return text
-
-
-def _coef_factor_str(coef: Triple, body: str) -> str:
-    """Render coef * body with minimal parentheses."""
-    if not body:
-        ctext = _triple_str(coef)
-        return f"({ctext})" if (" " in ctext) else ctext
-    if coef == (1, 0, 1):
-        return body
-    if coef == (-1, 0, 1):
-        return "-" + body
-    ctext = _triple_str(coef)
-    if " " in ctext:
-        return f"({ctext})*{body}"
-    return f"{ctext}*{body}"
+    return text or "0"
 
 
 class OneVarSeries(_Graded):

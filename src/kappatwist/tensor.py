@@ -1,41 +1,41 @@
 """Tensor squares and cubes of the phase-space algebra.
 
-Provides componentwise products, the leg flip tau0, the multiplication map
-m0, graded exponentials / adjoint conjugation, and canonicalization modulo
-the three exchange-relation sets (undeformed R0 and the two deformed sets R
-and Rtilde).  The canonical representative of a class has no coordinate
-generators in the left tensor leg.
+`TensorElement` and `TensorElement3` are `SparseElement` containers keyed
+by pairs and triples of monomials, multiplied leg by leg.  This module
+also provides the leg flip tau0, the multiplication map m0, graded
+exponentials and adjoint conjugation (through `power_series`), and
+canonicalization modulo the three exchange-relation sets (undeformed R0
+and the two deformed sets R and Rtilde).  The canonical representative of
+a class has no coordinate generators in the left tensor leg.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Mapping
 
 from .algebra import (
     AlgebraElement,
     Monomial,
+    SparseElement,
     UNIT_MONOMIAL,
-    ZERO_EXP,
     _bump,
     dilatation,
-    element_str,
+    exp_coeffs,
     monomial_product,
     monomial_str,
+    power_series,
     x,
     z_power,
 )
 from .scalars import (
-    DomainError,
-    GaussianRational,
-    GR_ONE,
     LambdaPoly,
     LP_LAM,
     LP_ONE,
     Scalar,
     UsageError,
     scalar_str,
+    sum_str,
+    term_str,
 )
 
 TensorKey = tuple[Monomial, Monomial]
@@ -44,116 +44,15 @@ TensorKey = tuple[Monomial, Monomial]
 MAX_REWRITE_STEPS = 2_000_000
 
 
-class TensorElement:
+class TensorElement(SparseElement):
     """Finite Scalar-linear combination of monomial tensor pairs."""
 
-    __slots__ = ("terms", "order")
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[TensorKey, Scalar], order: int):
-        clean = {k: s for k, s in terms.items() if not s.is_zero()}
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
-
-    @staticmethod
-    def zero(order: int) -> "TensorElement":
-        return TensorElement({}, order)
-
-    @staticmethod
-    def one(order: int) -> "TensorElement":
-        return TensorElement(
-            {(UNIT_MONOMIAL, UNIT_MONOMIAL): Scalar.one(order)}, order
-        )
-
-    def _check(self, other: "TensorElement"):
-        if self.order != other.order:
-            raise UsageError("mixing tensors of different truncation orders")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for k, s in other.terms.items():
-            cur = out.get(k)
-            out[k] = s if cur is None else cur + s
-        return TensorElement(out, self.order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement({k: -s for k, s in self.terms.items()}, self.order)
+    UNIT_KEY = (UNIT_MONOMIAL, UNIT_MONOMIAL)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, LambdaPoly, Scalar)):
-            return self.scale(other)
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
-        out: dict[TensorKey, Scalar] = {}
-        for (l1, r1), s1 in self.terms.items():
-            for (l2, r2), s2 in other.terms.items():
-                s = s1 * s2
-                if s.is_zero():
-                    continue
-                for ml, cl in monomial_product(l1, l2):
-                    for mr, cr in monomial_product(r1, r2):
-                        contrib = s.scale(cl * cr)
-                        key = (ml, mr)
-                        cur = out.get(key)
-                        out[key] = contrib if cur is None else cur + contrib
-        return TensorElement(out, self.order)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, LambdaPoly, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, factor) -> "TensorElement":
-        return TensorElement(
-            {k: s * factor for k, s in self.terms.items()}, self.order
-        )
-
-    def min_grade(self) -> int | None:
-        grades = [s.min_grade() for s in self.terms.values()]
-        grades = [g for g in grades if g is not None]
-        return min(grades) if grades else None
-
-    def grade_part(self, k: int) -> "TensorElement":
-        return TensorElement(
-            {key: s.grade_part(k) for key, s in self.terms.items()}, self.order
-        )
-
-    def a0_limit(self) -> "TensorElement":
-        return TensorElement(
-            {k: s.a0_limit() for k, s in self.terms.items()}, self.order
-        )
-
-    def substitute_lambda(self, value) -> "TensorElement":
-        return TensorElement(
-            {k: s.substitute_lambda(value) for k, s in self.terms.items()}, self.order
-        )
-
-    def coefficient(self, key: TensorKey) -> Scalar:
-        return self.terms.get(key, Scalar.zero(self.order))
-
-    def sorted_terms(self) -> list[tuple[TensorKey, Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        return self._product(other, _pair_product)
 
     def __str__(self):
         return tensor_str(self)
@@ -162,29 +61,20 @@ class TensorElement:
         return f"TensorElement({tensor_str(self)!r}, N={self.order})"
 
 
+def _pair_product(k1: TensorKey, k2: TensorKey):
+    (l1, r1), (l2, r2) = k1, k2
+    return [
+        ((ml, mr), cl * cr)
+        for ml, cl in monomial_product(l1, l2)
+        for mr, cr in monomial_product(r1, r2)
+    ]
+
+
 def tensor_str(t: TensorElement) -> str:
-    if t.is_zero():
-        return "0"
-    pieces = []
-    for (ml, mr), s in t.sorted_terms():
-        stext = scalar_str(s)
-        body = f"{monomial_str(ml)} ox {monomial_str(mr)}"
-        if stext == "1":
-            piece = body
-        elif stext == "-1":
-            piece = f"-{body}"
-        elif " " in stext:
-            piece = f"({stext})*{body}"
-        else:
-            piece = f"{stext}*{body}"
-        pieces.append(piece)
-    text = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            text += " - " + piece[1:]
-        else:
-            text += " + " + piece
-    return text
+    return sum_str(
+        term_str(scalar_str(s), f"{monomial_str(ml)} ox {monomial_str(mr)}")
+        for (ml, mr), s in t.sorted_terms()
+    )
 
 
 def tensor(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
@@ -226,32 +116,17 @@ def m0(t: TensorElement) -> AlgebraElement:
 
 
 def t_exp(a: TensorElement) -> TensorElement:
-    g = a.min_grade()
-    if g is not None and g < 1:
-        raise DomainError("t_exp needs every term at a0-grade >= 1")
-    acc = TensorElement.one(a.order)
-    power = TensorElement.one(a.order)
-    for n in range(1, a.order + 1):
-        power = power * a
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, math.factorial(n)))
-    return acc
+    return power_series(a, exp_coeffs(a.order))
 
 
 def t_adjoint(conjugator: TensorElement, target: TensorElement) -> TensorElement:
     """exp(ad conjugator) applied to target, truncated by the a0 grading."""
-    g = conjugator.min_grade()
-    if g is not None and g < 1:
-        raise DomainError("t_adjoint needs the conjugator at a0-grade >= 1")
-    acc = target
-    nested = target
-    for n in range(1, target.order + 1):
-        nested = t_commutator(conjugator, nested)
-        if nested.is_zero():
-            break
-        acc = acc + nested.scale(Fraction(1, math.factorial(n)))
-    return acc
+    return power_series(
+        conjugator,
+        exp_coeffs(target.order),
+        start=target,
+        step=lambda t: t_commutator(conjugator, t),
+    )
 
 
 class RelationSet:
@@ -365,85 +240,28 @@ def equal_mod(a: TensorElement, b: TensorElement, rel: RelationSet) -> bool:
 TensorKey3 = tuple[Monomial, Monomial, Monomial]
 
 
-class TensorElement3:
+class TensorElement3(SparseElement):
     """Triple tensors; just enough structure for the cocycle check."""
 
-    __slots__ = ("terms", "order")
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[TensorKey3, Scalar], order: int):
-        clean = {k: s for k, s in terms.items() if not s.is_zero()}
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement3 is immutable")
-
-    @staticmethod
-    def zero(order: int) -> "TensorElement3":
-        return TensorElement3({}, order)
-
-    @staticmethod
-    def one(order: int) -> "TensorElement3":
-        return TensorElement3(
-            {(UNIT_MONOMIAL, UNIT_MONOMIAL, UNIT_MONOMIAL): Scalar.one(order)}, order
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement3):
-            return NotImplemented
-        if self.order != other.order:
-            raise UsageError("mixing tensors of different truncation orders")
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement3):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, s in other.terms.items():
-            cur = out.get(k)
-            out[k] = s if cur is None else cur + s
-        return TensorElement3(out, self.order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement3({k: -s for k, s in self.terms.items()}, self.order)
+    UNIT_KEY = (UNIT_MONOMIAL, UNIT_MONOMIAL, UNIT_MONOMIAL)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, LambdaPoly, Scalar)):
-            return TensorElement3(
-                {k: s * other for k, s in self.terms.items()}, self.order
-            )
-        if not isinstance(other, TensorElement3):
-            return NotImplemented
-        out: dict[TensorKey3, Scalar] = {}
-        for k1, s1 in self.terms.items():
-            for k2, s2 in other.terms.items():
-                s = s1 * s2
-                if s.is_zero():
-                    continue
-                for m0_, c0 in monomial_product(k1[0], k2[0]):
-                    for m1_, c1 in monomial_product(k1[1], k2[1]):
-                        for m2_, c2 in monomial_product(k1[2], k2[2]):
-                            contrib = s.scale(c0 * c1 * c2)
-                            key = (m0_, m1_, m2_)
-                            cur = out.get(key)
-                            out[key] = contrib if cur is None else cur + contrib
-        return TensorElement3(out, self.order)
-
-    __rmul__ = __mul__
-
-    def min_grade(self) -> int | None:
-        grades = [s.min_grade() for s in self.terms.values()]
-        grades = [g for g in grades if g is not None]
-        return min(grades) if grades else None
+        return self._product(other, _triple_product)
 
     def __repr__(self):
         return f"TensorElement3(<{len(self.terms)} terms>, N={self.order})"
+
+
+def _triple_product(k1: TensorKey3, k2: TensorKey3):
+    (a1, b1, c1), (a2, b2, c2) = k1, k2
+    return [
+        ((ma, mb, mc), ca * cb * cc)
+        for ma, ca in monomial_product(a1, a2)
+        for mb, cb in monomial_product(b1, b2)
+        for mc, cc in monomial_product(c1, c2)
+    ]
 
 
 def tensor3(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> TensorElement3:
@@ -461,17 +279,7 @@ def tensor3(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> TensorEl
 
 
 def t3_exp(a: TensorElement3) -> TensorElement3:
-    g = a.min_grade()
-    if g is not None and g < 1:
-        raise DomainError("t3_exp needs every term at a0-grade >= 1")
-    acc = TensorElement3.one(a.order)
-    power = TensorElement3.one(a.order)
-    for n in range(1, a.order + 1):
-        power = power * a
-        if power.is_zero():
-            break
-        acc = acc + power * Fraction(1, math.factorial(n))
-    return acc
+    return power_series(a, exp_coeffs(a.order))
 
 
 def embed_left(t: TensorElement) -> TensorElement3:

@@ -14,6 +14,7 @@ from kappatwist.algebra import (
     Monomial,
     Polynomial,
     act,
+    apply_series,
     commutator,
     dilatation,
     element_str,
@@ -23,7 +24,8 @@ from kappatwist.algebra import (
     x,
     z_power,
 )
-from kappatwist.scalars import DomainError, LambdaPoly, Scalar
+from kappatwist.scalars import DomainError, LambdaPoly, OneVarSeries, Scalar
+from kappatwist.tensor import TensorElement, t3_exp, t_adjoint, t_exp, tensor, tensor3
 
 N = 3
 
@@ -152,9 +154,20 @@ class TestExponentials:
         zc = z_power(-lam, N)
         assert z * zc == AlgebraElement.one(N)
 
-    def test_graded_exp_requires_positive_grade(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: graded_exp(x(1, N)),
+            lambda: apply_series(OneVarSeries.u(N), x(1, N)),
+            lambda: t_exp(tensor(x(1, N), p(0, N))),
+            lambda: t3_exp(tensor3(x(1, N), p(0, N), p(0, N))),
+            lambda: t_adjoint(tensor(x(1, N), p(0, N)), TensorElement.one(N)),
+        ],
+        ids=["graded_exp", "apply_series", "t_exp", "t3_exp", "t_adjoint"],
+    )
+    def test_graded_exp_requires_positive_grade(self, call):
         with pytest.raises(DomainError):
-            graded_exp(x(1, N))
+            call()
 
     def test_graded_exp_inverse(self):
         a = time_translation(N).scale(Scalar.i(N))

@@ -9,6 +9,7 @@ from kappatwist.algebra import commutator, p, x
 from kappatwist.hopf import TwistContext
 from kappatwist.poincare import (
     SPATIAL,
+    boost_closed_form_string,
     boost_coproduct_closed_form,
     boost_coproduct_order1_match,
     case_iii_x_leg_mismatch,
@@ -158,3 +159,8 @@ class TestSpatialIndexing:
         real = realization("i", sym_ctx)
         with pytest.raises(UsageError):
             mhat(0, real, sym_ctx)
+
+    @pytest.mark.parametrize("i, case", [(0, "i"), (4, "iii"), (1, "iv")])
+    def test_closed_form_string_rejects_bad_input(self, i, case):
+        with pytest.raises(UsageError):
+            boost_closed_form_string(i, case)

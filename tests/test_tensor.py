@@ -3,16 +3,26 @@ canonical forms."""
 
 from fractions import Fraction
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappatwist.algebra import AlgebraElement, dilatation, p, time_translation, x
+from kappatwist.algebra import (
+    AlgebraElement,
+    Polynomial,
+    dilatation,
+    p,
+    time_translation,
+    x,
+)
 from kappatwist.hopf import TwistContext
-from kappatwist.scalars import Scalar, UsageError
+from kappatwist.scalars import LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import (
     RelationSet,
     TensorElement,
+    TensorElement3,
     canonicalize,
     embed_left,
     embed_right,
@@ -48,6 +58,26 @@ def simple_tensors():
     return st.builds(build, st.lists(st.tuples(gens, gens, coeff), max_size=3))
 
 
+def graded_tensors():
+    """Tensors whose coefficients spread over a0 grades 0..N and powers of lam."""
+    gens = st.sampled_from(["x1", "p0", "p1", "x0", "S"])
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    grade = st.integers(0, N)
+    lam_power = st.integers(0, 2)
+
+    def build(pairs):
+        ctx = TwistContext(order=N)
+        out = TensorElement.zero(N)
+        for g1, g2, c, k, j in pairs:
+            s = Scalar.graded(LambdaPoly({j: c}), k, N)
+            out = out + tensor(ctx.generator(g1), ctx.generator(g2)).scale(s)
+        return out
+
+    return st.builds(
+        build, st.lists(st.tuples(gens, gens, coeff, grade, lam_power), max_size=4)
+    )
+
+
 class TestTensorAlgebra:
     def test_legwise_product(self):
         a = tensor(x(1, N), p(0, N))
@@ -57,6 +87,18 @@ class TestTensorAlgebra:
         left = x(1, N) * p(1, N)
         right = p(0, N) * x(0, N)
         assert ab == tensor_of_product(left, right)
+
+    @given(graded_tensors(), graded_tensors())
+    @settings(max_examples=40, deadline=None)
+    def test_product_matches_termwise_legs(self, a, b):
+        # every pair of terms, with no grade-based early stop
+        expect = TensorElement.zero(N)
+        for (l1, r1), s1 in a.terms.items():
+            for (l2, r2), s2 in b.terms.items():
+                left = AlgebraElement.monomial(l1, N) * AlgebraElement.monomial(l2, N)
+                right = AlgebraElement.monomial(r1, N) * AlgebraElement.monomial(r2, N)
+                expect = expect + tensor(left, right).scale(s1 * s2)
+        assert a * b == expect
 
     @given(simple_tensors(), simple_tensors(), simple_tensors())
     @settings(max_examples=30, deadline=None)
@@ -155,6 +197,17 @@ class TestRelations:
     def test_rejects_mixed_orders(self):
         with pytest.raises(UsageError):
             tensor(x(1, 2), p(0, 3))
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [AlgebraElement, Polynomial, TensorElement, TensorElement3],
+    ids=lambda cls: cls.__name__,
+)
+@pytest.mark.parametrize("op", [operator.add, operator.mul, operator.eq], ids=["add", "mul", "eq"])
+def test_containers_reject_mixed_orders(cls, op):
+    with pytest.raises(UsageError):
+        op(cls.one(3), cls.zero(4))
 
 
 def test_tensor_str_zero():
