@@ -11,7 +11,7 @@ coordinate polynomials and the two- and three-leg tensors of `tensor`: an
 immutable {key: Scalar} dict at one truncation order, with all arithmetic
 shared and only the product of two keys left to each subclass.
 `power_series` is the one truncated power-series loop over any of them
-(exponentials, series substitution, the adjoint action).
+(exponentials, the boost profile functions, the adjoint action).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .scalars import (
     GR_ONE,
     GaussianRational,
     LambdaPoly,
-    OneVarSeries,
     Scalar,
     UsageError,
     as_lambda_poly,
@@ -352,13 +351,6 @@ def exp_coeffs(order: int) -> list[Fraction]:
 def graded_exp(a: AlgebraElement) -> AlgebraElement:
     """exp of an element whose every term carries at least one power of a0."""
     return power_series(a, exp_coeffs(a.order))
-
-
-def apply_series(series: OneVarSeries, at: AlgebraElement) -> AlgebraElement:
-    """Substitute u := at into a truncated series; `at` must be a0-graded."""
-    if series.order != at.order:
-        raise UsageError("series and element truncation orders differ")
-    return power_series(at, series.coeffs)
 
 
 _Z_CACHE: dict[tuple, AlgebraElement] = {}

@@ -99,6 +99,13 @@ class Parser:
         tok = self.peek()
         return tok[0] == "op" and tok[1] in values
 
+    def integer(self, what: str) -> tuple[int, int]:
+        """The next token as a nonnegative integer, with its offset."""
+        tok = self.expect("num")
+        if "/" in tok[1]:
+            raise ParseError(f"integer {what} required", tok[2])
+        return int(tok[1]), tok[2]
+
     # -- entry points ----------------------------------------------------
 
     def parse(self):
@@ -151,17 +158,14 @@ class Parser:
             if self.at_op("-"):
                 self.next()
                 sign = -1
-            etok = self.expect("num")
-            if "/" in etok[1]:
-                raise ParseError("integer exponent required", etok[2])
-            return ("pow", base, sign * int(etok[1]))
+            return ("pow", base, sign * self.integer("exponent")[0])
         return base
 
     def atom(self):
         tok = self.next()
         kind, text, pos = tok
         if kind == "num":
-            return ("num", Fraction(text))
+            return ("num", _rational(tok))
         if kind == "op" and text == "(":
             inner = self.inner_sum()
             self.expect("op", ")")
@@ -193,14 +197,13 @@ class Parser:
             return ("Z", None)
         if text == "M" or text == "Mhat":
             self.expect("op", "[")
-            itok = self.expect("num")
+            i, _ = self.integer("index")
             self.expect("op", ",")
-            jtok = self.expect("num")
+            j, jpos = self.integer("index")
             self.expect("op", "]")
-            i, j = int(itok[1]), int(jtok[1])
             if text == "Mhat":
                 if j != 0:
-                    raise ParseError("boost index pair must be [i,0]", jtok[2])
+                    raise ParseError("boost index pair must be [i,0]", jpos)
                 return ("Mhat", i)
             return ("M", i, j)
         if text in _GEN_NAMES:
@@ -233,7 +236,7 @@ class Parser:
         tok = self.peek()
         if tok[0] == "num":
             self.next()
-            coeff = Fraction(tok[1])
+            coeff = _rational(tok)
             explicit = True
             if self.at_op("*"):
                 self.next()
@@ -246,11 +249,18 @@ class Parser:
             degree = 1
             if self.at_op("^"):
                 self.next()
-                etok = self.expect("num")
-                degree = int(etok[1])
+                degree = self.integer("exponent")[0]
         elif not explicit:
             raise ParseError(f"expected rational or 'lam', found {tok[1]!r}", tok[2])
         return LambdaPoly({degree: coeff})
+
+
+def _rational(tok) -> Fraction:
+    """A number token as a Fraction; a zero denominator is a parse error."""
+    den = tok[1].partition("/")[2]
+    if den and not int(den):
+        raise ParseError("division by zero", tok[2])
+    return Fraction(tok[1])
 
 
 def parse(src: str):
@@ -291,11 +301,11 @@ def elaborate(node, ctx: TwistContext, realization_case: str | None = None):
             out = out + (e if sign > 0 else -e)
         return out
     if kind == "mul":
-        out = AlgebraElement.one(n)
+        out = None
         for part in node[1]:
             e = elaborate(part, ctx, realization_case)
             _require_plain(e)
-            out = out * e
+            out = e if out is None else out * e
         return out
     if kind == "pow":
         base = elaborate(node[1], ctx, realization_case)

@@ -21,22 +21,16 @@ from .algebra import (
     Monomial,
     ZERO_EXP,
     _bump,
-    apply_series,
     commutator,
+    exp_coeffs,
     p,
+    power_series,
     x,
 )
 from .hopf import TwistContext
 from .linsolve import SolutionSpace, solve
 from .parser import elaborate, parse
-from .scalars import (
-    LP_ONE,
-    LambdaPoly,
-    OneVarSeries,
-    Scalar,
-    UsageError,
-    series_exp_linear,
-)
+from .scalars import LP_ONE, Scalar, UsageError
 from .tensor import TensorElement, canonicalize, t_commutator, tensor
 
 SPATIAL = (1, 2, 3)
@@ -44,47 +38,39 @@ SPATIAL = (1, 2, 3)
 
 @dataclass(frozen=True)
 class LorentzRealization:
-    """Profile functions for the boost ansatz plus a case label."""
+    """The four profile functions F1..F4 of the boost ansatz, as elements
+    of the algebra (functions of A), plus a case label."""
 
     label: str
-    f1: OneVarSeries
-    f2: OneVarSeries
-    f3: OneVarSeries
-    f4: OneVarSeries
+    f1: AlgebraElement
+    f2: AlgebraElement
+    f3: AlgebraElement
+    f4: AlgebraElement
 
 
-def _exp_diff_over_u(c1, c2, order: int) -> OneVarSeries:
-    """(exp(c1*u) - exp(c2*u)) / u with the top coefficient exact."""
-    diff = series_exp_linear(c1, order + 1) - series_exp_linear(c2, order + 1)
-    return OneVarSeries(diff.coeffs[1 : order + 2], order)
+def _sinh_over_a(ctx: TwistContext) -> AlgebraElement:
+    """sinh(A)/A = sum over even k of A^k/(k+1)!."""
+    coeffs = exp_coeffs(ctx.order + 1)[1:]
+    return power_series(ctx.A, [c if k % 2 == 0 else 0 for k, c in enumerate(coeffs)])
 
 
 def realization(case: str, ctx: TwistContext) -> LorentzRealization:
     n = ctx.order
-    lam = ctx.lam_poly
-    one = LP_ONE
-    half = Fraction(1, 2)
+    zero = AlgebraElement.zero(n)
     if case in ("i", "case_i"):
-        # F1 = (Z^(2-lam) - Z^(-lam)) / (2A), F2 = Z^lam,
-        # F3 = (1-lam) Z^lam, F4 = -Z^lam / 2
-        f1 = _exp_diff_over_u(LambdaPoly.const(2) - lam, -lam, n) * half
-        zlam = series_exp_linear(lam, n)
-        return LorentzRealization("case_i", f1, zlam, zlam * (one - lam), zlam * (-half))
+        # F1 = (Z^(2-lam) - Z^(-lam)) / (2A) = Z^(1-lam) sinh(A)/A,
+        # F2 = Z^lam, F3 = (1-lam) Z^lam, F4 = -Z^lam / 2
+        lam = ctx.lam_poly
+        zlam = ctx.z(lam)
+        f1 = ctx.z(LP_ONE - lam) * _sinh_over_a(ctx)
+        f3 = zlam.scale(Scalar.from_value(LP_ONE - lam, n))
+        return LorentzRealization("case_i", f1, zlam, f3, zlam.scale(Fraction(-1, 2)))
     if case in ("ii", "case_ii"):
         if ctx.lam != Fraction(1, 2):
             raise UsageError("case (ii) requires the lam = 1/2 context")
-        f1 = _exp_diff_over_u(1, -1, n) * half
-        return LorentzRealization(
-            "case_ii", f1, OneVarSeries.one(n), OneVarSeries.zero(n), OneVarSeries.zero(n)
-        )
+        return LorentzRealization("case_ii", _sinh_over_a(ctx), ctx.one, zero, zero)
     if case in ("iii", "case_iii"):
-        return LorentzRealization(
-            "case_iii",
-            OneVarSeries.one(n),
-            OneVarSeries.one(n),
-            OneVarSeries.zero(n),
-            OneVarSeries.zero(n),
-        )
+        return LorentzRealization("case_iii", ctx.one, ctx.one, zero, zero)
     raise UsageError(f"unknown realization case {case!r}")
 
 
@@ -102,13 +88,12 @@ def mhat(i: int, real: LorentzRealization, ctx: TwistContext) -> AlgebraElement:
         raise UsageError("boost index must be spatial (1..3)")
     n = ctx.order
     a0 = Scalar.a0(n)
-    A = ctx.A
-    out = x(i, n) * p(0, n) * apply_series(real.f1, A)
-    out = out - x(0, n) * p(i, n) * apply_series(real.f2, A)
+    out = x(i, n) * p(0, n) * real.f1
+    out = out - x(0, n) * p(i, n) * real.f2
     if not real.f3.is_zero():
-        out = out + (ctx.S * p(i, n) * apply_series(real.f3, A)).scale(a0)
+        out = out + (ctx.S * p(i, n) * real.f3).scale(a0)
     if not real.f4.is_zero():
-        out = out + (x(i, n) * momentum_square(ctx) * apply_series(real.f4, A)).scale(a0)
+        out = out + (x(i, n) * momentum_square(ctx) * real.f4).scale(a0)
     return out
 
 
@@ -322,8 +307,7 @@ def lorentz_algebra_check(real: LorentzRealization, ctx: TwistContext) -> list[C
         return boosts[k]
 
     if real.label == "case_ii":
-        cosh = (series_exp_linear(1, n) + series_exp_linear(-1, n)) * Fraction(1, 2)
-        cosh_a = apply_series(cosh, ctx.A)
+        cosh_a = (ctx.z(1) + ctx.z(-1)).scale(Fraction(1, 2))
     else:
         cosh_a = ctx.one
 
@@ -393,19 +377,17 @@ def momentum_sector_closed_forms(
     for i in SPATIAL:
         b = mhat(i, real, ctx)
         lhs = commutator(b, p(0, n))
-        rhs = (p(i, n) * apply_series(real.f2, ctx.A)).scale(i_s)
+        rhs = (p(i, n) * real.f2).scale(i_s)
         results.append(CheckResult(f"[B{i},p0]", lhs == rhs))
         for j in SPATIAL:
             lhs = commutator(b, p(j, n))
             rhs = AlgebraElement.zero(n)
             if i == j:
-                rhs = rhs + (p(0, n) * apply_series(real.f1, ctx.A)).scale(i_s)
+                rhs = rhs + (p(0, n) * real.f1).scale(i_s)
                 if not real.f4.is_zero():
-                    rhs = rhs + (psq * apply_series(real.f4, ctx.A)).scale(i_s * a0)
+                    rhs = rhs + (psq * real.f4).scale(i_s * a0)
             if not real.f3.is_zero():
-                rhs = rhs + (
-                    p(i, n) * p(j, n) * apply_series(real.f3, ctx.A)
-                ).scale(i_s * a0)
+                rhs = rhs + (p(i, n) * p(j, n) * real.f3).scale(i_s * a0)
             results.append(CheckResult(f"[B{i},p{j}]", lhs == rhs))
     return results
 

@@ -12,15 +12,13 @@ in FLINT's ``fmpq_poly``.  On top of that triple:
   coefficients out,
 * ``Scalar`` -- a sparse dict ``{(k, j): (a, b, d)}`` for the coefficient
   ``sum (a + b*i)/d * a0^k * lam^j``, truncated at a fixed order ``N``:
-  every term above ``a0^N`` is dropped, which is a filter on ``k``,
-* ``OneVarSeries`` -- the same sparse ring with the power of a formal
-  variable ``u`` in place of the a0 power; it holds the generator-profile
-  functions that get evaluated at ``A = a0*p0``.
+  every term above ``a0^N`` is dropped, which is a filter on ``k``.
 
-``Scalar`` and ``OneVarSeries`` arithmetic works on the integer triples
-directly and builds no intermediate ``GaussianRational``, ``LambdaPoly`` or
-``Fraction`` objects.  ``Scalar.components`` and ``OneVarSeries.coeffs``
-are dense ``LambdaPoly`` views built on demand.
+``Scalar`` is the one graded type.  Its arithmetic works on the integer
+triples directly and builds no intermediate ``GaussianRational``,
+``LambdaPoly`` or ``Fraction`` objects.  Functions of ``A = a0*p0`` (the
+boost profile functions, ``Z^c``) are algebra elements, built in
+``algebra`` and ``poincare``.
 
 All values are immutable; operations return fresh objects.
 """
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 
 class UsageError(ValueError):
@@ -226,12 +224,6 @@ def _triple(value) -> Triple:
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
-
-
-def gaussian_str(g: GaussianRational) -> str:
-    """Canonical text form: ``a/b``, ``c/d*I`` or ``a/b + c/d*I``."""
-    return _triple_str(g.triple)
 
 
 def _rational_str(n: int, d: int) -> str:
@@ -444,41 +436,50 @@ def _scale(terms: Terms, factor: Triple) -> Terms:
     return out
 
 
-class _Graded:
-    """Sparse truncated series in one grading variable (a0 for Scalar, u
-    for OneVarSeries) with lam-polynomial coefficients.
+class Scalar:
+    """Graded truncated element: sum over k<=N of a0^k * (lam-polynomial).
 
-    ``terms`` maps (grade, lam power) to a normalised triple; it holds no
-    zero value and no grade above ``order``.
+    ``terms`` maps (a0 power, lam power) to a normalised triple; it holds no
+    zero value and no grade above ``order``.  Build values with the static
+    constructors below.
     """
 
     __slots__ = ("terms", "order")
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        raise AttributeError("Scalar is immutable")
 
-    def _init_dense(self, polys: tuple, order: int) -> None:
-        if len(polys) != order + 1:
-            raise UsageError("component count must be order + 1")
-        terms: Terms = {}
-        for k, poly in enumerate(polys):
-            terms.update(_const_terms(poly, k))
-        _set_terms(self, terms)
-        _set_order(self, order)
+    @staticmethod
+    def zero(order: int) -> "Scalar":
+        return _build({}, order)
 
-    @classmethod
-    def zero(cls, order: int):
-        return _build(cls, {}, order)
+    @staticmethod
+    def one(order: int) -> "Scalar":
+        return _build({(0, 0): (1, 0, 1)}, order)
 
-    @classmethod
-    def one(cls, order: int):
-        return _build(cls, {(0, 0): (1, 0, 1)}, order)
+    @staticmethod
+    def from_value(value, order: int) -> "Scalar":
+        return _build(_const_terms(value), order)
 
-    def _dense(self) -> tuple[LambdaPoly, ...]:
-        per: list[dict[int, GaussianRational]] = [{} for _ in range(self.order + 1)]
-        for (k, j), t in sorted(self.terms.items()):
-            per[k][j] = _gr(t)
-        return tuple(_lambda_poly(c) for c in per)
+    @staticmethod
+    def i(order: int) -> "Scalar":
+        return _build({(0, 0): (0, 1, 1)}, order)
+
+    @staticmethod
+    def lam(order: int) -> "Scalar":
+        return _build({(0, 1): (1, 0, 1)}, order)
+
+    @staticmethod
+    def a0(order: int, power: int = 1) -> "Scalar":
+        return Scalar.graded(1, power, order)
+
+    @staticmethod
+    def graded(value, a0_power: int, order: int) -> "Scalar":
+        if a0_power < 0:
+            raise UsageError("negative a0 power")
+        if a0_power > order:
+            return Scalar.zero(order)
+        return _build(_const_terms(value, a0_power), order)
 
     def _mismatch(self, other) -> UsageError:
         return UsageError(
@@ -492,7 +493,7 @@ class _Graded:
         return not self.terms
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        if other.__class__ is not Scalar:
             return NotImplemented
         if self.order != other.order:
             raise self._mismatch(other)
@@ -502,8 +503,8 @@ class _Graded:
         return hash((frozenset(self.terms.items()), self.order))
 
     def _operand(self, other) -> Terms | None:
-        """Terms of a same-kind operand or of a constant; None otherwise."""
-        if other.__class__ is self.__class__:
+        """Terms of a Scalar operand or of a constant; None otherwise."""
+        if other.__class__ is Scalar:
             if self.order != other.order:
                 raise self._mismatch(other)
             return other.terms
@@ -515,7 +516,7 @@ class _Graded:
         terms = self._operand(other)
         if terms is None:
             return NotImplemented
-        return _build(self.__class__, _add(self.terms, terms), self.order)
+        return _build(_add(self.terms, terms), self.order)
 
     __radd__ = __add__
 
@@ -523,37 +524,36 @@ class _Graded:
         terms = self._operand(other)
         if terms is None:
             return NotImplemented
-        return _build(self.__class__, _add(self.terms, _neg(terms)), self.order)
+        return _build(_add(self.terms, _neg(terms)), self.order)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return _build(self.__class__, _neg(self.terms), self.order)
+        return _build(_neg(self.terms), self.order)
 
     def __mul__(self, other):
-        cls = self.__class__
-        if other.__class__ is cls:
+        if other.__class__ is Scalar:
             if self.order != other.order:
                 raise self._mismatch(other)
-            return _build(cls, _mul(self.terms, other.terms, self.order), self.order)
+            return _build(_mul(self.terms, other.terms, self.order), self.order)
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         if isinstance(other, LambdaPoly):
-            return _build(cls, _mul(self.terms, _const_terms(other), self.order), self.order)
+            return _build(_mul(self.terms, _const_terms(other), self.order), self.order)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def scale(self, factor):
+    def scale(self, factor) -> "Scalar":
         t = _triple(factor)
         if t == (1, 0, 1):
             return self
         if not t[0] and not t[1]:
-            return _build(self.__class__, {}, self.order)
-        return _build(self.__class__, _scale(self.terms, t), self.order)
+            return _build({}, self.order)
+        return _build(_scale(self.terms, t), self.order)
 
-    def substitute_lambda(self, value: RationalLike):
+    def substitute_lambda(self, value: RationalLike) -> "Scalar":
         v = Fraction(value)
         p, q = v.numerator, v.denominator
         acc: Terms = {}
@@ -564,86 +564,18 @@ class _Graded:
             if cur is not None:
                 a, b, d = cur[0] * d + a * cur[2], cur[1] * d + b * cur[2], cur[2] * d
             acc[(k, 0)] = (a, b, d)
-        return _build(self.__class__, _normed(acc), self.order)
-
-
-_set_terms = _Graded.terms.__set__
-_set_order = _Graded.order.__set__
-
-
-def _build(cls, terms: Terms, order: int):
-    obj = _new(cls)
-    _set_terms(obj, terms)
-    _set_order(obj, order)
-    return obj
-
-
-def _lambda_poly(coeffs: dict[int, GaussianRational]) -> LambdaPoly:
-    """Wrap nonzero coefficients without re-validating them."""
-    poly = _new(LambdaPoly)
-    object.__setattr__(poly, "c", coeffs)
-    return poly
-
-
-class Scalar(_Graded):
-    """Graded truncated element: sum over k<=N of a0^k * (lam-polynomial)."""
-
-    __slots__ = ()
-
-    def __init__(self, components: Iterable[LambdaPoly], order: int):
-        if not 1 <= order <= 16:
-            raise UsageError(f"truncation order {order} out of range")
-        self._init_dense(tuple(components), order)
-
-    # Scalar's own entries for the shared arithmetic, so that instrumenting
-    # the Scalar class leaves OneVarSeries untouched.
-    __add__ = __radd__ = _Graded.__add__
-    __mul__ = __rmul__ = _Graded.__mul__
-
-    @property
-    def components(self) -> tuple[LambdaPoly, ...]:
-        """Dense read-only view: the lam-polynomial at a0^0 .. a0^N."""
-        return self._dense()
-
-    @staticmethod
-    def from_value(value, order: int) -> "Scalar":
-        return _build(Scalar, _const_terms(value), order)
-
-    @staticmethod
-    def i(order: int) -> "Scalar":
-        return _build(Scalar, {(0, 0): (0, 1, 1)}, order)
-
-    @staticmethod
-    def lam(order: int) -> "Scalar":
-        return _build(Scalar, {(0, 1): (1, 0, 1)}, order)
-
-    @staticmethod
-    def a0(order: int, power: int = 1) -> "Scalar":
-        return Scalar.graded(1, power, order)
-
-    @staticmethod
-    def graded(value, a0_power: int, order: int) -> "Scalar":
-        if a0_power < 0:
-            raise UsageError("negative a0 power")
-        if a0_power > order:
-            return Scalar.zero(order)
-        return _build(Scalar, _const_terms(value, a0_power), order)
+        return _build(_normed(acc), self.order)
 
     def min_grade(self) -> int | None:
         """Lowest a0 power with a nonzero coefficient, or None for zero."""
         return min(self.terms)[0] if self.terms else None
 
     def grade_part(self, k: int) -> "Scalar":
-        return _build(
-            Scalar, {key: t for key, t in self.terms.items() if key[0] == k}, self.order
-        )
+        return _build({key: t for key, t in self.terms.items() if key[0] == k}, self.order)
 
     def a0_limit(self) -> "Scalar":
         """Drop every positive power of a0."""
         return self.grade_part(0)
-
-    def lambda_degree(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
 
     def numeric_coefficient(self, grade: int) -> GaussianRational:
         """The number multiplying a0^grade; the twist parameter must not
@@ -662,15 +594,24 @@ class Scalar(_Graded):
         """
         if self.min_grade() == 0:
             raise UsageError("a0-division of an ungraded element")
-        return _build(
-            Scalar, {(k - 1, j): t for (k, j), t in self.terms.items()}, self.order
-        )
+        return _build({(k - 1, j): t for (k, j), t in self.terms.items()}, self.order)
 
     def __repr__(self):
         return f"Scalar({scalar_str(self)!r}, N={self.order})"
 
     def __str__(self):
         return scalar_str(self)
+
+
+_set_terms = Scalar.terms.__set__
+_set_order = Scalar.order.__set__
+
+
+def _build(terms: Terms, order: int) -> Scalar:
+    obj = _new(Scalar)
+    _set_terms(obj, terms)
+    _set_order(obj, order)
+    return obj
 
 
 def scalar_str(s: Scalar) -> str:
@@ -710,53 +651,3 @@ def sum_str(pieces) -> str:
         else:
             text += " + " + piece
     return text or "0"
-
-
-class OneVarSeries(_Graded):
-    """Truncated series in a formal variable u with lam-polynomial entries;
-    the grade of a term is its power of u."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs: Iterable[LambdaPoly], order: int):
-        self._init_dense(tuple(coeffs), order)
-
-    @property
-    def coeffs(self) -> tuple[LambdaPoly, ...]:
-        """Dense read-only view: the lam-polynomial at u^0 .. u^N."""
-        return self._dense()
-
-    @staticmethod
-    def u(order: int) -> "OneVarSeries":
-        return OneVarSeries.linear(1, order)
-
-    @staticmethod
-    def linear(c, order: int) -> "OneVarSeries":
-        """The series c*u."""
-        terms = _const_terms(c, 1) if order >= 1 else {}
-        return _build(OneVarSeries, terms, order)
-
-    def constant_term(self) -> LambdaPoly:
-        return self.coeffs[0]
-
-    def __repr__(self):
-        return f"OneVarSeries({self.coeffs!r}, N={self.order})"
-
-
-def series_exp(s: OneVarSeries) -> OneVarSeries:
-    """exp of a series with zero constant term, truncated."""
-    if s.constant_term():
-        raise DomainError("series_exp needs zero constant term")
-    acc = OneVarSeries.one(s.order)
-    power = OneVarSeries.one(s.order)
-    for n in range(1, s.order + 1):
-        power = power * s
-        if power.is_zero():
-            break
-        acc = acc + power * Fraction(1, math.factorial(n))
-    return acc
-
-
-def series_exp_linear(c, order: int) -> OneVarSeries:
-    """exp(c*u) for a lam-polynomial constant c."""
-    return series_exp(OneVarSeries.linear(c, order))

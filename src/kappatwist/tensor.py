@@ -28,6 +28,7 @@ from .algebra import (
     z_power,
 )
 from .scalars import (
+    DomainError,
     LambdaPoly,
     LP_LAM,
     LP_ONE,
@@ -224,7 +225,9 @@ def canonicalize(t: TensorElement, rel: RelationSet) -> TensorElement:
             continue
         steps += 1
         if steps > MAX_REWRITE_STEPS:
-            raise RuntimeError("rewrite step bound exceeded; termination bug")
+            raise DomainError(
+                f"canonicalization exceeded {MAX_REWRITE_STEPS} rewrite steps"
+            )
         mu, rest = _peel_smallest_x(ml)
         produced = rel.replacement(mu) * TensorElement({(rest, mr): s}, t.order)
         for k2, s2 in produced.terms.items():

@@ -8,6 +8,7 @@ unless a criterion pins N=3).
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -302,8 +303,6 @@ def test_criterion_07_algebra_closure(ctx4, half4):
         mij,
         realization,
     )
-    from kappatwist.algebra import apply_series
-    from kappatwist.scalars import OneVarSeries
 
     ok = True
     n = 4
@@ -339,21 +338,11 @@ def test_criterion_07_algebra_closure(ctx4, half4):
 
 
 def _cosh_of_A(ctx):
-    from kappatwist.algebra import apply_series
-    from kappatwist.scalars import LambdaPoly, OneVarSeries
-
-    n = ctx.order
-    half = LambdaPoly.const(Fraction(1, 2))
-    coeffs = []
-    fact = Fraction(1)
-    for k in range(n + 1):
-        if k:
-            fact /= k
-        coeffs.append(
-            LambdaPoly.const(fact) if k % 2 == 0 else LambdaPoly()
-        )
-    cosh_series = OneVarSeries(coeffs, n)
-    return apply_series(cosh_series, ctx.A)
+    """cosh A = sum over even k of A^k / k!, truncated at the context order."""
+    out = ctx.one
+    for k in range(2, ctx.order + 1, 2):
+        out = out + (ctx.A ** k).scale(Fraction(1, math.factorial(k)))
+    return out
 
 
 # 8 ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Expression parser and command-line interface."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -206,15 +207,22 @@ class TestCLI:
         capsys.readouterr()
 
 
+_BAD_INPUTS = [
+    (["rexpand", "--order", "0"], "error: "),
+    (["rexpand", "--order", "-1"], "error: "),
+    (["eval", "exp(x1)"], "error: "),
+    (["eval", "Z^[lam^3/2]"], "parse error: "),
+    (["eval", "Mhat[1/2,0]"], "parse error: "),
+    (["eval", "M[1,2/3]"], "parse error: "),
+    (["eval", "1/0"], "parse error: "),
+    (["eval", "Z^[2/0]"], "parse error: "),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["rexpand", "--order", "0"],
-        ["rexpand", "--order", "-1"],
-        ["eval", "exp(x1)"],
-    ],
+    "argv, prefix", _BAD_INPUTS, ids=[f"argv{k}" for k in range(len(_BAD_INPUTS))]
 )
-def test_bad_input_exits_2_without_traceback(argv):
+def test_bad_input_exits_2_without_traceback(argv, prefix):
     """Exit 2 with a one-line error, in a fresh interpreter so that an
     escaping exception would show as a traceback on stderr."""
     src = str(Path(kappatwist.__file__).resolve().parent.parent)
@@ -228,5 +236,14 @@ def test_bad_input_exits_2_without_traceback(argv):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith(prefix)
     assert proc.stderr.count("\n") == 1
+
+
+def test_rewrite_bound_exits_2(monkeypatch, capsys):
+    """Exceeding the canonicalization step bound is a clean exit 2."""
+    monkeypatch.setattr(importlib.import_module("kappatwist.tensor"), "MAX_REWRITE_STEPS", 0)
+    assert run(["eval", "x1 ox 1", "--canonicalize", "R", "--order", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1

@@ -1,11 +1,12 @@
 """Deformed Lorentz sector: boost realizations, algebra closure, closed
 coproducts, and the coordinate coproducts."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from kappatwist.algebra import commutator, p, x
+from kappatwist.algebra import AlgebraElement, commutator, p, x
 from kappatwist.hopf import TwistContext
 from kappatwist.poincare import (
     SPATIAL,
@@ -30,7 +31,7 @@ from kappatwist.poincare import (
     xhat_coproduct_compact,
     xhat_coproduct_hom,
 )
-from kappatwist.scalars import Scalar, UsageError
+from kappatwist.scalars import LP_ONE, LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import canonicalize, tensor
 
 N = 3
@@ -44,6 +45,68 @@ def sym_ctx():
 @pytest.fixture(scope="module")
 def half_ctx():
     return TwistContext(order=N, lam=Fraction(1, 2))
+
+
+def _taylor(ctx, coeff):
+    """sum over k <= N of coeff(k) * A^k, with coeff(k) a lam-polynomial."""
+    out = AlgebraElement.zero(ctx.order)
+    for k in range(ctx.order + 1):
+        out = out + (ctx.A ** k).scale(coeff(k))
+    return out
+
+
+def _profile_sums(case, ctx):
+    """F1..F4 of each case as Taylor sums in A, written out term by term."""
+    lam = ctx.lam_poly
+
+    def lam_pow(base, k):
+        out = LP_ONE
+        for _ in range(k):
+            out = out * base
+        return out
+
+    def exp_lam(k):  # Z^lam = exp(lam A)
+        return lam_pow(lam, k).scale(Fraction(1, math.factorial(k)))
+
+    def none(k):
+        return LambdaPoly()
+
+    def unit(k):
+        return LP_ONE if k == 0 else LambdaPoly()
+
+    if case == "i":
+        # F1 = (Z^(2-lam) - Z^(-lam)) / (2A)
+        def f1(k):
+            diff = lam_pow(LambdaPoly.const(2) - lam, k + 1) - lam_pow(-lam, k + 1)
+            return diff.scale(Fraction(1, 2 * math.factorial(k + 1)))
+
+        return (
+            f1,
+            exp_lam,
+            lambda k: exp_lam(k) * (LP_ONE - lam),
+            lambda k: exp_lam(k).scale(Fraction(-1, 2)),
+        )
+    if case == "ii":
+        # F1 = sinh(A)/A
+        def f1(k):
+            return LambdaPoly.const(Fraction(1, math.factorial(k + 1)) if k % 2 == 0 else 0)
+
+        return (f1, unit, none, none)
+    return (unit, unit, none, none)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("lam", [None, Fraction(1, 2), Fraction(2, 3), Fraction(-3, 7)])
+def test_profile_functions_match_taylor_sums(order, lam):
+    """F1..F4 of every case against their Taylor series in A, through the
+    top grade a0^N."""
+    ctx = TwistContext(order=order, lam=lam)
+    cases = ("i", "ii", "iii") if lam == Fraction(1, 2) else ("i", "iii")
+    for case in cases:
+        real = realization(case, ctx)
+        got = (real.f1, real.f2, real.f3, real.f4)
+        for name, f, coeff in zip(("F1", "F2", "F3", "F4"), got, _profile_sums(case, ctx)):
+            assert f == _taylor(ctx, coeff), (case, name)
 
 
 class TestRealizations:

@@ -1,5 +1,5 @@
-"""Exact coefficient arithmetic: Gaussian rationals, lambda-polynomials,
-graded truncated scalars and one-variable series."""
+"""Exact coefficient arithmetic: Gaussian rationals, lambda-polynomials
+and graded truncated scalars."""
 
 from fractions import Fraction
 
@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappatwist.scalars import (
-    GaussianRational,
-    LambdaPoly,
-    OneVarSeries,
-    Scalar,
-    UsageError,
-    series_exp,
-)
+from kappatwist.scalars import GaussianRational, LambdaPoly, Scalar, UsageError
 
 rationals = st.builds(
     Fraction, st.integers(-30, 30), st.integers(1, 12)
@@ -23,6 +16,22 @@ rationals = st.builds(
 
 def gaussians():
     return st.builds(GaussianRational, rationals, rationals)
+
+
+@st.composite
+def scalars(draw, order):
+    """A Scalar at `order` spread over several a0 grades and lam powers."""
+    acc = Scalar.zero(order)
+    entries = st.tuples(st.integers(0, order), st.integers(0, 2), rationals, rationals)
+    for k, j, re, im in draw(st.lists(entries, max_size=6)):
+        acc = acc + Scalar.graded(LambdaPoly({j: GaussianRational(re, im)}), k, order)
+    return acc
+
+
+def scalar_triples():
+    return st.integers(1, 6).flatmap(
+        lambda n: st.tuples(scalars(n), scalars(n), scalars(n))
+    )
 
 
 def lambda_polys():
@@ -52,6 +61,12 @@ class TestGaussianRational:
                 a.inverse()
         else:
             assert a * a.inverse() == GaussianRational(1)
+
+    @given(gaussians(), gaussians())
+    @settings(max_examples=60, deadline=None)
+    def test_division_inverts_multiplication(self, a, b):
+        if b:
+            assert (a / b) * b == a
 
     def test_imaginary_unit(self):
         i = GaussianRational(0, 1)
@@ -127,13 +142,53 @@ class TestScalar:
         assert sa * sb == sb * sa
 
 
-class TestOneVarSeries:
-    def test_exp_additivity(self):
-        u = OneVarSeries.u(5)
-        e1 = series_exp(u)
-        e2 = series_exp(u + u)
-        assert e1 * e1 == e2
+    @given(scalar_triples())
+    @settings(max_examples=60, deadline=None)
+    def test_ring_axioms_under_truncation(self, abc):
+        a, b, c = abc
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
 
-    def test_exp_constant_term(self):
-        u = OneVarSeries.u(4)
-        assert series_exp(u).constant_term() == LambdaPoly.const(1)
+    @given(scalar_triples(), rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_substitute_lambda_is_homomorphism(self, abc, v):
+        a, b, _ = abc
+        assert (a * b).substitute_lambda(v) == a.substitute_lambda(v) * b.substitute_lambda(v)
+        assert (a + b).substitute_lambda(v) == a.substitute_lambda(v) + b.substitute_lambda(v)
+        assert Scalar.lam(a.order).substitute_lambda(v) == Scalar.from_value(v, a.order)
+
+    @given(scalar_triples())
+    @settings(max_examples=60, deadline=None)
+    def test_grade_parts_sum_to_value(self, abc):
+        a = abc[0]
+        parts = [a.grade_part(k) for k in range(a.order + 1)]
+        assert sum(parts, Scalar.zero(a.order)) == a
+        for k, part in enumerate(parts):
+            assert part.is_zero() or part.min_grade() == k
+
+    @given(scalar_triples())
+    @settings(max_examples=60, deadline=None)
+    def test_divide_by_a0_inverts_a0_multiple(self, abc):
+        a = abc[0]
+        graded = a - a.grade_part(0)
+        assert graded.divide_by_a0() * Scalar.a0(a.order) == graded
+        if not a.grade_part(0).is_zero():
+            with pytest.raises(UsageError):
+                a.divide_by_a0()
+
+    @given(scalar_triples(), rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_numeric_coefficient_rejects_lambda(self, abc, v):
+        a = abc[0]
+        n = a.order
+        numeric = a.substitute_lambda(v)
+        rebuilt = Scalar.zero(n)
+        for k in range(n + 1):
+            rebuilt = rebuilt + Scalar.graded(numeric.numeric_coefficient(k), k, n)
+        assert rebuilt == numeric
+        symbolic = a * Scalar.lam(n)
+        for k in range(n + 1):
+            if not symbolic.grade_part(k).is_zero():
+                with pytest.raises(UsageError):
+                    symbolic.numeric_coefficient(k)
