@@ -353,18 +353,13 @@ def graded_exp(a: AlgebraElement) -> AlgebraElement:
     return power_series(a, exp_coeffs(a.order))
 
 
-_Z_CACHE: dict[tuple, AlgebraElement] = {}
-
-
+# Process-wide, not per context: a request that builds a fresh context
+# reuses the powers that earlier contexts built.
+@lru_cache(maxsize=1024)
 def z_power(exponent, order: int) -> AlgebraElement:
     """Z^c = exp(c*A) for a lam-polynomial constant c."""
     cp = as_lambda_poly(exponent)
-    key = (cp, order)
-    cached = _Z_CACHE.get(key)
-    if cached is None:
-        cached = graded_exp(time_translation(order).scale(Scalar.from_value(cp, order)))
-        _Z_CACHE[key] = cached
-    return cached
+    return graded_exp(time_translation(order).scale(Scalar.from_value(cp, order)))
 
 
 class Polynomial(SparseElement):

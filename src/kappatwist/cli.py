@@ -81,25 +81,6 @@ def _closed_form_string(node, case: str | None) -> str:
     raise UsageError("--gen must name a single generator")
 
 
-def _computed_coproduct(node, ctx: TwistContext, case: str | None, method: str):
-    from .poincare import lorentz_coproduct, realization, rotation_coproduct
-
-    kind = node[0]
-    if kind == "Z" and node[1] is None:
-        kind, node = "gen", ("gen", "Z")
-    if kind == "gen":
-        h = ctx.generator(node[1])
-        return ctx.coproduct(h) if method == "twist" else ctx.coproduct_hom(h)
-    if kind == "M":
-        return rotation_coproduct(node[1], node[2], ctx, method=method)
-    if kind == "Mhat":
-        if case is None:
-            raise UsageError("boost coproducts need --case i|ii|iii")
-        real = realization(case, ctx)
-        return lorentz_coproduct(node[1], real, ctx, method=method)
-    raise UsageError("--gen must name a single generator")
-
-
 def _cmd_coproduct(args) -> int:
     lam = _parse_lambda(args.lam)
     case = args.case
@@ -111,7 +92,7 @@ def _cmd_coproduct(args) -> int:
     closed = canonicalize(
         _as_tensor(elaborate(parse(closed_text), ctx, case), ctx), ctx.R
     )
-    computed = _computed_coproduct(node, ctx, case, args.method)
+    computed = ctx.coproduct_by(elaborate(node, ctx, case), args.method)
     verified = computed == closed
     payload = {
         "subcommand": "coproduct",

@@ -7,12 +7,15 @@ or a rational value).  The twist exponent is
 
 with S = x_k p_k and A = a0*p0; its exponential deforms the undeformed
 coproducts by conjugation.  The R-matrix exponent is rho = i*(A (x) S -
-S (x) A).
+S (x) A).  This module is the one place that knows the twist family: the
+exchange relations R0, R and Rtilde that `tensor.canonicalize` rewrites
+with (`exchange_rule`), the twist exponent, and the powers Z^c.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from .algebra import (
     AlgebraElement,
@@ -28,9 +31,11 @@ from .algebra import (
 )
 from .scalars import (
     LP_LAM,
+    LP_ONE,
     LambdaPoly,
     Scalar,
     UsageError,
+    as_lambda_poly,
 )
 from .tensor import (
     RelationSet,
@@ -38,14 +43,50 @@ from .tensor import (
     TensorElement3,
     canonicalize,
     embed_left,
+    embed_middle,
     embed_right,
     t3_exp,
     t_adjoint,
     t_exp,
     tau0,
     tensor,
-    tensor3,
 )
+
+
+@lru_cache(maxsize=1024)
+def exchange_rule(tag: str, lam: LambdaPoly, order: int, mu: int) -> TensorElement:
+    """Canonical substitute for x_mu (x) 1 in the relation set `tag`.
+
+    R0 (x_mu (x) 1 = 1 (x) x_mu) is the undeformed set; R and Rtilde hold
+    for the coproduct and the opposite coproduct of the twist with
+    parameter `lam`.  Rtilde is R with lam -> 1 - lam and a0 -> -a0 (so
+    Z^c -> Z^-c), which is how `sign` and `lt` enter below:
+
+        R:      x_i (x) 1 = Z^(lam-1) (x) x_i Z^(-lam)
+                x_0 (x) 1 = 1 (x) x_0 - a0((1-lam) 1 (x) S + lam S (x) 1)
+        Rtilde: x_i (x) 1 = Z^lam (x) x_i Z^(1-lam)
+                x_0 (x) 1 = 1 (x) x_0 + a0(lam 1 (x) S + (1-lam) S (x) 1)
+    """
+    n = order
+    unit = AlgebraElement.one(n)
+    if tag == "R0":
+        return tensor(unit, x(mu, n))
+    if tag == "R":
+        sign, lt = 1, lam
+    elif tag == "Rtilde":
+        sign, lt = -1, LP_ONE - lam
+    else:
+        raise UsageError(f"unknown relation set {tag!r}")
+    if mu != 0:
+        left = z_power((lt - LP_ONE).scale(sign), n)
+        return tensor(left, x(mu, n) * z_power(lt.scale(-sign), n))
+    S = dilatation(n)
+    a0 = Scalar.a0(n).scale(sign)
+    return (
+        tensor(unit, x(0, n))
+        - tensor(unit, S).scale(a0 * (LP_ONE - lt))
+        - tensor(S, unit).scale(a0 * lt)
+    )
 
 
 class TwistContext:
@@ -58,32 +99,32 @@ class TwistContext:
         self.lam = None if lam is None else Fraction(lam)
         self.lam_poly = LP_LAM if self.lam is None else LambdaPoly.const(self.lam)
         n = order
+        self.lam_s = Scalar.from_value(self.lam_poly, n)
         self.one = AlgebraElement.one(n)
         self.S = dilatation(n)
         self.A = time_translation(n)
         i = Scalar.i(n)
-        lam_s = Scalar.from_value(self.lam_poly, n)
-        one_s = Scalar.one(n)
         # twist exponent f = i(lam S (x) A - (1-lam) A (x) S)
-        self.twist_exponent = tensor(self.S, self.A).scale(i * lam_s) - tensor(
+        self.twist_exponent = tensor(self.S, self.A).scale(i * self.lam_s) - tensor(
             self.A, self.S
-        ).scale(i * (one_s - lam_s))
+        ).scale(i * (Scalar.one(n) - self.lam_s))
         # R-matrix exponent rho = i(A (x) S - S (x) A)
         self.r_exponent = (
             tensor(self.A, self.S) - tensor(self.S, self.A)
         ).scale(i)
-        self.R0 = RelationSet("R0", n)
-        self.R = RelationSet("R", n, self.lam)
-        self.Rtilde = RelationSet("Rtilde", n, self.lam)
+        # the rules hold values only, not the context: a reference back would
+        # keep every context alive until a garbage-collection pass
+        self.R0, self.R, self.Rtilde = (
+            RelationSet(tag, n, partial(exchange_rule, tag, self.lam_poly, n))
+            for tag in ("R0", "R", "Rtilde")
+        )
         self._cache: dict[str, object] = {}
 
     # -- basic elements -------------------------------------------------
 
     def z(self, exponent=1) -> AlgebraElement:
         """Z^c with c a rational or lam-polynomial exponent."""
-        cp = exponent
-        if isinstance(cp, (int, Fraction)):
-            cp = LambdaPoly.const(cp)
+        cp = as_lambda_poly(exponent)
         if self.lam is not None:
             cp = LambdaPoly.const(cp.eval(self.lam))
         return z_power(cp, self.order)
@@ -136,43 +177,46 @@ class TwistContext:
 
     # -- coproducts ------------------------------------------------------
 
-    def coproduct0(self, h: AlgebraElement, x_rep: str = "left") -> TensorElement:
-        """Undeformed coproduct, canonical mod R0.
-
-        `x_rep` picks the representative used for the primitive class of the
-        coordinates (x (x) 1 or 1 (x) x); the result is independent of it.
-        """
-        return canonicalize(self._coproduct0_free(h, x_rep), self.R0)
-
-    def _coproduct0_free(self, h: AlgebraElement, x_rep: str = "left") -> TensorElement:
+    def _extend(self, h: AlgebraElement, image) -> TensorElement:
+        """Extend a map on the generators multiplicatively over h: each
+        monomial x^alpha p^beta goes to the ordered product of the images
+        `image(name)` of its generators ("x0".."x3", "p0".."p3")."""
         n = self.order
         out = TensorElement.zero(n)
-        unit = self.one
         for mono, s in h.terms.items():
             acc = TensorElement.one(n)
-            for mu in range(DIM):
-                for _ in range(mono.alpha[mu]):
-                    leg = (
-                        tensor(x(mu, n), unit)
-                        if x_rep == "left"
-                        else tensor(unit, x(mu, n))
-                    )
-                    acc = acc * leg
-            for mu in range(DIM):
-                for _ in range(mono.beta[mu]):
-                    acc = acc * (tensor(p(mu, n), unit) + tensor(unit, p(mu, n)))
+            for letter, exps in (("x", mono.alpha), ("p", mono.beta)):
+                for mu, e in enumerate(exps):
+                    if e:
+                        g = image(f"{letter}{mu}")
+                        for _ in range(e):
+                            acc = acc * g
             out = out + acc.scale(s)
         return out
 
-    def coproduct(self, h: AlgebraElement, x_rep: str = "left") -> TensorElement:
+    def _primitive(self, name: str) -> TensorElement:
+        """Undeformed coproduct of a generator: x (x) 1 for a coordinate
+        (one representative of its class mod R0), p (x) 1 + 1 (x) p."""
+        g = self.generator(name)
+        if name[0] == "x":
+            return tensor(g, self.one)
+        return tensor(g, self.one) + tensor(self.one, g)
+
+    def coproduct0(self, h: AlgebraElement) -> TensorElement:
+        """Undeformed coproduct, canonical mod R0."""
+        return canonicalize(self._extend(h, self._primitive), self.R0)
+
+    def _twisted(self, h: AlgebraElement) -> TensorElement:
+        """F (Delta0 h) F^-1 = exp(ad f)(Delta0 h), not yet canonical."""
+        return t_adjoint(self.twist_exponent, self._extend(h, self._primitive))
+
+    def coproduct(self, h: AlgebraElement) -> TensorElement:
         """Deformed coproduct F Delta0 F^-1, canonical mod R."""
-        free = t_adjoint(self.twist_exponent, self._coproduct0_free(h, x_rep))
-        return canonicalize(free, self.R)
+        return canonicalize(self._twisted(h), self.R)
 
     def coproduct_opposite(self, h: AlgebraElement) -> TensorElement:
         """Opposite coproduct tau0 Delta tau0, canonical mod Rtilde."""
-        free = t_adjoint(self.twist_exponent, self._coproduct0_free(h))
-        return canonicalize(tau0(free), self.Rtilde)
+        return canonicalize(tau0(self._twisted(h)), self.Rtilde)
 
     def generator_coproduct(self, name: str) -> TensorElement:
         """Cached canonical deformed coproduct of a single generator."""
@@ -186,57 +230,38 @@ class TwistContext:
         Uses the homomorphism property monomial by monomial; must agree with
         the twist-conjugation route modulo R.
         """
-        n = self.order
-        out = TensorElement.zero(n)
-        for mono, s in h.terms.items():
-            acc = TensorElement.one(n)
-            for mu in range(DIM):
-                dg = self.generator_coproduct(f"x{mu}")
-                for _ in range(mono.alpha[mu]):
-                    acc = acc * dg
-            for mu in range(DIM):
-                dg = self.generator_coproduct(f"p{mu}")
-                for _ in range(mono.beta[mu]):
-                    acc = acc * dg
-            out = out + acc.scale(s)
-        return canonicalize(out, self.R)
+        return canonicalize(self._extend(h, self.generator_coproduct), self.R)
+
+    def coproduct_by(self, h: AlgebraElement, method: str) -> TensorElement:
+        """Deformed coproduct by twist conjugation ("twist") or from the
+        generator coproducts ("hom" or "homomorphism")."""
+        if method == "twist":
+            return self.coproduct(h)
+        if method in ("hom", "homomorphism"):
+            return self.coproduct_hom(h)
+        raise UsageError("method must be 'twist' or 'homomorphism'")
 
     def rmatrix_conjugate(self, h: AlgebraElement) -> TensorElement:
         """R (Delta h) R^-1, canonical mod Rtilde; equals the opposite coproduct."""
-        free = t_adjoint(self.twist_exponent, self._coproduct0_free(h))
-        return canonicalize(t_adjoint(self.r_exponent, free), self.Rtilde)
+        return canonicalize(t_adjoint(self.r_exponent, self._twisted(h)), self.Rtilde)
 
     # -- twist axioms ----------------------------------------------------
 
-    def verify_cocycle(self, flip_sign: bool = False) -> bool:
-        """(F (x) 1)((Delta0 (x) id)F) == (1 (x) F)((id (x) Delta0)F).
+    def cocycle_exponents(self) -> tuple[TensorElement3, TensorElement3]:
+        """(Delta0 (x) id)f and (id (x) Delta0)f for the twist exponent f.
 
-        Delta0 acts primitively on both exponent legs (S and A are primitive).
-        `flip_sign` deliberately corrupts one exponent term for mutation
-        testing.
+        S and A are primitive, so Delta0 splits one leg: the first sends
+        l (x) r to l (x) 1 (x) r + 1 (x) l (x) r, the second to
+        l (x) r (x) 1 + l (x) 1 (x) r.
         """
-        n = self.order
-        i = Scalar.i(n)
-        lam_s = Scalar.from_value(self.lam_poly, n)
-        one_s = Scalar.one(n)
-        sign = -1 if flip_sign else 1
-        S, A, unit = self.S, self.A, self.one
+        f = self.twist_exponent
+        return embed_middle(f) + embed_right(f), embed_left(f) + embed_middle(f)
 
-        def exponent3(split_first: bool) -> TensorElement3:
-            # split_first: apply Delta0 to the first leg, else to the second.
-            def pair(left, right):
-                if split_first:
-                    return (
-                        tensor3(left, unit, right) + tensor3(unit, left, right)
-                    )
-                return tensor3(left, right, unit) + tensor3(left, unit, right)
-
-            return pair(S, A) * (i * lam_s) - pair(A, S) * (
-                i * (one_s - lam_s)
-            ) * sign
-
-        lhs = embed_left(self.twist()) * t3_exp(exponent3(True))
-        rhs = embed_right(self.twist()) * t3_exp(exponent3(False))
+    def verify_cocycle(self) -> bool:
+        """(F (x) 1)((Delta0 (x) id)F) == (1 (x) F)((id (x) Delta0)F)."""
+        first, second = self.cocycle_exponents()
+        lhs = embed_left(self.twist()) * t3_exp(first)
+        rhs = embed_right(self.twist()) * t3_exp(second)
         return lhs == rhs
 
     def verify_counit(self) -> bool:
@@ -277,9 +302,7 @@ class TwistContext:
         """Closed-form noncommutative coordinates of the twist family."""
         n = self.order
         if mu == 0:
-            return x(0, n) - self.S.scale(
-                Scalar.a0(n) * (Scalar.one(n) - Scalar.from_value(self.lam_poly, n))
-            )
+            return x(0, n) - self.S.scale(Scalar.a0(n) * (Scalar.one(n) - self.lam_s))
         return x(mu, n) * self.z(-self.lam_poly)
 
     def star_product(self, f: Polynomial, g: Polynomial, which: str = "F") -> Polynomial:

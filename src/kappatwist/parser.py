@@ -117,31 +117,27 @@ class Parser:
 
     def tsum(self):
         parts = [(1, self.tterm())]
+        is_tensor = parts[0][1][0] == "tensor"
         while self.at_op("+", "-"):
             sign = 1 if self.next()[1] == "+" else -1
+            start = self.peek()[2]
             parts.append((sign, self.tterm()))
-        if len(parts) == 1 and parts[0][1][0] != "tensor":
-            return parts[0][1]
-        if all(part[0] == "tensor" for _, part in parts):
+            if (parts[-1][1][0] == "tensor") != is_tensor:
+                raise ParseError("cannot mix tensor and plain terms", start)
+        if is_tensor:
             return ("tsum", parts)
-        if any(part[0] == "tensor" for _, part in parts):
-            raise ParseError("cannot mix tensor and plain terms", 0)
-        return ("sum", parts)
+        return parts[0][1] if len(parts) == 1 else ("sum", parts)
 
     def tterm(self):
-        left = self.sum_no_tensor()
-        tok = self.peek()
-        if tok[0] == "name" and tok[1] == "ox":
-            self.next()
-            right = self.sum_no_tensor()
-            return ("tensor", left, right)
-        return left
-
-    def sum_no_tensor(self):
         # a sum that stops at "ox" / tensor-level "+"/"-" is impossible to
         # delimit without parentheses, so within a tensor context the legs
         # are products; parenthesize to embed sums in a leg.
-        return self.prod()
+        left = self.prod()
+        tok = self.peek()
+        if tok[0] == "name" and tok[1] == "ox":
+            self.next()
+            return ("tensor", left, self.prod())
+        return left
 
     def prod(self):
         factors = [self.power()]
@@ -322,9 +318,7 @@ def elaborate(node, ctx: TwistContext, realization_case: str | None = None):
     if kind == "a0":
         return AlgebraElement.one(n).scale(Scalar.a0(n))
     if kind == "lam":
-        return AlgebraElement.one(n).scale(
-            Scalar.from_value(ctx.lam_poly, n)
-        )
+        return AlgebraElement.one(n).scale(ctx.lam_s)
     if kind == "gen":
         return ctx.generator(node[1])
     if kind == "Z":

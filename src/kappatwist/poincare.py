@@ -63,7 +63,7 @@ def realization(case: str, ctx: TwistContext) -> LorentzRealization:
         lam = ctx.lam_poly
         zlam = ctx.z(lam)
         f1 = ctx.z(LP_ONE - lam) * _sinh_over_a(ctx)
-        f3 = zlam.scale(Scalar.from_value(LP_ONE - lam, n))
+        f3 = zlam.scale(Scalar.one(n) - ctx.lam_s)
         return LorentzRealization("case_i", f1, zlam, f3, zlam.scale(Fraction(-1, 2)))
     if case in ("ii", "case_ii"):
         if ctx.lam != Fraction(1, 2):
@@ -126,19 +126,13 @@ def lorentz_coproduct(
     i: int, real: LorentzRealization, ctx: TwistContext, method: str = "twist"
 ) -> TensorElement:
     """Coproduct of the boost, by twist conjugation or by homomorphism."""
-    b = mhat(i, real, ctx)
-    if method == "twist":
-        return ctx.coproduct(b)
-    if method in ("hom", "homomorphism"):
-        return ctx.coproduct_hom(b)
-    raise UsageError("method must be 'twist' or 'homomorphism'")
+    return ctx.coproduct_by(mhat(i, real, ctx), method)
 
 
 def rotation_coproduct(
     i: int, j: int, ctx: TwistContext, method: str = "twist"
 ) -> TensorElement:
-    m = mij(i, j, ctx)
-    return ctx.coproduct(m) if method == "twist" else ctx.coproduct_hom(m)
+    return ctx.coproduct_by(mij(i, j, ctx), method)
 
 
 # The published boost coproducts, one template per preset case: {i} is the

@@ -194,14 +194,9 @@ def bch_target(k: int, prior: list[TensorElement], ctx: TwistContext) -> TensorE
     """Order-a0^k part of R - exp(r_1 + ... + r_{k-1}), canonical mod R~."""
     if len(prior) != k - 1:
         raise UsageError("need exactly the r's of all lower orders")
-    n = ctx.order
-    if k > n:
+    if k > ctx.order:
         raise UsageError("truncation order too low for this expansion order")
-    acc = TensorElement.zero(n)
-    for r in prior:
-        acc = acc + r
-    known = t_exp(acc) if not acc.is_zero() else TensorElement.one(n)
-    return canonicalize(ctx.rmatrix() - known, ctx.Rtilde).grade_part(k)
+    return residual_through(prior, ctx).grade_part(k)
 
 
 def _term_column(term: AnsatzTerm, k: int, ctx: TwistContext) -> TensorElement:

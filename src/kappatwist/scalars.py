@@ -169,10 +169,6 @@ class GaussianRational:
             return NotImplemented
         return other * self.inverse()
 
-    def conjugate(self) -> "GaussianRational":
-        a, b, d = self.triple
-        return _gr((a, -b, d))
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
@@ -258,7 +254,8 @@ def _triple_str(triple: Triple) -> str:
 class LambdaPoly:
     """Polynomial in ``lam`` with GaussianRational coefficients, sparse."""
 
-    __slots__ = ("c",)
+    # hashed once: lam-polynomials key the memos canonicalize reads per rewrite
+    __slots__ = ("c", "_hash")
 
     def __init__(self, coeffs: Mapping[int, GaussianRational] | None = None):
         clean = {}
@@ -271,6 +268,7 @@ class LambdaPoly:
                 if val:
                     clean[deg] = val
         object.__setattr__(self, "c", clean)
+        object.__setattr__(self, "_hash", hash(frozenset(clean.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("LambdaPoly is immutable")
@@ -287,19 +285,13 @@ class LambdaPoly:
     def __bool__(self):
         return bool(self.c)
 
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def degree(self) -> int:
-        return max(self.c) if self.c else -1
-
     def __eq__(self, other):
         if not isinstance(other, LambdaPoly):
             return NotImplemented
         return self.c == other.c
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        return self._hash
 
     def __add__(self, other):
         if not isinstance(other, LambdaPoly):
@@ -341,9 +333,6 @@ class LambdaPoly:
         for deg, coef in self.c.items():
             acc = acc + coef * GaussianRational(v**deg)
         return acc
-
-    def constant_term(self) -> GaussianRational:
-        return self.c.get(0, GR_ZERO)
 
     def __repr__(self):
         return f"LambdaPoly({self.c!r})"

@@ -2,16 +2,18 @@
 
 `TensorElement` and `TensorElement3` are `SparseElement` containers keyed
 by pairs and triples of monomials, multiplied leg by leg.  This module
-also provides the leg flip tau0, the multiplication map m0, graded
-exponentials and adjoint conjugation (through `power_series`), and
-canonicalization modulo the three exchange-relation sets (undeformed R0
-and the two deformed sets R and Rtilde).  The canonical representative of
-a class has no coordinate generators in the left tensor leg.
+also provides the leg flip tau0, the multiplication map m0, the leg
+embeddings into the tensor cube, graded exponentials and adjoint
+conjugation (through `power_series`), and canonicalization modulo a
+`RelationSet` of exchange relations.  It is purely structural: the
+relations of the twist family (undeformed R0 and the deformed R and
+Rtilde) are written in `hopf`.  The canonical representative of a class
+has no coordinate generators in the left tensor leg.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .algebra import (
     AlgebraElement,
@@ -19,19 +21,13 @@ from .algebra import (
     SparseElement,
     UNIT_MONOMIAL,
     _bump,
-    dilatation,
     exp_coeffs,
     monomial_product,
     monomial_str,
     power_series,
-    x,
-    z_power,
 )
 from .scalars import (
     DomainError,
-    LambdaPoly,
-    LP_LAM,
-    LP_ONE,
     Scalar,
     UsageError,
     scalar_str,
@@ -130,73 +126,18 @@ def t_adjoint(conjugator: TensorElement, target: TensorElement) -> TensorElement
     )
 
 
-class RelationSet:
-    """One of the exchange-relation sets R0, R, Rtilde.
+class RelationSet(NamedTuple):
+    """One exchange-relation set (R0, R or Rtilde) at truncation order N.
 
-    Each relation rewrites x_mu (x) 1 into a combination whose left leg is
-    either coordinate-free or carries a strictly higher a0 grade, so
-    left-to-right rewriting terminates under truncation.
+    `replacement(mu)` is the canonical substitute for x_mu (x) 1: its left
+    leg is either coordinate-free or carries a strictly higher a0 grade, so
+    left-to-right rewriting terminates under truncation.  The relations
+    themselves belong to the twist family and come from `hopf`.
     """
 
-    __slots__ = ("tag", "lam", "order", "_replacements")
-
-    def __init__(self, tag: str, order: int, lam=None):
-        if tag not in ("R0", "R", "Rtilde"):
-            raise UsageError(f"unknown relation set {tag!r}")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(
-            self, "lam", None if lam is None else Fraction(lam)
-        )
-        object.__setattr__(self, "_replacements", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RelationSet is immutable")
-
-    def __repr__(self):
-        lam = "sym" if self.lam is None else str(self.lam)
-        return f"RelationSet({self.tag}, N={self.order}, lam={lam})"
-
-    def _lam_poly(self) -> LambdaPoly:
-        return LP_LAM if self.lam is None else LambdaPoly.const(self.lam)
-
-    def replacement(self, mu: int) -> TensorElement:
-        """Canonical substitute for x_mu (x) 1."""
-        cached = self._replacements.get(mu)
-        if cached is not None:
-            return cached
-        n = self.order
-        lam = self._lam_poly()
-        one = LP_ONE
-        if self.tag == "R0":
-            out = tensor(AlgebraElement.one(n), x(mu, n))
-        elif mu != 0:
-            if self.tag == "R":
-                # x_i (x) 1 = Z^(lam-1) (x) x_i Z^(-lam)
-                out = tensor(z_power(lam - one, n), x(mu, n) * z_power(-lam, n))
-            else:
-                # x_i (x) 1 = Z^lam (x) x_i Z^(1-lam)
-                out = tensor(z_power(lam, n), x(mu, n) * z_power(one - lam, n))
-        else:
-            S = dilatation(n)
-            unit = AlgebraElement.one(n)
-            a0 = Scalar.a0(n)
-            if self.tag == "R":
-                # x_0 (x) 1 = 1 (x) x_0 - a0((1-lam) 1 (x) S + lam S (x) 1)
-                out = (
-                    tensor(unit, x(0, n))
-                    - tensor(unit, S).scale(a0 * (one - lam))
-                    - tensor(S, unit).scale(a0 * lam)
-                )
-            else:
-                # x_0 (x) 1 = 1 (x) x_0 + a0 lam 1 (x) S + a0 (1-lam) S (x) 1
-                out = (
-                    tensor(unit, x(0, n))
-                    + tensor(unit, S).scale(a0 * lam)
-                    + tensor(S, unit).scale(a0 * (one - lam))
-                )
-        self._replacements[mu] = out
-        return out
+    tag: str
+    order: int
+    replacement: Callable[[int], TensorElement]
 
 
 def _peel_smallest_x(m: Monomial) -> tuple[int, Monomial]:
@@ -289,6 +230,13 @@ def embed_left(t: TensorElement) -> TensorElement3:
     """u (x) v -> u (x) v (x) 1."""
     return TensorElement3(
         {(l, r, UNIT_MONOMIAL): s for (l, r), s in t.terms.items()}, t.order
+    )
+
+
+def embed_middle(t: TensorElement) -> TensorElement3:
+    """u (x) v -> u (x) 1 (x) v."""
+    return TensorElement3(
+        {(l, UNIT_MONOMIAL, r): s for (l, r), s in t.terms.items()}, t.order
     )
 
 

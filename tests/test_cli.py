@@ -216,6 +216,7 @@ _BAD_INPUTS = [
     (["eval", "M[1,2/3]"], "parse error: "),
     (["eval", "1/0"], "parse error: "),
     (["eval", "Z^[2/0]"], "parse error: "),
+    (["eval", "x1 ox 1 + x1"], "parse error: cannot mix tensor and plain terms at offset 10\n"),
 ]
 
 

@@ -1,7 +1,9 @@
-"""Twist context: deformed coproducts, twist axioms, R-matrix and star
-products."""
+"""Twist context: exchange relations, deformed coproducts, twist axioms,
+R-matrix and star products."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from kappatwist.algebra import (
     x,
 )
 from kappatwist.hopf import TwistContext
+from kappatwist.parser import evaluate
 from kappatwist.scalars import LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import (
     TensorElement,
@@ -25,6 +28,7 @@ from kappatwist.tensor import (
     t_mul,
     tau0,
     tensor,
+    tensor3,
 )
 
 N = 3
@@ -37,6 +41,40 @@ def ctx():
 
 def lam_of(ctx):
     return Scalar.from_value(ctx.lam_poly, ctx.order)
+
+
+# x_mu (x) 1 = rule, as published; {i} is a spatial index
+_PUBLISHED_RULES = {
+    "R0": ("1 ox x0", "1 ox x{i}"),
+    "R": ("1 ox x0 - a0*(1-lam) ox S - a0*lam*S ox 1", "Z^[lam-1] ox x{i}*Z^[-lam]"),
+    "Rtilde": ("1 ox x0 + a0*lam ox S + a0*(1-lam)*S ox 1", "Z^[lam] ox x{i}*Z^[1-lam]"),
+}
+
+
+class TestExchangeRelations:
+    @pytest.mark.parametrize("lam", [None, Fraction(2, 3)], ids=["sym", "2/3"])
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_rules_match_published_relations(self, order, lam):
+        ctx = TwistContext(order=order, lam=lam)
+        for rel in (ctx.R0, ctx.R, ctx.Rtilde):
+            time_rule, space_rule = _PUBLISHED_RULES[rel.tag]
+            assert rel.replacement(0) == evaluate(time_rule, ctx), rel.tag
+            for i in (1, 2, 3):
+                want = evaluate(space_rule.format(i=i), ctx)
+                assert rel.replacement(i) == want, (rel.tag, i)
+
+    def test_context_freed_without_cycle_collection(self):
+        # the relation sets must not refer back to their context, or every
+        # context would live on until a garbage-collection pass
+        gc.disable()
+        try:
+            ctx = TwistContext(order=2)
+            ctx.R.replacement(1)
+            ref = weakref.ref(ctx)
+            del ctx
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestGeneratorCoproducts:
@@ -109,8 +147,35 @@ class TestTwistAxioms:
     def test_cocycle(self, ctx):
         assert ctx.verify_cocycle()
 
-    def test_cocycle_mutation_detected(self, ctx):
-        assert not ctx.verify_cocycle(flip_sign=True)
+    @pytest.mark.parametrize("lam", [None, Fraction(1, 2)], ids=["sym", "1/2"])
+    @pytest.mark.parametrize("order", range(1, 5))
+    def test_cocycle_exponents_match_hand_written(self, order, lam):
+        # the former formula: Delta0 applied to the primitive S and A legs
+        ctx = TwistContext(order=order, lam=lam)
+        i, lam_s, one = Scalar.i(order), lam_of(ctx), ctx.one
+
+        def exponent3(split_first):
+            def pair(left, right):
+                if split_first:
+                    return tensor3(left, one, right) + tensor3(one, left, right)
+                return tensor3(left, right, one) + tensor3(left, one, right)
+
+            return pair(ctx.S, ctx.A) * (i * lam_s) - pair(ctx.A, ctx.S) * (
+                i * (Scalar.one(order) - lam_s)
+            )
+
+        assert ctx.cocycle_exponents() == (exponent3(True), exponent3(False))
+
+    def test_cocycle_mutation_detected(self):
+        # F stays cached from the true exponent while the exponent that
+        # verify_cocycle splits has its A (x) S sign flipped
+        ctx = TwistContext(order=N)
+        ctx.twist()
+        i = Scalar.i(N)
+        ctx.twist_exponent = tensor(ctx.S, ctx.A).scale(i * lam_of(ctx)) + tensor(
+            ctx.A, ctx.S
+        ).scale(i * (Scalar.one(N) - lam_of(ctx)))
+        assert not ctx.verify_cocycle()
 
     def test_counit(self, ctx):
         assert ctx.verify_counit()

@@ -176,6 +176,12 @@ class TestBoostCoproducts:
             closed = rotation_coproduct_closed_form(i, j, sym_ctx)
             assert d == closed and dh == closed
 
+    def test_unknown_method_rejected(self, sym_ctx):
+        with pytest.raises(UsageError):
+            rotation_coproduct(1, 2, sym_ctx, method="bogus")
+        with pytest.raises(UsageError):
+            lorentz_coproduct(1, realization("i", sym_ctx), sym_ctx, method="bogus")
+
     def test_homomorphism_on_brackets(self, sym_ctx, half_ctx):
         assert coproduct_homomorphism_check(realization("i", sym_ctx), sym_ctx)
         assert coproduct_homomorphism_check(realization("ii", half_ctx), half_ctx)

@@ -20,7 +20,6 @@ from kappatwist.algebra import (
 from kappatwist.hopf import TwistContext
 from kappatwist.scalars import LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import (
-    RelationSet,
     TensorElement,
     TensorElement3,
     canonicalize,
@@ -166,7 +165,7 @@ class TestExponentials:
 
 class TestRelations:
     def test_r0_identifies_x_legs(self):
-        rel = RelationSet("R0", N)
+        rel = TwistContext(order=N).R0
         a = tensor(x(2, N), AlgebraElement.one(N))
         b = tensor(AlgebraElement.one(N), x(2, N))
         assert equal_mod(a, b, rel)
