@@ -239,6 +239,12 @@ class SparseElement:
             {key: s.grade_part(k) for key, s in self.terms.items()}, self.order
         )
 
+    def at_order(self, order: int):
+        """The same element truncated at `order` (see `Scalar.at_order`)."""
+        return self.__class__(
+            {k: s.at_order(order) for k, s in self.terms.items()}, order
+        )
+
     def a0_limit(self):
         return self.__class__(
             {k: s.a0_limit() for k, s in self.terms.items()}, self.order

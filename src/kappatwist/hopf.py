@@ -89,6 +89,14 @@ def exchange_rule(tag: str, lam: LambdaPoly, order: int, mu: int) -> TensorEleme
     )
 
 
+def relation_set(tag: str, lam: LambdaPoly, order: int) -> RelationSet:
+    """The relation set `tag` ("R0", "R" or "Rtilde") of the twist with
+    parameter `lam`, at truncation `order`."""
+    # the rule holds values only, not a context: a reference back would keep
+    # every context alive until a garbage-collection pass
+    return RelationSet(tag, order, partial(exchange_rule, tag, lam, order))
+
+
 class TwistContext:
     """Shared state for one (lam, N) deformation setting."""
 
@@ -112,11 +120,8 @@ class TwistContext:
         self.r_exponent = (
             tensor(self.A, self.S) - tensor(self.S, self.A)
         ).scale(i)
-        # the rules hold values only, not the context: a reference back would
-        # keep every context alive until a garbage-collection pass
         self.R0, self.R, self.Rtilde = (
-            RelationSet(tag, n, partial(exchange_rule, tag, self.lam_poly, n))
-            for tag in ("R0", "R", "Rtilde")
+            relation_set(tag, self.lam_poly, n) for tag in ("R0", "R", "Rtilde")
         )
         self._cache: dict[str, object] = {}
 
@@ -174,6 +179,12 @@ class TwistContext:
 
     def rmatrix_inverse(self) -> TensorElement:
         return self._cached("Rmatinv", lambda: t_exp(-self.r_exponent))
+
+    def rmatrix_canonical(self) -> TensorElement:
+        """R canonical mod Rtilde, the form the re-expansion matches."""
+        return self._cached(
+            "Rcanon", lambda: canonicalize(self.rmatrix(), self.Rtilde)
+        )
 
     # -- coproducts ------------------------------------------------------
 

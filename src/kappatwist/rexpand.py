@@ -8,16 +8,26 @@ orders is matched against a rotation-invariant ansatz, with all comparisons
 done in the canonical form modulo the flipped relation set R~ and the
 twist parameter specialized to a rational value (1/2 for the standard
 basis).
+
+Rewriting never lowers an a0 grade, so the grade-k part of a canonical
+form reads only the grades <= k of its input.  Order k is therefore solved
+at truncation k: the earlier r's, the scaled ansatz terms and R~ are taken
+at order k, R's canonical form is built once per context and truncated,
+and only the grade-k parts are lifted back to the context's truncation N.
+The linear system is indexed by generic index patterns; its solution is
+then checked on the whole order-k identity sum_j c_j col_j == target, as
+one tensor equation for the particular solution and one per nullspace
+vector.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .algebra import AlgebraElement, p
-from .hopf import TwistContext
+from .algebra import DIM, ZERO_EXP, AlgebraElement, Monomial
+from .hopf import TwistContext, relation_set
 from .linsolve import SolutionSpace, solve
 from .poincare import SPATIAL, LorentzRealization, mhat, mhat_from_case_i, mij
 from .scalars import GR_ZERO, GaussianRational, Scalar, UsageError
@@ -102,10 +112,11 @@ def _sub_multisets(labels):
 
 
 def _momentum_product(labels, idx, n: int) -> AlgebraElement:
-    out = AlgebraElement.one(n)
+    """The momentum monomial p^beta named by `labels` under `idx`."""
+    beta = [0] * DIM
     for lab in labels:
-        out = out * p(idx[lab], n)
-    return out
+        beta[idx[lab]] += 1
+    return AlgebraElement.monomial(Monomial(ZERO_EXP, tuple(beta)), n)
 
 
 def _label_str(gname, labels):
@@ -164,10 +175,12 @@ def generate_ansatz(
     out: list[AnsatzTerm] = []
 
     def push(term: AnsatzTerm):
-        if term.element.is_zero():
+        element = term.element
+        if element.is_zero():
             return
+        negated = -element
         for t in out:
-            if term.element == t.element or term.element == -t.element:
+            if t.element == element or t.element == negated:
                 return
         out.append(term)
 
@@ -190,19 +203,38 @@ def generate_ansatz(
 # -- targets and solving -------------------------------------------------
 
 
+def _residual_at(prior: list[TensorElement], ctx: TwistContext, n: int) -> TensorElement:
+    """R - exp(sum of r's) at truncation n <= N, canonical mod R~."""
+    acc = TensorElement.zero(n)
+    for r in prior:
+        acc = acc + r.at_order(n)
+    rtilde = relation_set("Rtilde", ctx.lam_poly, n)
+    return ctx.rmatrix_canonical().at_order(n) - canonicalize(t_exp(acc), rtilde)
+
+
 def bch_target(k: int, prior: list[TensorElement], ctx: TwistContext) -> TensorElement:
     """Order-a0^k part of R - exp(r_1 + ... + r_{k-1}), canonical mod R~."""
     if len(prior) != k - 1:
         raise UsageError("need exactly the r's of all lower orders")
     if k > ctx.order:
         raise UsageError("truncation order too low for this expansion order")
-    return residual_through(prior, ctx).grade_part(k)
+    return _residual_at(prior, ctx, k).grade_part(k).at_order(ctx.order)
 
 
 def _term_column(term: AnsatzTerm, k: int, ctx: TwistContext) -> TensorElement:
-    n = ctx.order
-    pref = Scalar.graded(I_NEG, k, n)
-    return canonicalize(term.element.scale(pref), ctx.Rtilde).grade_part(k)
+    """Canonical -i a0^k * term; at truncation k it is all of grade k."""
+    scaled = term.element.at_order(k).scale(Scalar.graded(I_NEG, k, k))
+    rtilde = relation_set("Rtilde", ctx.lam_poly, k)
+    return canonicalize(scaled, rtilde).at_order(ctx.order)
+
+
+def _combination(elements: list[TensorElement], coeffs, order: int) -> TensorElement:
+    """sum of coeff * element over the nonzero coefficients."""
+    acc = TensorElement.zero(order)
+    for e, c in zip(elements, coeffs):
+        if c:
+            acc = acc + e.scale(c)
+    return acc
 
 
 def _index_pattern(key):
@@ -246,8 +278,8 @@ def solve_order(
 
     Equations are indexed by the generic index patterns of the canonical
     monomial basis (contracted dummies distinct); the index-coincidence
-    monomials are consequences and are verified against the solution
-    afterwards on the full concrete basis.
+    monomials are consequences, and the solution is verified afterwards
+    on the whole order-k identity.
     """
     if ctx.lam is None:
         raise UsageError("the expansion needs a rational twist parameter")
@@ -258,14 +290,12 @@ def solve_order(
     for col in columns:
         keys.update(col.terms)
 
-    concrete = []
     by_pattern: dict[tuple, tuple] = {}
-    for key in sorted(keys):
+    for key in keys:
         row = tuple(col.coefficient(key).numeric_coefficient(k) for col in columns)
         val = target.coefficient(key).numeric_coefficient(k)
         if not any(row) and not val:
             continue
-        concrete.append((row, val))
         pat = _index_pattern(key)
         prev = by_pattern.get(pat)
         if prev is None:
@@ -285,7 +315,7 @@ def solve_order(
     sol = solve(rows, rhs)
     result = ExpansionResult(k, sol.status, terms, sol, len(rows))
     if sol.status != "infeasible":
-        _check_concrete(sol, concrete)
+        _check_solution(sol, columns, target)
         result.coefficients = {
             t.name: c for t, c in zip(terms, sol.particular)
         }
@@ -293,20 +323,17 @@ def solve_order(
     return result
 
 
-def _check_concrete(sol: SolutionSpace, concrete) -> None:
-    """The generic-pattern solution must satisfy every concrete equation
-    (including index coincidences), for the particular solution and for
-    the whole solution space."""
-    vectors = [(sol.particular, True)] + [(v, False) for v in sol.nullspace]
-    for row, val in concrete:
-        for vec, inhom in vectors:
-            acc = GR_ZERO
-            for a, b in zip(row, vec):
-                acc = acc + a * b
-            if acc != (val if inhom else GR_ZERO):
-                raise UsageError(
-                    "generic-pattern solution violates a coincidence equation"
-                )
+def _check_solution(
+    sol: SolutionSpace, columns: list[TensorElement], target: TensorElement
+) -> None:
+    """The generic-pattern solution must solve the whole order-k identity
+    sum_j c_j col_j == target, index coincidences included: the particular
+    solution exactly, and every nullspace vector with a zero sum."""
+    n = target.order
+    if _combination(columns, sol.particular, n) != target or any(
+        _combination(columns, v, n) for v in sol.nullspace
+    ):
+        raise UsageError("generic-pattern solution violates a coincidence equation")
 
 
 def assemble(
@@ -314,11 +341,8 @@ def assemble(
 ) -> TensorElement:
     """r_k = -i a0^k * sum of coeff * term."""
     n = ctx.order
-    acc = TensorElement.zero(n)
-    for t, c in zip(terms, coeffs):
-        if c:
-            acc = acc + t.element.scale(Scalar.graded(I_NEG * c, k, n))
-    return acc
+    combined = _combination([t.element for t in terms], coeffs, n)
+    return combined.scale(Scalar.graded(I_NEG, k, n))
 
 
 def expand(
@@ -345,11 +369,7 @@ def residual_through(
 ) -> TensorElement:
     """R - exp(sum of r's), canonical mod R~ (grades beyond len(prior) are
     expected to survive)."""
-    acc = TensorElement.zero(ctx.order)
-    for r in prior:
-        acc = acc + r
-    known = t_exp(acc) if not acc.is_zero() else TensorElement.one(ctx.order)
-    return canonicalize(ctx.rmatrix() - known, ctx.Rtilde)
+    return _residual_at(prior, ctx, ctx.order)
 
 
 def wedge_check(element: TensorElement) -> bool:
@@ -500,14 +520,10 @@ def translate_basis(
         raise UsageError(f"unknown target case {to_case!r}")
     if to_case in ("ii", "case_ii"):
         return element
-    n = ctx.order
     boosts = {i: mhat_from_case_i(i, ctx) for i in SPATIAL}
-    acc = TensorElement.zero(n)
-    by_name = {t.name: t for t in terms}
-    for name, c in coefficients.items():
-        if not c:
-            continue
-        term = by_name[name]
-        rebuilt = _expand_term(term.kind, term.taken, term.rest, term.side, boosts, ctx)
-        acc = acc + rebuilt.scale(Scalar.graded(I_NEG * c, k, n))
-    return acc
+    rebuilt = [
+        replace(t, element=_expand_term(t.kind, t.taken, t.rest, t.side, boosts, ctx))
+        for t in terms
+        if coefficients.get(t.name)
+    ]
+    return assemble(rebuilt, [coefficients[t.name] for t in rebuilt], k, ctx)

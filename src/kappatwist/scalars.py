@@ -562,6 +562,13 @@ class Scalar:
     def grade_part(self, k: int) -> "Scalar":
         return _build({key: t for key, t in self.terms.items() if key[0] == k}, self.order)
 
+    def at_order(self, order: int) -> "Scalar":
+        """The same coefficient truncated at `order`: lowering the order
+        drops the grades above it, raising it keeps every term."""
+        if order >= self.order:
+            return _build(self.terms, order)
+        return _build({key: t for key, t in self.terms.items() if key[0] <= order}, order)
+
     def a0_limit(self) -> "Scalar":
         """Drop every positive power of a0."""
         return self.grade_part(0)

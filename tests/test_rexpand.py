@@ -1,14 +1,24 @@
 """Perturbative R-matrix re-expression: ansatz enumeration, order-by-order
 solving, golden third-order family, and the negative result."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from kappatwist.algebra import AlgebraElement, p
 from kappatwist.hopf import TwistContext
-from kappatwist.poincare import realization
+from kappatwist.poincare import SPATIAL, realization
 from kappatwist.rexpand import (
     PARAM_NAMES,
+    _check_solution,
+    _content,
+    _momentum_product,
+    _sub_multisets,
+    _term_column,
+    assemble,
+    bch_target,
     coefficient_wedge_check,
     expand,
     generate_ansatz,
@@ -21,8 +31,8 @@ from kappatwist.rexpand import (
     translate_basis,
     wedge_check,
 )
-from kappatwist.scalars import GaussianRational, UsageError
-from kappatwist.tensor import equal_mod
+from kappatwist.scalars import GR_ONE, GR_ZERO, GaussianRational, UsageError
+from kappatwist.tensor import TensorElement, canonicalize, equal_mod, t_exp
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +163,135 @@ class TestSymbolicRejected:
         real = realization("i", ctx)
         with pytest.raises(UsageError):
             solve_order(1, real, ctx, [])
+
+
+# -- solving order k at truncation k ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def ctx4():
+    return TwistContext(order=4, lam=Fraction(1, 2))
+
+
+@pytest.fixture(scope="module")
+def results4(ctx4):
+    return expand(4, realization("ii", ctx4), ctx4)
+
+
+class TestMomentumProduct:
+    def test_direct_monomials_match_products(self):
+        n = 4
+        for k, kind in itertools.product((1, 2, 3, 4), ("boost", "rotation")):
+            for content in _content(kind, k):
+                # the content itself and both sides of every split of it
+                label_tuples = {content}.union(*_sub_multisets(content))
+                spatial = sorted(set(content) - {"0"})
+                for values in itertools.product(SPATIAL, repeat=len(spatial)):
+                    idx = {"0": 0, **dict(zip(spatial, values))}
+                    for labels in label_tuples:
+                        product = AlgebraElement.one(n)
+                        for lab in labels:
+                            product = product * p(idx[lab], n)
+                        assert _momentum_product(labels, idx, n) == product
+
+
+def _concrete_equations(columns, target, k):
+    """One (row, value) equation per canonical key of the order-k identity."""
+    keys = set(target.terms)
+    for col in columns:
+        keys.update(col.terms)
+    out = []
+    for key in sorted(keys):
+        row = tuple(col.coefficient(key).numeric_coefficient(k) for col in columns)
+        val = target.coefficient(key).numeric_coefficient(k)
+        if any(row) or val:
+            out.append((row, val))
+    return out
+
+
+def _row_check(sol, concrete) -> bool:
+    """The concrete-equation loop the whole-tensor checks replace."""
+    vectors = [(sol.particular, True)] + [(v, False) for v in sol.nullspace]
+    for row, val in concrete:
+        for vec, inhom in vectors:
+            acc = GR_ZERO
+            for a, b in zip(row, vec):
+                acc = acc + a * b
+            if acc != (val if inhom else GR_ZERO):
+                return False
+    return True
+
+
+def _tensor_check(sol, columns, target) -> bool:
+    try:
+        _check_solution(sol, columns, target)
+    except UsageError:
+        return False
+    return True
+
+
+def _bumped(vec, j):
+    return [c + GR_ONE if i == j else c for i, c in enumerate(vec)]
+
+
+class TestSolutionChecks:
+    def test_row_loop_and_tensor_checks_agree(self, ctx4, results4):
+        assert [r.status for r in results4] == [
+            "unique", "unique", "parametric", "parametric"
+        ]
+        prior = []
+        for res in results4:
+            k = res.order
+            target = bch_target(k, prior, ctx4)
+            columns = [_term_column(t, k, ctx4) for t in res.terms]
+            concrete = _concrete_equations(columns, target, k)
+            sol = res.solution
+            assert _row_check(sol, concrete)
+            assert _tensor_check(sol, columns, target)
+            j = next(i for i, col in enumerate(columns) if col)
+            wrong = dataclasses.replace(sol, particular=_bumped(sol.particular, j))
+            assert not _row_check(wrong, concrete)
+            assert not _tensor_check(wrong, columns, target)
+            if sol.nullspace:
+                v = sol.nullspace[0]
+                j = next(i for i, col in enumerate(columns) if col and v[i])
+                nullspace = [_bumped(v, j)] + sol.nullspace[1:]
+                wrong = dataclasses.replace(sol, nullspace=nullspace)
+                assert not _row_check(wrong, concrete)
+                assert not _tensor_check(wrong, columns, target)
+            prior.append(res.element)
+
+
+def _full_order_target(k, prior, ctx):
+    """The order-k target computed at the context's full truncation."""
+    acc = TensorElement.zero(ctx.order)
+    for r in prior:
+        acc = acc + r
+    return canonicalize(ctx.rmatrix() - t_exp(acc), ctx.Rtilde).grade_part(k)
+
+
+class TestTruncationAtK:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("case", ["ii", "iii"])
+    def test_target_matches_full_order_formula(self, n, case):
+        ctx = TwistContext(order=n, lam=Fraction(1, 2))
+        real = realization(case, ctx)
+        solved = [
+            r.element for r in expand(n - 1, real, ctx) if r.status != "infeasible"
+        ]
+        # where an order has no solution (case iii from order 3 on), any
+        # element of that grade serves as the prior
+        prior = list(solved)
+        for j in range(len(solved) + 1, n):
+            terms = generate_ansatz(j, real, ctx)
+            prior.append(assemble(terms, [GR_ONE] * len(terms), j, ctx))
+        for k in range(1, n + 1):
+            want = _full_order_target(k, prior[: k - 1], ctx)
+            assert bch_target(k, prior[: k - 1], ctx) == want, (n, case, k)
+
+
+class TestReferenceFree:
+    def test_fourth_order_residual_vanishes(self, ctx4, results4):
+        residual = residual_through([r.element for r in results4], ctx4)
+        for j in (1, 2, 3, 4):
+            assert residual.grade_part(j).is_zero(), j

@@ -185,3 +185,14 @@ class TestScalar:
             if not symbolic.grade_part(k).is_zero():
                 with pytest.raises(UsageError):
                     symbolic.numeric_coefficient(k)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(scalars(n), st.integers(0, n))))
+    @settings(max_examples=60, deadline=None)
+    def test_order_round_trip_keeps_low_grades(self, a_and_m):
+        a, m = a_and_m
+        n = a.order
+        low = sum((a.grade_part(k) for k in range(m + 1)), Scalar.zero(n))
+        lowered = a.at_order(m)
+        assert lowered.order == m
+        assert lowered.at_order(n) == low
+        assert a.at_order(n + 2).at_order(n) == a

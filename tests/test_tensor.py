@@ -122,6 +122,17 @@ class TestTensorAlgebra:
             AlgebraElement.one(N).scale(-Scalar.i(N)), AlgebraElement.one(N)
         )
 
+    @given(graded_tensors(), st.integers(0, N))
+    @settings(max_examples=40, deadline=None)
+    def test_order_round_trip_keeps_low_grades(self, t, m):
+        low = TensorElement.zero(N)
+        for k in range(m + 1):
+            low = low + t.grade_part(k)
+        lowered = t.at_order(m)
+        assert lowered.order == m
+        assert lowered.at_order(N) == low
+        assert t.at_order(N + 2).at_order(N) == t
+
 
 def tensor_of_product(left, right):
     out = TensorElement.zero(N)
