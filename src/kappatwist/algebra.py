@@ -4,7 +4,9 @@ Generators are four coordinates x0..x3 and four momenta p0..p3 with
 [p_mu, x_nu] = -i eta_{mu nu}, eta = diag(-,+,+,+).  Elements are finite
 sums of normal-ordered monomials x^alpha p^beta (all x left of all p) with
 Scalar coefficients.  The polynomial algebra of the coordinates alone acts
-as the module the full algebra operates on via `act`.
+as the module the full algebra operates on via `act`.  Products and `act`
+both apply the commutator through `_reorder_1d`, and monomial products
+give their coefficients as packed `scalars` triples.
 
 `SparseElement` is the one container behind these elements, the
 coordinate polynomials and the two- and three-leg tensors of `tensor`: an
@@ -24,15 +26,16 @@ from typing import Callable, Mapping, NamedTuple
 
 from .scalars import (
     DomainError,
-    GR_ONE,
     GaussianRational,
     LambdaPoly,
     Scalar,
+    Triple,
     UsageError,
     as_lambda_poly,
     scalar_str,
     sum_str,
     term_str,
+    triple_mul,
 )
 
 ETA = (-1, 1, 1, 1)
@@ -40,6 +43,7 @@ DIM = 4
 
 Exponents = tuple[int, int, int, int]
 ZERO_EXP: Exponents = (0, 0, 0, 0)
+_ONE: Triple = (1, 0, 1)
 
 # what a container multiplies as a coefficient rather than as an element
 _CONSTANTS = (int, Fraction, GaussianRational, LambdaPoly, Scalar)
@@ -79,29 +83,28 @@ def _bump(exp: Exponents, mu: int, delta: int = 1) -> Exponents:
 
 
 @lru_cache(maxsize=None)
-def _reorder_1d(mu: int, b: int, a: int) -> tuple[tuple[int, int, GaussianRational], ...]:
-    """Normal-order p_mu^b x_mu^a; returns (x_exp, p_exp, coeff) triples."""
-    eta = ETA[mu]
-    base = GaussianRational(0, -eta)  # the commutator [p_mu, x_mu] = -i*eta
+def _reorder_1d(mu: int, b: int, a: int) -> tuple[tuple[int, int, Triple], ...]:
+    """Normal-order p_mu^b x_mu^a; returns (x_exp, p_exp, coeff) entries,
+    one per number k = 0..min(a, b) of contractions.  When a >= b the last
+    entry is the momentum-free one, x_mu^(a-b)."""
+    base = (0, -ETA[mu], 1)  # the commutator [p_mu, x_mu] = -i*eta
     out = []
-    coeff = GR_ONE
+    power = _ONE
     for k in range(0, min(a, b) + 1):
         if k:
-            coeff = coeff * base
-        c = coeff * (math.comb(b, k) * math.comb(a, k) * math.factorial(k))
-        out.append((a - k, b - k, c))
+            power = triple_mul(power, base)
+        count = math.comb(b, k) * math.comb(a, k) * math.factorial(k)
+        out.append((a - k, b - k, triple_mul(power, (count, 0, 1))))
     return tuple(out)
 
 
 @lru_cache(maxsize=200_000)
-def monomial_product(m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, GaussianRational], ...]:
+def monomial_product(m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, Triple], ...]:
     """Product of two normal-ordered monomials, again in normal form."""
     a1, b1 = m1
     a2, b2 = m2
     # Move p^b1 through x^a2; indices reorder independently (eta diagonal).
-    partials: list[tuple[Exponents, Exponents, GaussianRational]] = [
-        (ZERO_EXP, ZERO_EXP, GR_ONE)
-    ]
+    partials: list[tuple[Exponents, Exponents, Triple]] = [(ZERO_EXP, ZERO_EXP, _ONE)]
     for mu in range(DIM):
         if b1[mu] == 0 or a2[mu] == 0:
             partials = [
@@ -112,7 +115,7 @@ def monomial_product(m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, Gaussi
         nxt = []
         for xa, pb, c in _reorder_1d(mu, b1[mu], a2[mu]):
             for xe, pe, c0 in partials:
-                nxt.append((_bump(xe, mu, xa), _bump(pe, mu, pb), c0 * c))
+                nxt.append((_bump(xe, mu, xa), _bump(pe, mu, pb), triple_mul(c0, c)))
         partials = nxt
     out = []
     for xe, pe, c in partials:
@@ -395,37 +398,32 @@ class Polynomial(SparseElement):
 
 
 def _exponent_sum(e1: Exponents, e2: Exponents):
-    return ((tuple(a + b for a, b in zip(e1, e2)), GR_ONE),)
+    return ((tuple(a + b for a, b in zip(e1, e2)), _ONE),)
 
 
 def act(h: AlgebraElement, f: Polynomial) -> Polynomial:
-    """Module action: x_mu multiplies, p_mu differentiates as -i d/dx^mu."""
+    """Module action: x_mu multiplies, p_mu differentiates as -i d/dx^mu.
+
+    p^b x^a acting on the unit leaves the momentum-free term of its normal
+    form, so the derivatives are read off `_reorder_1d`."""
     if h.order != f.order:
         raise UsageError("operator and argument truncation orders differ")
     order = f.order
     out: dict[Exponents, Scalar] = {}
     for mono, s in h.terms.items():
         for e, fs in f.terms.items():
-            coeff = GR_ONE
-            exps = e
-            ok = True
-            for mu in range(DIM):
-                b = mono.beta[mu]
-                if not b:
-                    continue
-                if exps[mu] < b:
-                    ok = False
-                    break
-                fall = 1
-                for j in range(b):
-                    fall *= exps[mu] - j
-                # each derivative contributes -i * eta_{mu mu}
-                coeff = coeff * (GaussianRational(0, -ETA[mu]) ** b * fall)
-                exps = _bump(exps, mu, -b)
-            if not ok or not coeff:
-                continue
-            exps = tuple(a + b for a, b in zip(mono.alpha, exps))
-            contrib = s * fs * coeff
-            cur = out.get(exps)
-            out[exps] = contrib if cur is None else cur + contrib
+            coeff = _ONE
+            exps = list(e)
+            for mu, b in enumerate(mono.beta):
+                if b:
+                    xa, pb, c = _reorder_1d(mu, b, exps[mu])[-1]
+                    if pb:  # more derivatives than powers of x_mu
+                        break
+                    coeff = triple_mul(coeff, c)
+                    exps[mu] = xa
+            else:
+                key = tuple(a + b for a, b in zip(mono.alpha, exps))
+                contrib = (s * fs).scale(coeff)
+                cur = out.get(key)
+                out[key] = contrib if cur is None else cur + contrib
     return Polynomial(out, order)

@@ -26,7 +26,7 @@ from .algebra import AlgebraElement, element_str
 from .hopf import TwistContext
 from .parser import ParseError, elaborate, parse
 from .scalars import DomainError, UsageError
-from .tensor import TensorElement, canonicalize, tensor_str
+from .tensor import TensorElement, canonicalize, tensor, tensor_str
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -53,8 +53,6 @@ def _emit_json(payload: dict) -> None:
 def _closed_form_string(node, case: str | None) -> str:
     """Reference rendering of the coproduct of a single generator."""
     kind = node[0]
-    if kind == "Z" and node[1] is None:
-        kind, node = "gen", ("gen", "Z")
     if kind == "gen":
         name = node[1]
         if name in ("x1", "x2", "x3"):
@@ -118,8 +116,6 @@ def _cmd_coproduct(args) -> int:
 def _as_tensor(value, ctx: TwistContext) -> TensorElement:
     if isinstance(value, TensorElement):
         return value
-    from .tensor import tensor
-
     return tensor(value, AlgebraElement.one(ctx.order))
 
 
@@ -136,13 +132,8 @@ _K1_LABELS = {
 def _coefficient_strings(result) -> dict[str, str]:
     """Coefficient name -> value, or a linear expression in the free
     parameters t1, t2, ... for parametric orders."""
-    from .rexpand import PARAM_NAMES, _PARAM_POSITIONS
-
     sol = result.solution
     out = {}
-    index = {t.name: i for i, t in enumerate(result.terms)}
-    # for the named k=3 family, express free coordinates through
-    # alpha1/beta1/alpha2 when that renaming is invertible
     labels = [f"t{m + 1}" for m in range(len(sol.nullspace))]
     for i, t in enumerate(result.terms):
         pieces = []

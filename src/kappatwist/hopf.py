@@ -245,12 +245,12 @@ class TwistContext:
 
     def coproduct_by(self, h: AlgebraElement, method: str) -> TensorElement:
         """Deformed coproduct by twist conjugation ("twist") or from the
-        generator coproducts ("hom" or "homomorphism")."""
+        generator coproducts ("hom")."""
         if method == "twist":
             return self.coproduct(h)
-        if method in ("hom", "homomorphism"):
+        if method == "hom":
             return self.coproduct_hom(h)
-        raise UsageError("method must be 'twist' or 'homomorphism'")
+        raise UsageError("method must be 'twist' or 'hom'")
 
     def rmatrix_conjugate(self, h: AlgebraElement) -> TensorElement:
         """R (Delta h) R^-1, canonical mod Rtilde; equals the opposite coproduct."""

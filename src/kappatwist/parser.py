@@ -10,13 +10,14 @@ Grammar (whitespace insensitive):
     prod   := pow ("*" pow)*
     pow    := atom ("^" int)?
     atom   := rational | "I" | "a0" | "lam" | generator
-            | "Z" ("^" "[" lampoly "]")?
+            | "Z" "^" "[" expr "]"
             | "exp" "(" expr ")" | "(" expr ")"
 
 Generators: x0..x3, p0..p3, A, S, Z, M[i,j], Mhat[i,0].  Tensor products
 are single level; sums of tensor terms are accepted so canonical renderings
-round-trip.  `lampoly` reuses the scalar grammar restricted to rationals
-and `lam`.
+round-trip.  The exponent of `Z^[...]` is an ordinary `expr`; elaboration
+requires it to be a rational polynomial in `lam` (no generators, `a0` or
+`I`).
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import AlgebraElement, graded_exp
+from .algebra import UNIT_MONOMIAL, AlgebraElement, graded_exp
 from .hopf import TwistContext
-from .scalars import LambdaPoly, Scalar, UsageError
+from .scalars import Scalar, UsageError, as_lambda_poly
 from .tensor import TensorElement, tensor
 
 
@@ -69,7 +70,7 @@ def tokenize(src: str):
 
 # -- AST -----------------------------------------------------------------
 # nodes: ("num", Fraction) ("I",) ("a0",) ("lam",) ("gen", name)
-#        ("M", i, j) ("Mhat", i) ("Z", LambdaPoly | None) ("exp", node)
+#        ("M", i, j) ("Mhat", i) ("Z", node) ("exp", node)
 #        ("mul", [nodes]) ("pow", node, int) ("sum", [(sign, node), ...])
 #        ("tensor", left, right) ("tsum", [(sign, node), ...])
 
@@ -183,14 +184,12 @@ class Parser:
             inner = self.inner_sum()
             self.expect("op", ")")
             return ("exp", inner)
-        if text == "Z":
-            if self.at_op("^") and self.tokens[self.i + 1][:2] == ("op", "["):
-                self.next()
-                self.next()
-                poly = self.lampoly()
-                self.expect("op", "]")
-                return ("Z", poly)
-            return ("Z", None)
+        if text == "Z" and self.at_op("^") and self.tokens[self.i + 1][:2] == ("op", "["):
+            self.next()
+            self.next()
+            inner = self.inner_sum()
+            self.expect("op", "]")
+            return ("Z", inner)
         if text == "M" or text == "Mhat":
             self.expect("op", "[")
             i, _ = self.integer("index")
@@ -212,43 +211,6 @@ class Parser:
             sign = 1 if self.next()[1] == "+" else -1
             parts.append((sign, self.prod()))
         return parts[0][1] if len(parts) == 1 and parts[0][0] == 1 else ("sum", parts)
-
-    def lampoly(self) -> LambdaPoly:
-        """Restricted sum of rational multiples of powers of lam."""
-        poly = LambdaPoly()
-        sign = 1
-        if self.at_op("+", "-"):
-            sign = 1 if self.next()[1] == "+" else -1
-        while True:
-            poly = poly + self._lampoly_term().scale(sign)
-            if not self.at_op("+", "-"):
-                return poly
-            sign = 1 if self.next()[1] == "+" else -1
-
-    def _lampoly_term(self) -> LambdaPoly:
-        coeff = Fraction(1)
-        degree = 0
-        explicit = False
-        tok = self.peek()
-        if tok[0] == "num":
-            self.next()
-            coeff = _rational(tok)
-            explicit = True
-            if self.at_op("*"):
-                self.next()
-                tok = self.peek()
-                if tok[0] != "name" or tok[1] != "lam":
-                    raise ParseError("expected 'lam'", tok[2])
-        tok = self.peek()
-        if tok[0] == "name" and tok[1] == "lam":
-            self.next()
-            degree = 1
-            if self.at_op("^"):
-                self.next()
-                degree = self.integer("exponent")[0]
-        elif not explicit:
-            raise ParseError(f"expected rational or 'lam', found {tok[1]!r}", tok[2])
-        return LambdaPoly({degree: coeff})
 
 
 def _rational(tok) -> Fraction:
@@ -322,7 +284,10 @@ def elaborate(node, ctx: TwistContext, realization_case: str | None = None):
     if kind == "gen":
         return ctx.generator(node[1])
     if kind == "Z":
-        return ctx.z(1) if node[1] is None else ctx.z(node[1])
+        exponent = elaborate(node[1], ctx, realization_case)
+        if exponent.terms.keys() - {UNIT_MONOMIAL}:
+            raise UsageError("a Z^[...] exponent cannot contain generators")
+        return ctx.z(as_lambda_poly(exponent.coefficient(UNIT_MONOMIAL)))
     if kind == "exp":
         inner = elaborate(node[1], ctx, realization_case)
         _require_plain(inner)

@@ -39,7 +39,7 @@ SPATIAL = (1, 2, 3)
 @dataclass(frozen=True)
 class LorentzRealization:
     """The four profile functions F1..F4 of the boost ansatz, as elements
-    of the algebra (functions of A), plus a case label."""
+    of the algebra (functions of A), plus the case ("i", "ii" or "iii")."""
 
     label: str
     f1: AlgebraElement
@@ -57,20 +57,20 @@ def _sinh_over_a(ctx: TwistContext) -> AlgebraElement:
 def realization(case: str, ctx: TwistContext) -> LorentzRealization:
     n = ctx.order
     zero = AlgebraElement.zero(n)
-    if case in ("i", "case_i"):
+    if case == "i":
         # F1 = (Z^(2-lam) - Z^(-lam)) / (2A) = Z^(1-lam) sinh(A)/A,
         # F2 = Z^lam, F3 = (1-lam) Z^lam, F4 = -Z^lam / 2
         lam = ctx.lam_poly
         zlam = ctx.z(lam)
         f1 = ctx.z(LP_ONE - lam) * _sinh_over_a(ctx)
         f3 = zlam.scale(Scalar.one(n) - ctx.lam_s)
-        return LorentzRealization("case_i", f1, zlam, f3, zlam.scale(Fraction(-1, 2)))
-    if case in ("ii", "case_ii"):
+        return LorentzRealization("i", f1, zlam, f3, zlam.scale(Fraction(-1, 2)))
+    if case == "ii":
         if ctx.lam != Fraction(1, 2):
             raise UsageError("case (ii) requires the lam = 1/2 context")
-        return LorentzRealization("case_ii", _sinh_over_a(ctx), ctx.one, zero, zero)
-    if case in ("iii", "case_iii"):
-        return LorentzRealization("case_iii", ctx.one, ctx.one, zero, zero)
+        return LorentzRealization("ii", _sinh_over_a(ctx), ctx.one, zero, zero)
+    if case == "iii":
+        return LorentzRealization("iii", ctx.one, ctx.one, zero, zero)
     raise UsageError(f"unknown realization case {case!r}")
 
 
@@ -166,10 +166,6 @@ def boost_closed_form_string(i: int, case: str) -> str:
     return BOOST_CLOSED_FORMS[case].format(i=i, j=j, k=k)
 
 
-def _case(real: LorentzRealization) -> str:
-    return real.label.removeprefix("case_")
-
-
 def _closed_form_legs(i: int, case: str) -> list[tuple[int, tuple, tuple]]:
     """(sign, left leg, right leg) of each parsed term of a closed form."""
     return [
@@ -204,9 +200,8 @@ def boost_coproduct_closed_form(
     i: int, real: LorentzRealization, ctx: TwistContext
 ) -> TensorElement:
     """The published closed forms for the three preset cases, canonical mod R."""
-    case = _case(real)
-    text = boost_closed_form_string(i, case)
-    return canonicalize(elaborate(parse(text), ctx, case), ctx.R)
+    text = boost_closed_form_string(i, real.label)
+    return canonicalize(elaborate(parse(text), ctx, real.label), ctx.R)
 
 
 def nonpoincare_leg_kinds(
@@ -222,7 +217,7 @@ def nonpoincare_leg_kinds(
     are read off the parsed closed form, so `ctx` is not needed.
     """
     kinds = set()
-    for _, left, right in _closed_form_legs(i, _case(real)):
+    for _, left, right in _closed_form_legs(i, real.label):
         kinds |= {_leg_kind(left), _leg_kind(right)}
     return kinds - {""}
 
@@ -297,10 +292,7 @@ def lorentz_algebra_check(real: LorentzRealization, ctx: TwistContext) -> list[C
             return AlgebraElement.zero(n)
         return rots[(i, j)]
 
-    def boost_or_zero(k):
-        return boosts[k]
-
-    if real.label == "case_ii":
+    if real.label == "ii":
         cosh_a = (ctx.z(1) + ctx.z(-1)).scale(Fraction(1, 2))
     else:
         cosh_a = ctx.one
@@ -326,8 +318,8 @@ def lorentz_algebra_check(real: LorentzRealization, ctx: TwistContext) -> list[C
                     continue
                 lhs = commutator(boosts[i], rot(j, k))
                 rhs = (
-                    boost_or_zero(j).scale(i_s * _delta(i, k))
-                    - boost_or_zero(k).scale(i_s * _delta(i, j))
+                    boosts[j].scale(i_s * _delta(i, k))
+                    - boosts[k].scale(i_s * _delta(i, j))
                 )
                 results.append(
                     CheckResult(

@@ -511,14 +511,14 @@ def translate_basis(
     rebuilt element equals the original exactly.  Case (iii) generators
     cannot be reached this way and are rejected.
     """
-    if to_case in ("iii", "case_iii"):
+    if to_case == "iii":
         raise UsageError(
             "the standard-basis generators cannot be re-expressed through "
             "the case (iii) generators"
         )
-    if to_case not in ("i", "case_i", "ii", "case_ii"):
+    if to_case not in ("i", "ii"):
         raise UsageError(f"unknown target case {to_case!r}")
-    if to_case in ("ii", "case_ii"):
+    if to_case == "ii":
         return element
     boosts = {i: mhat_from_case_i(i, ctx) for i in SPATIAL}
     rebuilt = [

@@ -3,22 +3,24 @@
 Every exact number is a Gaussian rational stored as one normalised integer
 triple ``(a, b, d)`` meaning ``(a + b*i)/d``, with ``d > 0`` and
 ``gcd(a, b, d) == 1``: real and imaginary parts share one denominator, as
-in FLINT's ``fmpq_poly``.  On top of that triple:
+in FLINT's ``fmpq_poly``; ``triple_mul`` multiplies two of them.  On top
+of that triple:
 
 * ``GaussianRational`` -- one triple as a number object, with ``re`` and
   ``im`` read back as ``Fraction``,
-* ``LambdaPoly`` -- polynomials in the twist parameter ``lam`` with
-  ``GaussianRational`` coefficients; used for exponents and for reading
-  coefficients out,
+* ``LambdaPoly`` -- polynomials in the twist parameter ``lam``, stored as
+  the a0-free terms ``{(0, j): (a, b, d)}`` of a ``Scalar``; used for
+  exponents and the twist parameter,
 * ``Scalar`` -- a sparse dict ``{(k, j): (a, b, d)}`` for the coefficient
   ``sum (a + b*i)/d * a0^k * lam^j``, truncated at a fixed order ``N``:
   every term above ``a0^N`` is dropped, which is a filter on ``k``.
 
-``Scalar`` is the one graded type.  Its arithmetic works on the integer
-triples directly and builds no intermediate ``GaussianRational``,
-``LambdaPoly`` or ``Fraction`` objects.  Functions of ``A = a0*p0`` (the
-boost profile functions, ``Z^c``) are algebra elements, built in
-``algebra`` and ``poincare``.
+``Scalar`` is the one graded type.  Its kernels, which ``LambdaPoly``
+shares, work on the integer triples directly and build no intermediate
+``GaussianRational`` or ``Fraction`` objects; monomial products hand
+their coefficients to ``Scalar.scale`` as triples.  Functions of
+``A = a0*p0`` (the boost profile functions, ``Z^c``) are algebra
+elements, built in ``algebra`` and ``poincare``.
 
 All values are immutable; operations return fresh objects.
 """
@@ -62,6 +64,13 @@ def _normed(acc: Terms) -> Terms:
 def _reduce(a: int, b: int, d: int) -> Triple:
     g = _gcd(a, b, d)
     return (a // g, b // g, d // g) if g != 1 else (a, b, d)
+
+
+def triple_mul(t1: Triple, t2: Triple) -> Triple:
+    """Product of two normalised triples, normalised."""
+    a1, b1, d1 = t1
+    a2, b2, d2 = t2
+    return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
 
 class GaussianRational:
@@ -144,9 +153,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a1, b1, d1 = self.triple
-        a2, b2, d2 = other.triple
-        return _gr(_reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2))
+        return _gr(triple_mul(self.triple, other.triple))
 
     __rmul__ = __mul__
 
@@ -207,9 +214,12 @@ def _coerce(value) -> GaussianRational | None:
 
 
 def _triple(value) -> Triple:
-    """The normalised triple of an int, Fraction or GaussianRational."""
+    """The normalised triple of an int, Fraction or GaussianRational; a
+    tuple is taken to be a normalised triple already."""
     if value.__class__ is GaussianRational:
         return value.triple
+    if value.__class__ is tuple:
+        return value
     if value.__class__ is int:
         return (value, 0, 1)
     g = _coerce(value)
@@ -252,43 +262,43 @@ def _triple_str(triple: Triple) -> str:
 
 
 class LambdaPoly:
-    """Polynomial in ``lam`` with GaussianRational coefficients, sparse."""
+    """Polynomial in ``lam`` with Gaussian rational coefficients, sparse.
+
+    ``terms`` holds the a0-free terms ``{(0, j): triple}`` of the same
+    polynomial as a ``Scalar``, with no zero value.
+    """
 
     # hashed once: lam-polynomials key the memos canonicalize reads per rewrite
-    __slots__ = ("c", "_hash")
+    __slots__ = ("terms", "_hash")
 
-    def __init__(self, coeffs: Mapping[int, GaussianRational] | None = None):
-        clean = {}
-        if coeffs:
-            for deg, val in coeffs.items():
-                if deg < 0:
-                    raise UsageError("negative lam degree")
-                if not isinstance(val, GaussianRational):
-                    val = GaussianRational(val)
-                if val:
-                    clean[deg] = val
-        object.__setattr__(self, "c", clean)
-        object.__setattr__(self, "_hash", hash(frozenset(clean.items())))
+    def __init__(self, coeffs: Mapping[int, object] | None = None):
+        terms = {}
+        for deg, val in (coeffs or {}).items():
+            if deg < 0:
+                raise UsageError("negative lam degree")
+            g = val if isinstance(val, GaussianRational) else GaussianRational(val)
+            if g:
+                terms[(0, deg)] = g.triple
+        _fill_lp(self, terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("LambdaPoly is immutable")
 
     @staticmethod
     def const(value) -> "LambdaPoly":
-        g = value if isinstance(value, GaussianRational) else GaussianRational(value)
-        return LambdaPoly({0: g})
+        return LambdaPoly({0: value})
 
     @staticmethod
     def gen() -> "LambdaPoly":
-        return LambdaPoly({1: GR_ONE})
+        return _lp({(0, 1): (1, 0, 1)})
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, LambdaPoly):
             return NotImplemented
-        return self.c == other.c
+        return self.terms == other.terms
 
     def __hash__(self):
         return self._hash
@@ -296,66 +306,75 @@ class LambdaPoly:
     def __add__(self, other):
         if not isinstance(other, LambdaPoly):
             return NotImplemented
-        out = dict(self.c)
-        for deg, val in other.c.items():
-            out[deg] = out.get(deg, GR_ZERO) + val
-        return LambdaPoly(out)
+        return _lp(_add(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LambdaPoly({d: -v for d, v in self.c.items()})
+        return _lp(_neg(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         if not isinstance(other, LambdaPoly):
             return NotImplemented
-        out: dict[int, GaussianRational] = {}
-        for d1, v1 in self.c.items():
-            for d2, v2 in other.c.items():
-                d = d1 + d2
-                out[d] = out.get(d, GR_ZERO) + v1 * v2
-        return LambdaPoly(out)
+        return _lp(_mul(self.terms, other.terms, 0))
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "LambdaPoly":
-        g = factor if isinstance(factor, GaussianRational) else GaussianRational(factor)
-        if not g:
+        t = _triple(factor)
+        if not t[0] and not t[1]:
             return LP_ZERO
-        return LambdaPoly({d: v * g for d, v in self.c.items()})
+        return _lp(_scale(self.terms, t))
 
     def eval(self, value: RationalLike) -> GaussianRational:
-        v = Fraction(value)
-        acc = GR_ZERO
-        for deg, coef in self.c.items():
-            acc = acc + coef * GaussianRational(v**deg)
-        return acc
+        t = _substitute(self.terms, value).get((0, 0))
+        return GR_ZERO if t is None else _gr(t)
 
     def __repr__(self):
-        return f"LambdaPoly({self.c!r})"
+        return f"LambdaPoly({ {j: _gr(t) for (_, j), t in self.terms.items()} !r})"
 
 
-LP_ZERO = LambdaPoly()
+def _fill_lp(poly: LambdaPoly, terms: Terms) -> None:
+    object.__setattr__(poly, "terms", terms)
+    object.__setattr__(poly, "_hash", hash(frozenset(terms.items())))
+
+
+def _lp(terms: Terms) -> LambdaPoly:
+    """Wrap already normalised a0-free terms."""
+    poly = _new(LambdaPoly)
+    _fill_lp(poly, terms)
+    return poly
+
+
+LP_ZERO = _lp({})
 LP_ONE = LambdaPoly.const(1)
 LP_LAM = LambdaPoly.gen()
 
 
 def as_lambda_poly(value) -> LambdaPoly:
+    """A constant as a lam-polynomial.  A Scalar qualifies when it is a
+    rational polynomial in lam: no a0 and no I."""
     if isinstance(value, LambdaPoly):
         return value
     if isinstance(value, (int, Fraction, GaussianRational)):
         return LambdaPoly.const(value)
-    raise UsageError(f"cannot interpret {value!r} as a lam-polynomial")
+    if isinstance(value, Scalar) and not any(
+        k or b for (k, _), (_, b, _) in value.terms.items()
+    ):
+        return _lp(value.terms)
+    raise UsageError(f"cannot interpret {value} as a rational lam-polynomial")
 
 
 def _const_terms(value, grade: int = 0) -> Terms:
     """Terms of a constant (int, Fraction, GaussianRational or LambdaPoly)
     placed at one grade."""
     if isinstance(value, LambdaPoly):
-        return {(grade, j): g.triple for j, g in value.c.items()}
+        if not grade:
+            return value.terms
+        return {(grade, j): t for (_, j), t in value.terms.items()}
     if isinstance(value, (int, Fraction, GaussianRational)):
         t = _triple(value)
         return {(grade, 0): t} if t[0] or t[1] else {}
@@ -423,6 +442,21 @@ def _scale(terms: Terms, factor: Triple) -> Terms:
     for key, (a, b, d) in terms.items():
         out[key] = _reduce(a * a2 - b * b2, a * b2 + b * a2, d * d2)
     return out
+
+
+def _substitute(terms: Terms, value: RationalLike) -> Terms:
+    """The terms with lam set to a rational value."""
+    v = Fraction(value)
+    p, q = v.numerator, v.denominator
+    acc: Terms = {}
+    for (k, j), (a, b, d) in terms.items():
+        pj, qj = p**j, q**j
+        a, b, d = a * pj, b * pj, d * qj
+        cur = acc.get((k, 0))
+        if cur is not None:
+            a, b, d = cur[0] * d + a * cur[2], cur[1] * d + b * cur[2], cur[2] * d
+        acc[(k, 0)] = (a, b, d)
+    return _normed(acc)
 
 
 class Scalar:
@@ -529,12 +563,14 @@ class Scalar:
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         if isinstance(other, LambdaPoly):
-            return _build(_mul(self.terms, _const_terms(other), self.order), self.order)
+            return _build(_mul(self.terms, other.terms, self.order), self.order)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "Scalar":
+        """self * factor, for a constant or a normalised triple (the
+        coefficients of monomial products)."""
         t = _triple(factor)
         if t == (1, 0, 1):
             return self
@@ -543,17 +579,7 @@ class Scalar:
         return _build(_scale(self.terms, t), self.order)
 
     def substitute_lambda(self, value: RationalLike) -> "Scalar":
-        v = Fraction(value)
-        p, q = v.numerator, v.denominator
-        acc: Terms = {}
-        for (k, j), (a, b, d) in self.terms.items():
-            pj, qj = p**j, q**j
-            a, b, d = a * pj, b * pj, d * qj
-            cur = acc.get((k, 0))
-            if cur is not None:
-                a, b, d = cur[0] * d + a * cur[2], cur[1] * d + b * cur[2], cur[2] * d
-            acc[(k, 0)] = (a, b, d)
-        return _build(_normed(acc), self.order)
+        return _build(_substitute(self.terms, value), self.order)
 
     def min_grade(self) -> int | None:
         """Lowest a0 power with a nonzero coefficient, or None for zero."""

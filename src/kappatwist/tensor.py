@@ -33,6 +33,7 @@ from .scalars import (
     scalar_str,
     sum_str,
     term_str,
+    triple_mul,
 )
 
 TensorKey = tuple[Monomial, Monomial]
@@ -61,7 +62,7 @@ class TensorElement(SparseElement):
 def _pair_product(k1: TensorKey, k2: TensorKey):
     (l1, r1), (l2, r2) = k1, k2
     return [
-        ((ml, mr), cl * cr)
+        ((ml, mr), triple_mul(cl, cr))
         for ml, cl in monomial_product(l1, l2)
         for mr, cr in monomial_product(r1, r2)
     ]
@@ -201,7 +202,7 @@ class TensorElement3(SparseElement):
 def _triple_product(k1: TensorKey3, k2: TensorKey3):
     (a1, b1, c1), (a2, b2, c2) = k1, k2
     return [
-        ((ma, mb, mc), ca * cb * cc)
+        ((ma, mb, mc), triple_mul(triple_mul(ca, cb), cc))
         for ma, ca in monomial_product(a1, a2)
         for mb, cb in monomial_product(b1, b2)
         for mc, cc in monomial_product(c1, c2)

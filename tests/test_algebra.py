@@ -1,6 +1,7 @@
 """Phase-space algebra kernel: normal ordering, commutators, module
 action, group-like exponentials."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,17 +14,21 @@ from kappatwist.algebra import (
     ETA,
     Monomial,
     Polynomial,
+    ZERO_EXP,
+    _bump,
+    _reorder_1d,
     act,
     commutator,
     dilatation,
     element_str,
     graded_exp,
+    monomial_product,
     p,
     time_translation,
     x,
     z_power,
 )
-from kappatwist.scalars import DomainError, LambdaPoly, Scalar
+from kappatwist.scalars import DomainError, GaussianRational, LambdaPoly, Scalar
 from kappatwist.tensor import TensorElement, t3_exp, t_adjoint, t_exp, tensor, tensor3
 
 N = 3
@@ -116,7 +121,69 @@ class TestProduct:
         assert e**0 == AlgebraElement.one(N)
 
 
+def _reorder_1d_oracle(mu, b, a):
+    """Normal form of p_mu^b x_mu^a with GaussianRational coefficients:
+    the k-fold contraction carries (-i*eta)^k C(b,k) C(a,k) k!."""
+    base = GaussianRational(0, -ETA[mu])
+    return [
+        (a - k, b - k, base**k * (math.comb(b, k) * math.comb(a, k) * math.factorial(k)))
+        for k in range(min(a, b) + 1)
+    ]
+
+
+def _monomial_product_oracle(m1, m2):
+    """monomial_product built from the oracle, index by index."""
+    partials = [(ZERO_EXP, ZERO_EXP, GaussianRational(1))]
+    for mu in range(DIM):
+        partials = [
+            (_bump(xe, mu, xa), _bump(pe, mu, pb), c0 * c)
+            for xa, pb, c in _reorder_1d_oracle(mu, m1.beta[mu], m2.alpha[mu])
+            for xe, pe, c0 in partials
+        ]
+    return [
+        (
+            Monomial(
+                tuple(x + y for x, y in zip(m1.alpha, xe)),
+                tuple(x + y for x, y in zip(pe, m2.beta)),
+            ),
+            c,
+        )
+        for xe, pe, c in partials
+    ]
+
+
+class TestNormalOrderingOracle:
+    """The packed-triple coefficients against a GaussianRational oracle."""
+
+    @pytest.mark.parametrize("mu", range(DIM))
+    def test_reorder_1d(self, mu):
+        for b in range(6):
+            for a in range(7):
+                want = [(xa, pb, c.triple) for xa, pb, c in _reorder_1d_oracle(mu, b, a)]
+                assert list(_reorder_1d(mu, b, a)) == want
+
+    @given(monomials(3), monomials(3))
+    @settings(max_examples=80, deadline=None)
+    def test_monomial_product(self, m1, m2):
+        want = [(m, c.triple) for m, c in _monomial_product_oracle(m1, m2)]
+        assert sorted(monomial_product(m1, m2)) == sorted(want)
+
+
 class TestAction:
+    @pytest.mark.parametrize("mu", (0, 1))
+    def test_derivative_powers(self, mu):
+        # p_mu^b |> x_mu^a = (-i eta)^b a!/(a-b)! x_mu^(a-b), zero for a < b
+        minus_i_eta = GaussianRational(0, -ETA[mu])
+        for b in range(6):
+            h = AlgebraElement.monomial(Monomial(ZERO_EXP, _bump(ZERO_EXP, mu, b)), N)
+            for a in range(7):
+                got = act(h, Polynomial.x_monomial(_bump(ZERO_EXP, mu, a), N))
+                if a < b:
+                    assert got.is_zero()
+                    continue
+                c = minus_i_eta**b * (math.factorial(a) // math.factorial(a - b))
+                assert got == Polynomial.x_monomial(_bump(ZERO_EXP, mu, a - b), N, c)
+
     def test_momentum_derivative(self):
         # p_1 |> x1^2 = -i eta_{11} * 2 x1 = -2i x1
         f = Polynomial.x_monomial((0, 2, 0, 0), N)

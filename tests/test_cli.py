@@ -66,6 +66,8 @@ class TestParser:
         assert evaluate("Z^[1-lam]", ctx) == evaluate("Z^[-lam+1]", ctx)
         assert evaluate("Z^[1/2]*Z^[-1/2]", ctx) == evaluate("1", ctx)
         assert evaluate("Z^[2*lam]", ctx) == evaluate("Z^[lam]*Z^[lam]", ctx)
+        assert evaluate("Z^[lam*lam]", ctx) == evaluate("Z^[lam^2]", ctx)
+        assert evaluate("Z^[2*(1-lam)]", ctx) == evaluate("Z^[2-2*lam]", ctx)
 
     def test_mhat_requires_case(self, ctx):
         with pytest.raises(UsageError):
@@ -217,6 +219,10 @@ _BAD_INPUTS = [
     (["eval", "1/0"], "parse error: "),
     (["eval", "Z^[2/0]"], "parse error: "),
     (["eval", "x1 ox 1 + x1"], "parse error: cannot mix tensor and plain terms at offset 10\n"),
+    (["eval", "Z^[x1]"], "error: "),
+    (["eval", "Z^[a0]"], "error: "),
+    (["eval", "Z^[I]"], "error: "),
+    (["eval", "Z^[p0]"], "error: "),
 ]
 
 

@@ -1,4 +1,6 @@
-"""Every module-level import in the package is used by its module."""
+"""Every import in the package is used: a module-level import by its
+module, an import inside a function by that function.  A function imports
+lazily only what its module does not import at the top."""
 
 import ast
 from pathlib import Path
@@ -61,3 +63,49 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def _function_imports(tree: ast.Module):
+    """(function, import statement) for every import inside a function."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    yield func, node
+
+
+def unused_function_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for func, node in _function_imports(tree):
+        used = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                out.append(f"{path.name}:{node.lineno}: {name}")
+    return out
+
+
+def redundant_lazy_imports(path: Path) -> list[str]:
+    """Function-level imports from a module the file imports at the top."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = {
+        (node.level, node.module)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+    }
+    return [
+        f"{path.name}:{node.lineno}: {node.module}"
+        for _, node in _function_imports(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in top
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_function_imports(path):
+    assert unused_function_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_lazy_import_of_a_top_level_module(path):
+    assert redundant_lazy_imports(path) == []

@@ -115,8 +115,9 @@ class TestRealizations:
             realization("ii", sym_ctx)
 
     def test_unknown_case(self, sym_ctx):
-        with pytest.raises(UsageError):
-            realization("iv", sym_ctx)
+        for case in ("iv", "case_i"):
+            with pytest.raises(UsageError):
+                realization(case, sym_ctx)
 
     def test_boost_a0_limit_undeformed(self, sym_ctx):
         for case in ("i", "iii"):

@@ -36,10 +36,8 @@ def scalar_triples():
 
 def lambda_polys():
     return st.builds(
-        lambda pairs: LambdaPoly(
-            {d: GaussianRational(c) for d, c in pairs}
-        ),
-        st.lists(st.tuples(st.integers(0, 3), rationals), max_size=3),
+        lambda pairs: LambdaPoly(dict(pairs)),
+        st.lists(st.tuples(st.integers(0, 3), gaussians()), max_size=3),
     )
 
 
@@ -95,6 +93,27 @@ class TestLambdaPoly:
         b = LambdaPoly.gen()
         assert (a * b).eval(v) == a.eval(v) * b.eval(v)
         assert (a + b).eval(v) == a.eval(v) + b.eval(v)
+
+    @given(lambda_polys(), lambda_polys(), gaussians(), rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_order0_scalar(self, a, b, c, v):
+        def as_scalar(value):
+            return Scalar.from_value(value, 0)
+
+        sa, sb = as_scalar(a), as_scalar(b)
+        assert as_scalar(a + b) == sa + sb
+        assert as_scalar(a - b) == sa - sb
+        assert as_scalar(-a) == -sa
+        assert as_scalar(a * b) == sa * sb
+        assert as_scalar(a.scale(c)) == sa.scale(c)
+        assert as_scalar(a.eval(v)) == sa.substitute_lambda(v)
+
+    @given(lambda_polys(), lambda_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_values_hash_equal(self, a, b):
+        for left, right in (((a + b) - b, a), (a * b, b * a), (a - a, LambdaPoly())):
+            assert left == right
+            assert hash(left) == hash(right)
 
     def test_const_and_degree(self):
         p = LambdaPoly.const(Fraction(3, 7))
