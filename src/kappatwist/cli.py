@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import AlgebraElement, element_str
 from .hopf import TwistContext
@@ -280,6 +281,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# built once per process: parsing leaves the parser unchanged
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(
         prog="kappatwist",

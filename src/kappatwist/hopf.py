@@ -10,6 +10,12 @@ coproducts by conjugation.  The R-matrix exponent is rho = i*(A (x) S -
 S (x) A).  This module is the one place that knows the twist family: the
 exchange relations R0, R and Rtilde that `tensor.canonicalize` rewrites
 with (`exchange_rule`), the twist exponent, and the powers Z^c.
+
+Star products and the realization operator act with F^-1 or Ftilde^-1 leg
+by leg.  Each context keeps, per flavour and built on first use, a leg
+table: the twist's terms grouped by left monomial, with every distinct leg
+monomial wrapped once as an element.  An action then calls `act` once per
+distinct left leg and once per distinct right leg, not once per term.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .algebra import (
     DIM,
     Polynomial,
     UNIT_MONOMIAL,
+    ZERO_EXP,
+    _bump,
     act,
     dilatation,
     p,
@@ -290,24 +298,59 @@ class TwistContext:
         """f -> m0(F^-1 |> (x_mu (x) f)) with leg-wise module action."""
         if not 0 <= mu < DIM:
             raise UsageError(f"index {mu} out of range")
+        self._check_orders(f)
         return self._legwise_action(
-            self.twist_inverse(), Polynomial.x_monomial(_unit_exp(mu), self.order), f
+            "F", Polynomial.x_monomial(_bump(ZERO_EXP, mu), self.order), f
         )
 
-    def _legwise_action(
-        self, op: TensorElement, f: Polynomial, g: Polynomial
-    ) -> Polynomial:
+    def _check_orders(self, *args: Polynomial) -> None:
+        if any(a.order != self.order for a in args):
+            raise UsageError("argument and context truncation orders differ")
+
+    def _leg_table(self, which: str):
+        """F^-1 ("F") or Ftilde^-1 ("Ftilde") as ((left leg, ((right
+        monomial, right leg, coefficient), ...)), ...): the terms grouped
+        by left monomial, each distinct monomial wrapped once as a one-term
+        element."""
+
+        def build():
+            op = self.twist_inverse() if which == "F" else self.twist_opposite_inverse()
+            monomials = {m for key in op.terms for m in key}
+            legs = {m: AlgebraElement.monomial(m, self.order) for m in monomials}
+            rows: dict = {}
+            for (l, r), s in op.terms.items():
+                rows.setdefault(l, []).append((r, legs[r], s))
+            return tuple((legs[l], tuple(row)) for l, row in rows.items())
+
+        return self._cached(("legs", which), build)
+
+    def _legwise_action(self, which: str, f: Polynomial, g: Polynomial) -> Polynomial:
+        """m0(op |> (f (x) g)) for op = F^-1 or Ftilde^-1 (see `_leg_table`).
+
+        Each left leg acts on f once, and a left leg that kills f skips its
+        whole row; each right leg acts on g at most once per call.  A row
+        sums its weighted right actions before the one product with the
+        left action, and the rows add up in a plain dict."""
         n = self.order
-        out = Polynomial.zero(n)
-        for (l, r), s in op.terms.items():
-            left = act(AlgebraElement.monomial(l, n), f)
+        rights: dict = {}
+        out: dict = {}
+        for left_leg, row in self._leg_table(which):
+            left = act(left_leg, f)
             if left.is_zero():
                 continue
-            right = act(AlgebraElement.monomial(r, n), g)
-            if right.is_zero():
-                continue
-            out = out + (left * right) * s
-        return out
+            acc: dict = {}
+            for r, right_leg, s in row:
+                right = rights.get(r)
+                if right is None:
+                    right = rights[r] = act(right_leg, g)
+                for e, c in right.terms.items():
+                    contrib = c * s
+                    cur = acc.get(e)
+                    acc[e] = contrib if cur is None else cur + contrib
+            for e, c in (left * Polynomial(acc, n)).terms.items():
+                cur = out.get(e)
+                out[e] = c if cur is None else cur + c
+        return Polynomial(out, n)
 
     def xhat(self, mu: int) -> AlgebraElement:
         """Closed-form noncommutative coordinates of the twist family."""
@@ -317,16 +360,7 @@ class TwistContext:
         return x(mu, n) * self.z(-self.lam_poly)
 
     def star_product(self, f: Polynomial, g: Polynomial, which: str = "F") -> Polynomial:
-        if which == "F":
-            op = self.twist_inverse()
-        elif which == "Ftilde":
-            op = self.twist_opposite_inverse()
-        else:
+        if which not in ("F", "Ftilde"):
             raise UsageError("star product flavor must be 'F' or 'Ftilde'")
-        return self._legwise_action(op, f, g)
-
-
-def _unit_exp(mu: int):
-    e = [0, 0, 0, 0]
-    e[mu] = 1
-    return tuple(e)
+        self._check_orders(f, g)
+        return self._legwise_action(which, f, g)

@@ -202,6 +202,17 @@ class TestCLI:
         assert run(["eval", "exp("]) == 2
         capsys.readouterr()
 
+    def test_parser_reused_after_bad_request(self, capsys):
+        good = ["coproduct", "--gen", "p1", "--order", "3", "--format", "json"]
+        assert run(good) == 0
+        first = capsys.readouterr().out
+        assert run(["coproduct", "--gen", "p1", "--order", "x"]) == 2
+        capsys.readouterr()
+        assert run(good) == 0
+        assert capsys.readouterr().out == first
+        assert run(["--help"]) == 0
+        capsys.readouterr()
+
     def test_usage_error_exit_code(self, capsys):
         assert run(["eval", "Mhat[1,0]"]) == 2
         assert run(["coproduct", "--gen", "q7"]) == 2

@@ -5,6 +5,7 @@ import gc
 import itertools
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,10 @@ from kappatwist.algebra import (
     p,
     x,
 )
+from kappatwist import hopf
 from kappatwist.hopf import TwistContext
 from kappatwist.parser import evaluate
-from kappatwist.scalars import LambdaPoly, Scalar, UsageError
+from kappatwist.scalars import GaussianRational, LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import (
     TensorElement,
     canonicalize,
@@ -252,6 +254,112 @@ class TestStarProducts:
         f = Polynomial.x_monomial((1, 0, 0, 0), N)
         with pytest.raises(UsageError):
             ctx.star_product(f, f, "bogus")
+
+
+@lru_cache(maxsize=None)
+def _context(order, lam):
+    return TwistContext(order=order, lam=lam)
+
+
+def _per_term_action(op, f, g):
+    """m0(op |> (f (x) g)) one term of op at a time: the oracle for the
+    leg-table action."""
+    n = f.order
+    out = Polynomial.zero(n)
+    for (l, r), s in op.terms.items():
+        left = act(AlgebraElement.monomial(l, n), f)
+        if left.is_zero():
+            continue
+        right = act(AlgebraElement.monomial(r, n), g)
+        if right.is_zero():
+            continue
+        out = out + (left * right) * s
+    return out
+
+
+_LOW_DEGREE = [e for e in itertools.product(range(4), repeat=4) if sum(e) <= 3]
+
+
+@st.composite
+def _polynomials(draw, order):
+    """Polynomials of x-degree 0..3 (the zero polynomial and constants
+    included) with Gaussian-rational coefficients at a0-grade 0 or 1."""
+    small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    term = st.tuples(st.sampled_from(_LOW_DEGREE), small, small, st.integers(0, 1))
+    terms = {
+        e: Scalar.graded(GaussianRational(re, im), k, order)
+        for e, re, im, k in draw(st.lists(term, max_size=4))
+    }
+    return Polynomial(terms, order)
+
+
+_SETTINGS = [(n, lam) for n in (3, 4) for lam in (None, Fraction(1, 2))]
+
+
+@st.composite
+def _setting_and_pair(draw):
+    order, lam = draw(st.sampled_from(_SETTINGS))
+    return _context(order, lam), draw(_polynomials(order)), draw(_polynomials(order))
+
+
+class TestLegTable:
+    @given(_setting_and_pair())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_term_action(self, drawn):
+        ctx, f, g = drawn
+        ops = {"F": ctx.twist_inverse(), "Ftilde": ctx.twist_opposite_inverse()}
+        for which, op in ops.items():
+            got, want = ctx.star_product(f, g, which), _per_term_action(op, f, g)
+            assert got == want, which
+            assert str(got) == str(want), which
+        for mu in range(4):
+            x_mu = Polynomial.x_monomial(tuple(int(nu == mu) for nu in range(4)), ctx.order)
+            got = ctx.realization_operator(mu, f)
+            want = _per_term_action(ops["F"], x_mu, f)
+            assert got == want, mu
+            assert str(got) == str(want), mu
+
+    def test_one_act_per_distinct_leg(self, monkeypatch):
+        n = 4
+        ctx = _context(n, None)
+        legs = ctx.twist_inverse().terms
+        bound = len({l for l, _ in legs}) + len({r for _, r in legs})
+        assert bound <= 140 < len(legs)
+
+        def poly(terms):
+            return Polynomial({e: Scalar.from_value(c, n) for e, c in terms.items()}, n)
+
+        f = poly({(0, 1, 0, 0): 2, (0, 1, 1, 0): Fraction(-1, 3)})
+        g = poly({(1, 0, 0, 0): 3, (0, 0, 2, 0): Fraction(1, 2)})
+        calls = []
+        real_act = hopf.act
+
+        def counting_act(h, arg):
+            calls.append((*h.terms, id(arg)))
+            return real_act(h, arg)
+
+        monkeypatch.setattr(hopf, "act", counting_act)
+        for which in ("F", "Ftilde"):
+            calls.clear()
+            ctx.star_product(f, g, which)
+            assert 0 < len(calls) <= bound, which
+            # no leg acts twice on the same argument
+            assert len(set(calls)) == len(calls), which
+
+    @pytest.mark.parametrize("which", ["F", "Ftilde"])
+    def test_argument_order_checked(self, which):
+        ctx = _context(3, None)
+        good = Polynomial.zero(3)
+        bad = Polynomial.x_monomial((0, 1, 0, 0), 4)
+        with pytest.raises(UsageError):
+            ctx.star_product(good, bad, which)
+        with pytest.raises(UsageError):
+            ctx.star_product(bad, good, which)
+
+    def test_realization_order_checked(self):
+        ctx = _context(3, None)
+        with pytest.raises(UsageError):
+            ctx.realization_operator(1, Polynomial.x_monomial((0, 1, 0, 0), 4))
 
 
 class TestRationalLambda:
