@@ -26,12 +26,11 @@ from typing import Callable, Mapping, NamedTuple
 
 from .scalars import (
     DomainError,
-    GaussianRational,
-    LambdaPoly,
     Scalar,
     Triple,
     UsageError,
     as_lambda_poly,
+    as_scalar,
     scalar_str,
     sum_str,
     term_str,
@@ -44,9 +43,6 @@ DIM = 4
 Exponents = tuple[int, int, int, int]
 ZERO_EXP: Exponents = (0, 0, 0, 0)
 _ONE: Triple = (1, 0, 1)
-
-# what a container multiplies as a coefficient rather than as an element
-_CONSTANTS = (int, Fraction, GaussianRational, LambdaPoly, Scalar)
 
 
 class Monomial(NamedTuple):
@@ -189,10 +185,8 @@ class SparseElement:
     def _product(self, other, key_product: Callable):
         """self * other; `key_product(k1, k2)` gives the (key, coefficient)
         pairs of the product of two basis keys."""
-        if isinstance(other, _CONSTANTS):
-            return self.scale(other)
         if other.__class__ is not self.__class__:
-            return NotImplemented
+            return self.__rmul__(other)
         self._check(other)
         order = self.order
         # A pair whose lowest a0 grades add up above the order truncates to
@@ -216,14 +210,16 @@ class SparseElement:
         return self.__class__(out, order)
 
     def __rmul__(self, other):
-        if isinstance(other, _CONSTANTS):
-            return self.scale(other)
-        return NotImplemented
+        """A coefficient (see `scale`) times self; coefficients are central."""
+        factor = as_scalar(other, self.order)
+        return NotImplemented if factor is None else self.scale(factor)
 
     def scale(self, factor):
-        return self.__class__(
-            {k: s * factor for k, s in self.terms.items()}, self.order
-        )
+        """self * factor, for a Scalar, a LambdaPoly or an exact number."""
+        s = as_scalar(factor, self.order)
+        if s is None:
+            raise UsageError(f"cannot scale by {factor!r}: not an exact coefficient")
+        return self.__class__({k: c * s for k, c in self.terms.items()}, self.order)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -326,7 +322,8 @@ def time_translation(order: int) -> AlgebraElement:
     )
 
 
-def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+def commutator(a: SparseElement, b: SparseElement) -> SparseElement:
+    """a * b - b * a, for two elements of one container type."""
     return a * b - b * a
 
 

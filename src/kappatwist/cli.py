@@ -26,7 +26,7 @@ from functools import lru_cache
 from .algebra import AlgebraElement, element_str
 from .hopf import TwistContext
 from .parser import ParseError, elaborate, parse
-from .scalars import DomainError, UsageError
+from .scalars import DomainError, UsageError, sum_str, term_str
 from .tensor import TensorElement, canonicalize, tensor, tensor_str
 from .verify import run_suite
 
@@ -137,22 +137,14 @@ def _coefficient_strings(result) -> dict[str, str]:
     out = {}
     labels = [f"t{m + 1}" for m in range(len(sol.nullspace))]
     for i, t in enumerate(result.terms):
-        pieces = []
         base = sol.particular[i]
-        if base:
-            pieces.append(str(base))
-        for m, vec in enumerate(sol.nullspace):
-            v = vec[i]
-            if not v:
-                continue
-            coeff = str(v)
-            if coeff == "1":
-                pieces.append(labels[m])
-            elif coeff == "-1":
-                pieces.append(f"-{labels[m]}")
-            else:
-                pieces.append(f"{coeff}*{labels[m]}")
-        out[t.name] = " + ".join(pieces).replace("+ -", "- ") if pieces else "0"
+        pieces = [str(base)] if base else []
+        pieces += [
+            term_str(str(vec[i]), label)
+            for label, vec in zip(labels, sol.nullspace)
+            if vec[i]
+        ]
+        out[t.name] = sum_str(pieces)
     return out
 
 

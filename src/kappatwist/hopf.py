@@ -20,7 +20,6 @@ distinct left leg and once per distinct right leg, not once per term.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 
 from .algebra import (
@@ -40,6 +39,7 @@ from .algebra import (
 from .scalars import (
     LP_LAM,
     LP_ONE,
+    GaussianRational,
     LambdaPoly,
     Scalar,
     UsageError,
@@ -112,7 +112,8 @@ class TwistContext:
         if not 1 <= order <= 6:
             raise UsageError("truncation order must be in 1..6")
         self.order = order
-        self.lam = None if lam is None else Fraction(lam)
+        # lam must be an exact rational; GaussianRational rejects anything else
+        self.lam = None if lam is None else GaussianRational(lam).re
         self.lam_poly = LP_LAM if self.lam is None else LambdaPoly.const(self.lam)
         n = order
         self.lam_s = Scalar.from_value(self.lam_poly, n)

@@ -2,30 +2,23 @@
 
 Gaussian elimination with deterministic pivoting (first nonzero entry in
 column order), returning either a unique solution, a particular solution
-plus a nullspace basis, or an infeasibility verdict.
+plus a nullspace basis, or an infeasibility verdict.  `coefficient_rows`
+reads the rows of an exact fit of sparse elements off their
+coefficients.  Entries must be exact numbers (`scalars.as_gaussian`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, UsageError
-
-
-def _coerce(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    raise UsageError(f"matrix entries must be exact rationals, got {value!r}")
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, UsageError, as_gaussian
 
 
 class ExactMatrix:
     """Dense rows x cols matrix of GaussianRational entries."""
 
     def __init__(self, rows):
-        data = [[_coerce(v) for v in row] for row in rows]
+        data = [[as_gaussian(v) for v in row] for row in rows]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -67,7 +60,7 @@ class SolutionSpace:
 def solve(matrix, rhs) -> SolutionSpace:
     """Solve A x = b exactly; accepts ExactMatrix or nested sequences."""
     a = matrix if isinstance(matrix, ExactMatrix) else ExactMatrix(matrix)
-    b = [_coerce(v) for v in rhs]
+    b = [as_gaussian(v) for v in rhs]
     if len(b) != a.nrows:
         raise UsageError("right-hand side length does not match row count")
     n, m = a.nrows, a.ncols
@@ -120,3 +113,26 @@ def solve(matrix, rhs) -> SolutionSpace:
 
     status = "unique" if not free_cols else "parametric"
     return SolutionSpace(status, particular, nullspace, rank, free_cols)
+
+
+def coefficient_rows(target, columns, grades) -> dict:
+    """The rows of the exact fit sum_j x_j * columns[j] = target of sparse
+    elements, as {(key, grade): (row, value)}: for every basis key of the
+    target or a column, in sorted key order, and every a0 grade in
+    `grades`, the numbers multiplying a0^grade at that key in each column
+    and in the target.  Rows whose entries and value are all zero are left
+    out; a symbolic twist parameter raises (`Scalar.numeric_coefficient`).
+    """
+    keys = set(target.terms)
+    for col in columns:
+        keys.update(col.terms)
+    out = {}
+    for key in sorted(keys):
+        coeffs = [col.coefficient(key) for col in columns]
+        value = target.coefficient(key)
+        for grade in grades:
+            row = tuple(c.numeric_coefficient(grade) for c in coeffs)
+            val = value.numeric_coefficient(grade)
+            if val or any(row):
+                out[(key, grade)] = (row, val)
+    return out

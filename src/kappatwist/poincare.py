@@ -28,10 +28,10 @@ from .algebra import (
     x,
 )
 from .hopf import TwistContext
-from .linsolve import SolutionSpace, solve
+from .linsolve import SolutionSpace, coefficient_rows, solve
 from .parser import elaborate, parse
 from .scalars import LP_ONE, Scalar, UsageError
-from .tensor import TensorElement, canonicalize, t_commutator, tensor
+from .tensor import TensorElement, canonicalize, tensor
 
 SPATIAL = (1, 2, 3)
 
@@ -204,9 +204,7 @@ def boost_coproduct_closed_form(
     return canonicalize(elaborate(parse(text), ctx, real.label), ctx.R)
 
 
-def nonpoincare_leg_kinds(
-    i: int, real: LorentzRealization, ctx: TwistContext
-) -> set[str]:
+def nonpoincare_leg_kinds(i: int, real: LorentzRealization) -> set[str]:
     """Leg kinds in the boost coproduct that fall outside the Poincare span.
 
     The closed forms (verified equal to the computed coproducts mod R) use
@@ -214,7 +212,7 @@ def nonpoincare_leg_kinds(
     (iii) needs bare coordinate-momentum legs (x_i p0 and x0 p_i appear with
     different cofactors, so they never assemble into the boost) and the
     dilatation x_k p_k: the gl(4)-type content of the extension.  The kinds
-    are read off the parsed closed form, so `ctx` is not needed.
+    are read off the parsed closed form.
     """
     kinds = set()
     for _, left, right in _closed_form_legs(i, real.label):
@@ -298,51 +296,40 @@ def lorentz_algebra_check(real: LorentzRealization, ctx: TwistContext) -> list[C
         cosh_a = ctx.one
 
     results = []
+
+    def check(name: str, lhs: AlgebraElement, rhs: AlgebraElement) -> None:
+        passed = lhs == rhs
+        results.append(CheckResult(name, passed, "" if passed else str(lhs - rhs)))
+
     for i in SPATIAL:
         for j in SPATIAL:
-            if i >= j:
-                continue
-            lhs = commutator(boosts[i], boosts[j])
-            rhs = (rot(i, j) * cosh_a).scale(-i_s)
-            results.append(
-                CheckResult(
+            if i < j:
+                check(
                     f"[B{i},B{j}]",
-                    lhs == rhs,
-                    "" if lhs == rhs else str(lhs - rhs),
+                    commutator(boosts[i], boosts[j]),
+                    (rot(i, j) * cosh_a).scale(-i_s),
                 )
-            )
     for i in SPATIAL:
         for j in SPATIAL:
             for k in SPATIAL:
-                if j >= k:
-                    continue
-                lhs = commutator(boosts[i], rot(j, k))
-                rhs = (
-                    boosts[j].scale(i_s * _delta(i, k))
-                    - boosts[k].scale(i_s * _delta(i, j))
-                )
-                results.append(
-                    CheckResult(
+                if j < k:
+                    check(
                         f"[B{i},M{j}{k}]",
-                        lhs == rhs,
-                        "" if lhs == rhs else str(lhs - rhs),
+                        commutator(boosts[i], rot(j, k)),
+                        boosts[j].scale(i_s * _delta(i, k))
+                        - boosts[k].scale(i_s * _delta(i, j)),
                     )
-                )
     for (i, j) in ((1, 2), (1, 3), (2, 3)):
         for (k, l) in ((1, 2), (1, 3), (2, 3)):
-            lhs = commutator(rot(i, j), rot(k, l))
-            rhs = -(
-                rot(i, l).scale(i_s * _delta(j, k))
-                + rot(j, k).scale(i_s * _delta(i, l))
-                - rot(i, k).scale(i_s * _delta(j, l))
-                - rot(j, l).scale(i_s * _delta(i, k))
-            )
-            results.append(
-                CheckResult(
-                    f"[M{i}{j},M{k}{l}]",
-                    lhs == rhs,
-                    "" if lhs == rhs else str(lhs - rhs),
-                )
+            check(
+                f"[M{i}{j},M{k}{l}]",
+                commutator(rot(i, j), rot(k, l)),
+                -(
+                    rot(i, l).scale(i_s * _delta(j, k))
+                    + rot(j, k).scale(i_s * _delta(i, l))
+                    - rot(i, k).scale(i_s * _delta(j, l))
+                    - rot(j, l).scale(i_s * _delta(i, k))
+                ),
             )
     return results
 
@@ -402,9 +389,7 @@ def coproduct_homomorphism_check(
     bi = mhat(i, real, ctx)
     bj = mhat(j, real, ctx)
     lhs = ctx.coproduct(commutator(bi, bj))
-    rhs = canonicalize(
-        t_commutator(ctx.coproduct(bi), ctx.coproduct(bj)), ctx.R
-    )
+    rhs = canonicalize(commutator(ctx.coproduct(bi), ctx.coproduct(bj)), ctx.R)
     return lhs == rhs
 
 
@@ -497,18 +482,5 @@ def boost_coproduct_order1_match(
     columns = [
         canonicalize(c.scale(Scalar.a0(n)), ctx.R) for c in candidates
     ]
-    keys = set(target.terms)
-    for col in columns:
-        keys.update(col.terms)
-    rows = []
-    rhs = []
-    for key in sorted(keys):
-        for grade in (0, 1):
-            row = [
-                col.coefficient(key).numeric_coefficient(grade) for col in columns
-            ]
-            val = target.coefficient(key).numeric_coefficient(grade)
-            if any(row) or val:
-                rows.append(row)
-                rhs.append(val)
-    return solve(rows, rhs)
+    equations = coefficient_rows(target, columns, (0, 1)).values()
+    return solve([row for row, _ in equations], [val for _, val in equations])

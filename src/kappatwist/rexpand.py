@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .algebra import DIM, ZERO_EXP, AlgebraElement, Monomial
 from .hopf import TwistContext, relation_set
-from .linsolve import SolutionSpace, solve
+from .linsolve import SolutionSpace, coefficient_rows, solve
 from .poincare import SPATIAL, LorentzRealization, mhat, mhat_from_case_i, mij
 from .scalars import GR_ZERO, GaussianRational, Scalar, UsageError
 from .tensor import TensorElement, canonicalize, t_exp, tau0, tensor
@@ -286,34 +286,15 @@ def solve_order(
     target = bch_target(k, prior, ctx)
     terms = generate_ansatz(k, real, ctx)
     columns = [_term_column(t, k, ctx) for t in terms]
-    keys = set(target.terms)
-    for col in columns:
-        keys.update(col.terms)
 
     by_pattern: dict[tuple, tuple] = {}
-    for key in keys:
-        row = tuple(col.coefficient(key).numeric_coefficient(k) for col in columns)
-        val = target.coefficient(key).numeric_coefficient(k)
-        if not any(row) and not val:
-            continue
-        pat = _index_pattern(key)
-        prev = by_pattern.get(pat)
-        if prev is None:
-            by_pattern[pat] = (row, val)
-        elif prev != (row, val):
+    for (key, _), equation in coefficient_rows(target, columns, (k,)).items():
+        if by_pattern.setdefault(_index_pattern(key), equation) != equation:
             raise UsageError("index pattern with non-uniform coefficients")
+    generic = [by_pattern[pat] for pat in sorted(by_pattern) if _is_generic(pat)]
 
-    rows = []
-    rhs = []
-    for pat in sorted(by_pattern):
-        if not _is_generic(pat):
-            continue
-        row, val = by_pattern[pat]
-        rows.append(list(row))
-        rhs.append(val)
-
-    sol = solve(rows, rhs)
-    result = ExpansionResult(k, sol.status, terms, sol, len(rows))
+    sol = solve([row for row, _ in generic], [val for _, val in generic])
+    result = ExpansionResult(k, sol.status, terms, sol, len(generic))
     if sol.status != "infeasible":
         _check_solution(sol, columns, target)
         result.coefficients = {
@@ -409,7 +390,7 @@ def specialize_coefficients(
     if result.order != 3 or result.status != "parametric":
         raise UsageError("specialization needs the parametric order-3 family")
     sol = result.solution
-    want = [Fraction(alpha1), Fraction(beta1), Fraction(alpha2)]
+    want = [GaussianRational(v) for v in (alpha1, beta1, alpha2)]
     index = {t.name: i for i, t in enumerate(result.terms)}
     # parameter value = factor * (particular + sum_f t_f * null_f) at the
     # watched coefficient positions; solve the small square system for t.
@@ -418,7 +399,7 @@ def specialize_coefficients(
     for (tname, factor), target in zip(_PARAM_POSITIONS, want):
         col = index[tname]
         rows.append([factor * vec[col] for vec in sol.nullspace])
-        rhs.append(GaussianRational(target) - factor * sol.particular[col])
+        rhs.append(target - factor * sol.particular[col])
     small = solve(rows, rhs)
     if small.status != "unique":
         raise UsageError("parameter labels do not pin down the family member")
@@ -462,9 +443,7 @@ def reference_third_order(
 ) -> TensorElement:
     """The known three-parameter family at order 3, assembled from its
     published coefficient table (times -i a0^3 / 24)."""
-    a1 = GaussianRational(Fraction(alpha1))
-    b1 = GaussianRational(Fraction(beta1))
-    a2 = GaussianRational(Fraction(alpha2))
+    a1, b1, a2 = (GaussianRational(v) for v in (alpha1, beta1, alpha2))
     two = GaussianRational(2)
     table = {
         "Mh_i0*p_0^2 ox p_i": GaussianRational(3),
@@ -498,28 +477,16 @@ def reference_third_order(
 
 
 def translate_basis(
-    element: TensorElement,
     k: int,
     coefficients: dict[str, GaussianRational],
     terms: list[AnsatzTerm],
     ctx: TwistContext,
-    to_case: str = "i",
 ) -> TensorElement:
     """Re-express a solved r_k through the case-(i) generators.
 
     Uses the identity Mh_i0 = M_i0 Z^(-1/2) + (a0/2) M_ij p_j, so the
-    rebuilt element equals the original exactly.  Case (iii) generators
-    cannot be reached this way and are rejected.
+    rebuilt element equals the original exactly.
     """
-    if to_case == "iii":
-        raise UsageError(
-            "the standard-basis generators cannot be re-expressed through "
-            "the case (iii) generators"
-        )
-    if to_case not in ("i", "ii"):
-        raise UsageError(f"unknown target case {to_case!r}")
-    if to_case == "ii":
-        return element
     boosts = {i: mhat_from_case_i(i, ctx) for i in SPATIAL}
     rebuilt = [
         replace(t, element=_expand_term(t.kind, t.taken, t.rest, t.side, boosts, ctx))

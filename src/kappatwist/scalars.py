@@ -15,6 +15,12 @@ of that triple:
   ``sum (a + b*i)/d * a0^k * lam^j``, truncated at a fixed order ``N``:
   every term above ``a0^N`` is dropped, which is a filter on ``k``.
 
+``exact_triple`` is the one test of what an exact number is: an int, a
+``Fraction`` or a ``GaussianRational``.  Every constructor and operator
+reads constants through it, so a float, a string or a ``Decimal`` never
+enters the arithmetic: a named constructor or method raises
+``UsageError`` for it, and an operator returns ``NotImplemented``.
+
 ``Scalar`` is the one graded type.  Its kernels, which ``LambdaPoly``
 shares, work on the integer triples directly and build no intermediate
 ``GaussianRational`` or ``Fraction`` objects; monomial products hand
@@ -85,12 +91,11 @@ class GaussianRational:
         if re.__class__ is int and im.__class__ is int:
             triple = (re, im, 1)
         else:
-            fr, fi = Fraction(re), Fraction(im)
-            q1, q2 = fr.denominator, fi.denominator
+            (p1, q1), (p2, q2) = _rational(re), _rational(im)
             d = q1 * q2 // _gcd(q1, q2)
             # with both parts in lowest terms the lcm is the least common
             # denominator, so the triple is already normalised
-            triple = (fr.numerator * (d // q1), fi.numerator * (d // q2), d)
+            triple = (p1 * (d // q1), p2 * (d // q2), d)
         _set_triple(self, triple)
 
     def __setattr__(self, name, value):
@@ -111,20 +116,20 @@ class GaussianRational:
         return bool(a or b)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
+        t = exact_triple(other)
+        if t is None:
             return NotImplemented
-        return self.triple == other.triple
+        return self.triple == t
 
     def __hash__(self):
         return hash(self.triple)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
+        t = exact_triple(other)
+        if t is None:
             return NotImplemented
         a1, b1, d1 = self.triple
-        a2, b2, d2 = other.triple
+        a2, b2, d2 = t
         if d1 == d2:
             return _gr(_reduce(a1 + a2, b1 + b2, d1))
         return _gr(_reduce(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2))
@@ -132,28 +137,28 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
+        t = exact_triple(other)
+        if t is None:
             return NotImplemented
         a1, b1, d1 = self.triple
-        a2, b2, d2 = other.triple
+        a2, b2, d2 = t
         return _gr(_reduce(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2))
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
+        t = exact_triple(other)
+        if t is None:
             return NotImplemented
-        return other - self
+        return _gr(t) - self
 
     def __neg__(self):
         a, b, d = self.triple
         return _gr((-a, -b, d))
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
+        t = exact_triple(other)
+        if t is None:
             return NotImplemented
-        return _gr(triple_mul(self.triple, other.triple))
+        return _gr(triple_mul(self.triple, t))
 
     __rmul__ = __mul__
 
@@ -165,16 +170,16 @@ class GaussianRational:
         return _gr(_reduce(d * a, -d * b, n))
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
+        t = exact_triple(other)
+        if t is None:
             return NotImplemented
-        return self * other.inverse()
+        return self * _gr(t).inverse()
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
+        t = exact_triple(other)
+        if t is None:
             return NotImplemented
-        return other * self.inverse()
+        return _gr(t) * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -205,27 +210,45 @@ def _gr(triple: Triple) -> GaussianRational:
     return g
 
 
-def _coerce(value) -> GaussianRational | None:
-    if value.__class__ is GaussianRational or isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+def exact_triple(value) -> Triple | None:
+    """The normalised triple of an exact number -- an int, a Fraction or a
+    GaussianRational -- and None for anything else (a float, a str, a
+    Decimal, None).  This is the one test of what an exact constant is."""
+    if value.__class__ is int:
+        return (value, 0, 1)
+    if isinstance(value, GaussianRational):
+        return value.triple
+    if isinstance(value, Fraction):
+        return (value.numerator, 0, value.denominator)
+    if isinstance(value, int):
+        return (int(value), 0, 1)
     return None
 
 
-def _triple(value) -> Triple:
-    """The normalised triple of an int, Fraction or GaussianRational; a
-    tuple is taken to be a normalised triple already."""
+def _exact(value) -> Triple:
+    """`exact_triple` for a named constructor or method: a value that is
+    not exact raises UsageError."""
+    t = exact_triple(value)
+    if t is None:
+        raise UsageError(
+            f"{value!r} is not an exact number (int, Fraction or GaussianRational)"
+        )
+    return t
+
+
+def _rational(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact real number."""
+    a, b, d = _exact(value)
+    if b:
+        raise UsageError(f"{value!r} is not a rational number")
+    return a, d
+
+
+def as_gaussian(value) -> GaussianRational:
+    """An exact number as a GaussianRational; UsageError otherwise."""
     if value.__class__ is GaussianRational:
-        return value.triple
-    if value.__class__ is tuple:
         return value
-    if value.__class__ is int:
-        return (value, 0, 1)
-    g = _coerce(value)
-    if g is None:
-        raise UsageError(f"cannot interpret {value!r} as a Gaussian rational")
-    return g.triple
+    return _gr(_exact(value))
 
 
 GR_ZERO = GaussianRational(0)
@@ -276,9 +299,9 @@ class LambdaPoly:
         for deg, val in (coeffs or {}).items():
             if deg < 0:
                 raise UsageError("negative lam degree")
-            g = val if isinstance(val, GaussianRational) else GaussianRational(val)
-            if g:
-                terms[(0, deg)] = g.triple
+            t = _exact(val)
+            if t[0] or t[1]:
+                terms[(0, deg)] = t
         _fill_lp(self, terms)
 
     def __setattr__(self, name, value):
@@ -315,19 +338,17 @@ class LambdaPoly:
         return _lp(_neg(self.terms))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        if not isinstance(other, LambdaPoly):
+        if isinstance(other, LambdaPoly):
+            return _lp(_mul(self.terms, other.terms, 0))
+        t = exact_triple(other)
+        if t is None:
             return NotImplemented
-        return _lp(_mul(self.terms, other.terms, 0))
+        return _lp(_scale(self.terms, t))
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "LambdaPoly":
-        t = _triple(factor)
-        if not t[0] and not t[1]:
-            return LP_ZERO
-        return _lp(_scale(self.terms, t))
+        return _lp(_scale(self.terms, _exact(factor)))
 
     def eval(self, value: RationalLike) -> GaussianRational:
         t = _substitute(self.terms, value).get((0, 0))
@@ -349,7 +370,6 @@ def _lp(terms: Terms) -> LambdaPoly:
     return poly
 
 
-LP_ZERO = _lp({})
 LP_ONE = LambdaPoly.const(1)
 LP_LAM = LambdaPoly.gen()
 
@@ -359,26 +379,27 @@ def as_lambda_poly(value) -> LambdaPoly:
     rational polynomial in lam: no a0 and no I."""
     if isinstance(value, LambdaPoly):
         return value
-    if isinstance(value, (int, Fraction, GaussianRational)):
-        return LambdaPoly.const(value)
-    if isinstance(value, Scalar) and not any(
+    terms = _const_terms(value)
+    if terms is None and isinstance(value, Scalar) and not any(
         k or b for (k, _), (_, b, _) in value.terms.items()
     ):
-        return _lp(value.terms)
-    raise UsageError(f"cannot interpret {value} as a rational lam-polynomial")
+        terms = value.terms
+    if terms is None:
+        raise UsageError(f"cannot interpret {value} as a rational lam-polynomial")
+    return _lp(terms)
 
 
-def _const_terms(value, grade: int = 0) -> Terms:
-    """Terms of a constant (int, Fraction, GaussianRational or LambdaPoly)
-    placed at one grade."""
+def _const_terms(value, grade: int = 0) -> Terms | None:
+    """Terms of a constant (an exact number or a LambdaPoly) placed at one
+    grade; None for anything else."""
     if isinstance(value, LambdaPoly):
         if not grade:
             return value.terms
         return {(grade, j): t for (_, j), t in value.terms.items()}
-    if isinstance(value, (int, Fraction, GaussianRational)):
-        t = _triple(value)
-        return {(grade, 0): t} if t[0] or t[1] else {}
-    raise UsageError(f"cannot interpret {value!r} as a lam-polynomial")
+    t = exact_triple(value)
+    if t is None:
+        return None
+    return {(grade, 0): t} if t[0] or t[1] else {}
 
 
 def _neg(terms: Terms) -> Terms:
@@ -438,6 +459,8 @@ def _mul(t1: Terms, t2: Terms, order: int) -> Terms:
 
 def _scale(terms: Terms, factor: Triple) -> Terms:
     a2, b2, d2 = factor
+    if not a2 and not b2:
+        return {}
     out = {}
     for key, (a, b, d) in terms.items():
         out[key] = _reduce(a * a2 - b * b2, a * b2 + b * a2, d * d2)
@@ -446,8 +469,7 @@ def _scale(terms: Terms, factor: Triple) -> Terms:
 
 def _substitute(terms: Terms, value: RationalLike) -> Terms:
     """The terms with lam set to a rational value."""
-    v = Fraction(value)
-    p, q = v.numerator, v.denominator
+    p, q = _rational(value)
     acc: Terms = {}
     for (k, j), (a, b, d) in terms.items():
         pj, qj = p**j, q**j
@@ -482,7 +504,8 @@ class Scalar:
 
     @staticmethod
     def from_value(value, order: int) -> "Scalar":
-        return _build(_const_terms(value), order)
+        """An exact number or a LambdaPoly as a Scalar."""
+        return Scalar.graded(value, 0, order)
 
     @staticmethod
     def i(order: int) -> "Scalar":
@@ -498,11 +521,13 @@ class Scalar:
 
     @staticmethod
     def graded(value, a0_power: int, order: int) -> "Scalar":
+        """value * a0^a0_power for an exact number or a LambdaPoly."""
         if a0_power < 0:
             raise UsageError("negative a0 power")
-        if a0_power > order:
-            return Scalar.zero(order)
-        return _build(_const_terms(value, a0_power), order)
+        terms = _const_terms(value, a0_power)
+        if terms is None:
+            raise UsageError(f"{value!r} is not an exact number or a lam-polynomial")
+        return _build(terms if a0_power <= order else {}, order)
 
     def _mismatch(self, other) -> UsageError:
         return UsageError(
@@ -531,9 +556,7 @@ class Scalar:
             if self.order != other.order:
                 raise self._mismatch(other)
             return other.terms
-        if isinstance(other, (int, Fraction, GaussianRational, LambdaPoly)):
-            return _const_terms(other)
-        return None
+        return _const_terms(other)
 
     def __add__(self, other):
         terms = self._operand(other)
@@ -560,22 +583,21 @@ class Scalar:
             if self.order != other.order:
                 raise self._mismatch(other)
             return _build(_mul(self.terms, other.terms, self.order), self.order)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
         if isinstance(other, LambdaPoly):
             return _build(_mul(self.terms, other.terms, self.order), self.order)
-        return NotImplemented
+        t = exact_triple(other)
+        if t is None:
+            return NotImplemented
+        return self.scale(t)
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "Scalar":
-        """self * factor, for a constant or a normalised triple (the
-        coefficients of monomial products)."""
-        t = _triple(factor)
+        """self * factor, for a normalised triple (the coefficients of
+        monomial products) or an exact number."""
+        t = factor if factor.__class__ is tuple else _exact(factor)
         if t == (1, 0, 1):
             return self
-        if not t[0] and not t[1]:
-            return _build({}, self.order)
         return _build(_scale(self.terms, t), self.order)
 
     def substitute_lambda(self, value: RationalLike) -> "Scalar":
@@ -634,6 +656,15 @@ def _build(terms: Terms, order: int) -> Scalar:
     _set_terms(obj, terms)
     _set_order(obj, order)
     return obj
+
+
+def as_scalar(value, order: int) -> Scalar | None:
+    """A Scalar as it is, an exact number or a LambdaPoly as a Scalar at
+    `order`, and None for anything else."""
+    if value.__class__ is Scalar:
+        return value
+    terms = _const_terms(value)
+    return None if terms is None else _build(terms, order)
 
 
 def scalar_str(s: Scalar) -> str:

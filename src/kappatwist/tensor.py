@@ -21,6 +21,7 @@ from .algebra import (
     SparseElement,
     UNIT_MONOMIAL,
     _bump,
+    commutator,
     exp_coeffs,
     monomial_product,
     monomial_str,
@@ -91,10 +92,6 @@ def t_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     return a * b
 
 
-def t_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
-    return a * b - b * a
-
-
 def tau0(t: TensorElement) -> TensorElement:
     """Leg swap; an involutive algebra map of the tensor square."""
     return TensorElement(
@@ -123,7 +120,7 @@ def t_adjoint(conjugator: TensorElement, target: TensorElement) -> TensorElement
         conjugator,
         exp_coeffs(target.order),
         start=target,
-        step=lambda t: t_commutator(conjugator, t),
+        step=lambda t: commutator(conjugator, t),
     )
 
 

@@ -337,7 +337,7 @@ def run_suite(
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or 'all'"
         )
     ctx = TwistContext(order=order, lam=lam)
-    lam_text = "sym" if lam is None else str(Fraction(lam))
+    lam_text = "sym" if ctx.lam is None else str(ctx.lam)
     report = VerificationReport(suite, order, lam_text, seed)
     rec = _Recorder(report)
     rng = random.Random(seed)

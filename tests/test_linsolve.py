@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappatwist.linsolve import ExactMatrix, solve
-from kappatwist.scalars import GaussianRational, UsageError
+from kappatwist.algebra import p, x
+from kappatwist.linsolve import ExactMatrix, coefficient_rows, solve
+from kappatwist.scalars import GR_ONE, GR_ZERO, GaussianRational, Scalar, UsageError
 
 entries = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
 
@@ -97,3 +98,34 @@ class TestCorrectness:
         sol = solve([[1, 2], [2, 4], [0, 1]], [1, 2, 0])
         assert sol.rank == 2
         assert sol.status == "unique"
+
+
+class TestCoefficientRows:
+    N = 2
+
+    def test_rows_sorted_and_zero_rows_left_out(self):
+        n = self.N
+        a0 = Scalar.a0(n)
+        col0 = x(1, n) + p(1, n).scale(a0)
+        col1 = x(1, n).scale(2)
+        # p2 sits at grade 2 only, outside the grades read below
+        target = x(1, n).scale(3) + p(1, n).scale(a0) + p(2, n).scale(a0 * a0)
+        rows = coefficient_rows(target, [col0, col1], (0, 1))
+        (key_x1,), (key_p1,) = x(1, n).terms, p(1, n).terms
+        assert key_p1 < key_x1
+        assert list(rows) == [(key_p1, 1), (key_x1, 0)]
+        assert rows[(key_p1, 1)] == ((GR_ONE, GR_ZERO), GR_ONE)
+        assert rows[(key_x1, 0)] == (
+            (GR_ONE, GaussianRational(2)),
+            GaussianRational(3),
+        )
+        equations = rows.values()
+        sol = solve([r for r, _ in equations], [v for _, v in equations])
+        assert sol.status == "unique"
+        assert sol.particular == [GR_ONE, GR_ONE]
+
+    def test_symbolic_coefficient_raises(self):
+        n = self.N
+        col = x(1, n).scale(Scalar.lam(n))
+        with pytest.raises(UsageError, match="symbolic twist parameter leaked"):
+            coefficient_rows(x(1, n), [col], (0,))

@@ -188,12 +188,12 @@ class TestBoostCoproducts:
         assert coproduct_homomorphism_check(realization("ii", half_ctx), half_ctx)
 
     def test_case_iii_closed_form_leaves_poincare(self, sym_ctx, half_ctx):
-        assert nonpoincare_leg_kinds(1, realization("iii", sym_ctx), sym_ctx) == {
+        assert nonpoincare_leg_kinds(1, realization("iii", sym_ctx)) == {
             "coordinate",
             "dilatation",
         }
-        assert not nonpoincare_leg_kinds(1, realization("i", sym_ctx), sym_ctx)
-        assert not nonpoincare_leg_kinds(1, realization("ii", half_ctx), half_ctx)
+        assert not nonpoincare_leg_kinds(1, realization("i", sym_ctx))
+        assert not nonpoincare_leg_kinds(1, realization("ii", half_ctx))
         assert case_iii_x_leg_mismatch(1, sym_ctx)
 
     def test_order1_span_fit_case_ii(self, half_ctx):

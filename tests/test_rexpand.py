@@ -135,17 +135,8 @@ class TestThirdOrderFamily:
 
     def test_translate_to_case_i(self, ctx, results):
         r1 = results[0]
-        rebuilt = translate_basis(
-            r1.element, 1, r1.coefficients, r1.terms, ctx, to_case="i"
-        )
+        rebuilt = translate_basis(1, r1.coefficients, r1.terms, ctx)
         assert rebuilt == r1.element
-
-    def test_translate_rejects_case_iii(self, ctx, results):
-        r1 = results[0]
-        with pytest.raises(UsageError):
-            translate_basis(
-                r1.element, 1, r1.coefficients, r1.terms, ctx, to_case="iii"
-            )
 
 
 class TestCaseIII:

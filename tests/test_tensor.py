@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kappatwist.algebra import (
     AlgebraElement,
     Polynomial,
+    commutator,
     dilatation,
     p,
     time_translation,
@@ -29,7 +30,6 @@ from kappatwist.tensor import (
     m0,
     t3_exp,
     t_adjoint,
-    t_commutator,
     t_exp,
     t_mul,
     tau0,
@@ -117,7 +117,7 @@ class TestTensorAlgebra:
     def test_t_commutator(self):
         a = tensor(p(1, N), AlgebraElement.one(N))
         b = tensor(x(1, N), AlgebraElement.one(N))
-        c = t_commutator(a, b)
+        c = commutator(a, b)
         assert c == tensor(
             AlgebraElement.one(N).scale(-Scalar.i(N)), AlgebraElement.one(N)
         )
