@@ -78,7 +78,7 @@ def _bump(exp: Exponents, mu: int, delta: int = 1) -> Exponents:
     return tuple(lst)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _reorder_1d(mu: int, b: int, a: int) -> tuple[tuple[int, int, Triple], ...]:
     """Normal-order p_mu^b x_mu^a; returns (x_exp, p_exp, coeff) entries,
     one per number k = 0..min(a, b) of contractions.  When a >= b the last

@@ -11,11 +11,14 @@ S (x) A).  This module is the one place that knows the twist family: the
 exchange relations R0, R and Rtilde that `tensor.canonicalize` rewrites
 with (`exchange_rule`), the twist exponent, and the powers Z^c.
 
-Star products and the realization operator act with F^-1 or Ftilde^-1 leg
-by leg.  Each context keeps, per flavour and built on first use, a leg
-table: the twist's terms grouped by left monomial, with every distinct leg
-monomial wrapped once as an element.  An action then calls `act` once per
-distinct left leg and once per distinct right leg, not once per term.
+Star products and the realization operator act with F^-1 or Ftilde^-1 in
+closed form.  On a polynomial of spatial degree d (its degree in x1, x2,
+x3), S acts as -i*d and A as i*a0 d/dx0, and [S, A] = 0.  So on
+f_d (x) g_e the exponent of F^-1 is (1-lam)*e A (x) 1 - lam*d 1 (x) A, a
+sum of two commuting terms that each carry a0, and F^-1 acts there as
+Z^((1-lam)e) (x) Z^(-lam d) -- also under truncation, where exp(X + Y) =
+exp(X) exp(Y) still holds for commuting X and Y.  Ftilde^-1 = tau0(F^-1)
+acts as Z^(-lam e) (x) Z^((1-lam)d).
 """
 
 from __future__ import annotations
@@ -296,11 +299,11 @@ class TwistContext:
     # -- realization and star products -----------------------------------
 
     def realization_operator(self, mu: int, f: Polynomial) -> Polynomial:
-        """f -> m0(F^-1 |> (x_mu (x) f)) with leg-wise module action."""
+        """f -> m0(F^-1 |> (x_mu (x) f)), by the closed-form action of F^-1."""
         if not 0 <= mu < DIM:
             raise UsageError(f"index {mu} out of range")
         self._check_orders(f)
-        return self._legwise_action(
+        return self._closed_form_action(
             "F", Polynomial.x_monomial(_bump(ZERO_EXP, mu), self.order), f
         )
 
@@ -308,50 +311,20 @@ class TwistContext:
         if any(a.order != self.order for a in args):
             raise UsageError("argument and context truncation orders differ")
 
-    def _leg_table(self, which: str):
-        """F^-1 ("F") or Ftilde^-1 ("Ftilde") as ((left leg, ((right
-        monomial, right leg, coefficient), ...)), ...): the terms grouped
-        by left monomial, each distinct monomial wrapped once as a one-term
-        element."""
-
-        def build():
-            op = self.twist_inverse() if which == "F" else self.twist_opposite_inverse()
-            monomials = {m for key in op.terms for m in key}
-            legs = {m: AlgebraElement.monomial(m, self.order) for m in monomials}
-            rows: dict = {}
-            for (l, r), s in op.terms.items():
-                rows.setdefault(l, []).append((r, legs[r], s))
-            return tuple((legs[l], tuple(row)) for l, row in rows.items())
-
-        return self._cached(("legs", which), build)
-
-    def _legwise_action(self, which: str, f: Polynomial, g: Polynomial) -> Polynomial:
-        """m0(op |> (f (x) g)) for op = F^-1 or Ftilde^-1 (see `_leg_table`).
-
-        Each left leg acts on f once, and a left leg that kills f skips its
-        whole row; each right leg acts on g at most once per call.  A row
-        sums its weighted right actions before the one product with the
-        left action, and the rows add up in a plain dict."""
-        n = self.order
-        rights: dict = {}
-        out: dict = {}
-        for left_leg, row in self._leg_table(which):
-            left = act(left_leg, f)
-            if left.is_zero():
-                continue
-            acc: dict = {}
-            for r, right_leg, s in row:
-                right = rights.get(r)
-                if right is None:
-                    right = rights[r] = act(right_leg, g)
-                for e, c in right.terms.items():
-                    contrib = c * s
-                    cur = acc.get(e)
-                    acc[e] = contrib if cur is None else cur + contrib
-            for e, c in (left * Polynomial(acc, n)).terms.items():
-                cur = out.get(e)
-                out[e] = c if cur is None else cur + c
-        return Polynomial(out, n)
+    def _closed_form_action(self, which: str, f: Polynomial, g: Polynomial) -> Polynomial:
+        """m0(op |> (f (x) g)) for op = F^-1 ("F") or Ftilde^-1 ("Ftilde"):
+        two Z-power shifts per pair of spatial degrees (module docstring)."""
+        lam, rest = self.lam_poly, LP_ONE - self.lam_poly
+        out = Polynomial.zero(self.order)
+        g_parts = _spatial_parts(g)
+        for d, f_d in _spatial_parts(f):
+            for e, g_e in g_parts:
+                if which == "F":
+                    left, right = rest.scale(e), lam.scale(-d)
+                else:
+                    left, right = lam.scale(-e), rest.scale(d)
+                out = out + act(self.z(left), f_d) * act(self.z(right), g_e)
+        return out
 
     def xhat(self, mu: int) -> AlgebraElement:
         """Closed-form noncommutative coordinates of the twist family."""
@@ -364,4 +337,12 @@ class TwistContext:
         if which not in ("F", "Ftilde"):
             raise UsageError("star product flavor must be 'F' or 'Ftilde'")
         self._check_orders(f, g)
-        return self._legwise_action(which, f, g)
+        return self._closed_form_action(which, f, g)
+
+
+def _spatial_parts(f: Polynomial) -> list[tuple[int, Polynomial]]:
+    """(d, f_d) for each spatial degree d of f, f_d the part of that degree."""
+    parts: dict = {}
+    for e, s in f.terms.items():
+        parts.setdefault(sum(e[1:]), {})[e] = s
+    return [(d, Polynomial(t, f.order)) for d, t in parts.items()]

@@ -122,7 +122,9 @@ class GaussianRational:
         return self.triple == t
 
     def __hash__(self):
-        return hash(self.triple)
+        # a real value hashes as its Fraction, so equal numbers hash equal
+        a, b, d = self.triple
+        return hash(self.triple) if b else hash(Fraction(a, d))
 
     def __add__(self, other):
         t = exact_triple(other)
@@ -327,12 +329,21 @@ class LambdaPoly:
         return self._hash
 
     def __add__(self, other):
-        if not isinstance(other, LambdaPoly):
+        terms = _const_terms(other)
+        if terms is None:
             return NotImplemented
-        return _lp(_add(self.terms, other.terms))
+        return _lp(_add(self.terms, terms))
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        terms = _const_terms(other)
+        if terms is None:
+            return NotImplemented
+        return _lp(_add(self.terms, _neg(terms)))
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __neg__(self):
         return _lp(_neg(self.terms))

@@ -293,7 +293,9 @@ def _polynomials(draw, order):
     return Polynomial(terms, order)
 
 
-_SETTINGS = [(n, lam) for n in (3, 4) for lam in (None, Fraction(1, 2))]
+_SETTINGS = [
+    (n, lam) for n in (1, 3, 4, 5) for lam in (None, Fraction(1, 2), Fraction(1, 3))
+]
 
 
 @st.composite
@@ -319,32 +321,45 @@ class TestLegTable:
             assert got == want, mu
             assert str(got) == str(want), mu
 
-    def test_one_act_per_distinct_leg(self, monkeypatch):
+    def test_two_acts_per_pair_of_spatial_degrees(self, monkeypatch):
         n = 4
-        ctx = _context(n, None)
-        legs = ctx.twist_inverse().terms
-        bound = len({l for l, _ in legs}) + len({r for _, r in legs})
-        assert bound <= 140 < len(legs)
 
         def poly(terms):
             return Polynomial({e: Scalar.from_value(c, n) for e, c in terms.items()}, n)
 
+        # spatial degrees 1 and 2 in f, 0 and 2 in g
         f = poly({(0, 1, 0, 0): 2, (0, 1, 1, 0): Fraction(-1, 3)})
         g = poly({(1, 0, 0, 0): 3, (0, 0, 2, 0): Fraction(1, 2)})
+        ctx = _context(n, None)
+        want = {which: ctx.star_product(f, g, which) for which in ("F", "Ftilde")}
         calls = []
         real_act = hopf.act
 
         def counting_act(h, arg):
-            calls.append((*h.terms, id(arg)))
+            calls.append((str(h), str(arg)))
             return real_act(h, arg)
 
         monkeypatch.setattr(hopf, "act", counting_act)
         for which in ("F", "Ftilde"):
             calls.clear()
             ctx.star_product(f, g, which)
-            assert 0 < len(calls) <= bound, which
-            # no leg acts twice on the same argument
+            assert 0 < len(calls) <= 2 * 2 * 2, which
+            # no operator acts twice on the same argument
             assert len(set(calls)) == len(calls), which
+        monkeypatch.undo()
+
+        # the closed form never expands the twist
+        fresh = TwistContext(order=n)
+
+        def expanded():
+            raise AssertionError("the twist was expanded")
+
+        monkeypatch.setattr(fresh, "twist_inverse", expanded)
+        monkeypatch.setattr(fresh, "twist_opposite_inverse", expanded)
+        for which in ("F", "Ftilde"):
+            assert fresh.star_product(f, g, which) == want[which], which
+        x_1 = Polynomial.x_monomial((0, 1, 0, 0), n)
+        assert fresh.realization_operator(1, f) == ctx.star_product(x_1, f)
 
     @pytest.mark.parametrize("which", ["F", "Ftilde"])
     def test_argument_order_checked(self, which):

@@ -1,13 +1,22 @@
 """Exact coefficient arithmetic: Gaussian rationals, lambda-polynomials
 and graded truncated scalars."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappatwist.scalars import GaussianRational, LambdaPoly, Scalar, UsageError
+from kappatwist.scalars import (
+    LP_LAM,
+    LP_ONE,
+    GaussianRational,
+    LambdaPoly,
+    Scalar,
+    UsageError,
+    as_gaussian,
+)
 
 rationals = st.builds(
     Fraction, st.integers(-30, 30), st.integers(1, 12)
@@ -78,6 +87,20 @@ class TestGaussianRational:
         assert str(GaussianRational(0, -1)) == "-I"
         assert str(GaussianRational(0)) == "0"
 
+    @given(st.one_of(st.integers(-30, 30), rationals, gaussians()))
+    @settings(max_examples=80, deadline=None)
+    def test_equal_values_hash_equal(self, value):
+        """An int, a Fraction and a GaussianRational of one value hash
+        equal and find each other as dict keys."""
+        g = as_gaussian(value)
+        forms = [g]
+        if not g.im:
+            forms += [g.re] + ([g.re.numerator] if g.re.denominator == 1 else [])
+        for a, b in itertools.product(forms, repeat=2):
+            assert a == b
+            assert hash(a) == hash(b)
+            assert {a: "found"}.get(b) == "found"
+
 
 class TestLambdaPoly:
     @given(lambda_polys(), lambda_polys(), lambda_polys())
@@ -114,6 +137,13 @@ class TestLambdaPoly:
         for left, right in (((a + b) - b, a), (a * b, b * a), (a - a, LambdaPoly())):
             assert left == right
             assert hash(left) == hash(right)
+
+    def test_exact_constants_add_and_subtract(self):
+        assert 1 - LambdaPoly.gen() == LP_ONE - LP_LAM
+        assert LambdaPoly.const(1) + 1 == LambdaPoly.const(2)
+        assert Fraction(1, 2) + LP_LAM - GaussianRational(0, 1) == LambdaPoly(
+            {0: GaussianRational(Fraction(1, 2), -1), 1: 1}
+        )
 
     def test_const_and_degree(self):
         p = LambdaPoly.const(Fraction(3, 7))
