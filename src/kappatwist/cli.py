@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -44,8 +45,20 @@ def _parse_lambda(text: str):
         raise UsageError(f"invalid twist parameter {text!r}") from exc
 
 
+def _emit(text: str) -> None:
+    """Print a line: the CLI's one stdout writer.  A reader that closed the
+    pipe (`| head`) gets no more: stdout goes to os.devnull, as the SIGPIPE
+    note of the Python docs describes, and the exit code stands."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
+    _emit(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
 
 
 # -- closed-form coproduct table -----------------------------------------
@@ -107,7 +120,7 @@ def _cmd_coproduct(args) -> int:
     if args.format == "json":
         _emit_json(payload)
     else:
-        print(closed_text)
+        _emit(closed_text)
         if not verified:
             print("verification FAILED; canonical residual:", file=sys.stderr)
             print(tensor_str(computed - closed), file=sys.stderr)
@@ -204,15 +217,15 @@ def _cmd_rexpand(args) -> int:
     if args.format == "json":
         _emit_json(payload)
     else:
-        print(
+        _emit(
             f"order {result.order}: {result.status}"
             f" (ansatz {len(result.terms)}, equations {result.equations},"
             f" dimension {result.dimension})"
         )
         if reached and result.status != "infeasible":
-            print("r_%d = %s" % (result.order, _linear_combination_string(result)))
+            _emit("r_%d = %s" % (result.order, _linear_combination_string(result)))
         if not payload["verified_order"]:
-            print("note: no reference data at this order; result unverified")
+            _emit("note: no reference data at this order; result unverified")
     return EXIT_OK
 
 
@@ -227,7 +240,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _emit_json(report.to_dict())
     else:
-        print(report.render_text())
+        _emit(report.render_text())
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -259,7 +272,7 @@ def _cmd_eval(args) -> int:
             }
         )
     else:
-        print(text)
+        _emit(text)
     return EXIT_OK
 
 

@@ -4,7 +4,8 @@ Gaussian elimination with deterministic pivoting (first nonzero entry in
 column order), returning either a unique solution, a particular solution
 plus a nullspace basis, or an infeasibility verdict.  `coefficient_rows`
 reads the rows of an exact fit of sparse elements off their
-coefficients.  Entries must be exact numbers (`scalars.as_gaussian`).
+coefficients, and `fit` solves that fit on its distinct rows.  Entries
+must be exact numbers (`scalars.as_gaussian`).
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ class ExactMatrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def __repr__(self):
-        return f"ExactMatrix({self.nrows}x{self.ncols})"
 
 
 @dataclass
@@ -70,11 +68,7 @@ def solve(matrix, rhs) -> SolutionSpace:
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(m):
-        pivot_row = None
-        for i in range(r, n):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, n) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
@@ -92,9 +86,8 @@ def solve(matrix, rhs) -> SolutionSpace:
             break
     rank = len(pivots)
 
-    for i in range(rank, n):
-        if rows[i][m]:
-            return SolutionSpace("infeasible", None, rank=rank)
+    if any(rows[i][m] for i in range(rank, n)):
+        return SolutionSpace("infeasible", None, rank=rank)
 
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(m) if c not in pivot_cols]
@@ -136,3 +129,14 @@ def coefficient_rows(target, columns, grades) -> dict:
             if val or any(row):
                 out[(key, grade)] = (row, val)
     return out
+
+
+def fit(target, columns, grades) -> SolutionSpace:
+    """Solve the fit of `coefficient_rows` on its distinct rows, keyed on
+    packed triples: the reduced echelon form that `solve` reaches depends
+    only on the row space, so this is the solution of the whole system."""
+    distinct = {}
+    for row, val in coefficient_rows(target, columns, grades).values():
+        distinct.setdefault((*(c.triple for c in row), val.triple), (row, val))
+    equations = distinct.values()
+    return solve([row for row, _ in equations], [val for _, val in equations])

@@ -18,6 +18,8 @@ are single level; sums of tensor terms are accepted so canonical renderings
 round-trip.  The exponent of `Z^[...]` is an ordinary `expr`; elaboration
 requires it to be a rational polynomial in `lam` (no generators, `a0` or
 `I`).
+Brackets ("(", "exp(", "Z^[") and unary signs nest at most MAX_NESTING
+deep, which keeps the recursive descent inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>\^|\*|\+|-|\(|\)|\[|\]|,))"
 )
+
+# four parser frames per bracket level: 200 levels need about 800 frames
+MAX_NESTING = 200
 
 _GEN_NAMES = {"x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "A", "S", "Z"}
 
@@ -80,6 +85,7 @@ class Parser:
         self.src = src
         self.tokens = tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -148,7 +154,12 @@ class Parser:
         return factors[0] if len(factors) == 1 else ("mul", factors)
 
     def power(self):
+        # every bracket and unary sign recurses through here, one level each
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.peek()[2])
+        self.depth += 1
         base = self.atom()
+        self.depth -= 1
         if self.at_op("^"):
             tok = self.next()
             sign = 1

@@ -28,7 +28,7 @@ from .algebra import (
     x,
 )
 from .hopf import TwistContext
-from .linsolve import SolutionSpace, coefficient_rows, solve
+from .linsolve import SolutionSpace, fit
 from .parser import elaborate, parse
 from .scalars import LP_ONE, Scalar, UsageError
 from .tensor import TensorElement, canonicalize, tensor
@@ -482,5 +482,4 @@ def boost_coproduct_order1_match(
     columns = [
         canonicalize(c.scale(Scalar.a0(n)), ctx.R) for c in candidates
     ]
-    equations = coefficient_rows(target, columns, (0, 1)).values()
-    return solve([row for row, _ in equations], [val for _, val in equations])
+    return fit(target, columns, (0, 1))

@@ -14,10 +14,9 @@ form reads only the grades <= k of its input.  Order k is therefore solved
 at truncation k: the earlier r's, the scaled ansatz terms and R~ are taken
 at order k, R's canonical form is built once per context and truncated,
 and only the grade-k parts are lifted back to the context's truncation N.
-The linear system is indexed by generic index patterns; its solution is
-then checked on the whole order-k identity sum_j c_j col_j == target, as
-one tensor equation for the particular solution and one per nullspace
-vector.
+The whole order-k identity sum_j c_j col_j == target is then solved once,
+on its distinct coefficient rows (`linsolve.fit`); the number of generic
+index patterns is reported beside the solution as its equation count.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import DIM, ZERO_EXP, AlgebraElement, Monomial
 from .hopf import TwistContext, relation_set
-from .linsolve import SolutionSpace, coefficient_rows, solve
+from .linsolve import SolutionSpace, fit, solve
 from .poincare import SPATIAL, LorentzRealization, mhat, mhat_from_case_i, mij
 from .scalars import GR_ZERO, GaussianRational, Scalar, UsageError
 from .tensor import TensorElement, canonicalize, t_exp, tau0, tensor
@@ -175,14 +174,9 @@ def generate_ansatz(
     out: list[AnsatzTerm] = []
 
     def push(term: AnsatzTerm):
-        element = term.element
-        if element.is_zero():
-            return
-        negated = -element
-        for t in out:
-            if t.element == element or t.element == negated:
-                return
-        out.append(term)
+        element, negated = term.element, -term.element
+        if element and not any(t.element in (element, negated) for t in out):
+            out.append(term)
 
     for kind, gname in (("boost", "Mh_i0"), ("rotation", "M_ij")):
         for content in _content(kind, k):
@@ -228,15 +222,6 @@ def _term_column(term: AnsatzTerm, k: int, ctx: TwistContext) -> TensorElement:
     return canonicalize(scaled, rtilde).at_order(ctx.order)
 
 
-def _combination(elements: list[TensorElement], coeffs, order: int) -> TensorElement:
-    """sum of coeff * element over the nonzero coefficients."""
-    acc = TensorElement.zero(order)
-    for e, c in zip(elements, coeffs):
-        if c:
-            acc = acc + e.scale(c)
-    return acc
-
-
 def _index_pattern(key):
     """Symbolic shape of a canonical monomial pair.
 
@@ -276,45 +261,25 @@ def solve_order(
 ) -> ExpansionResult:
     """Match the order-k remainder with the ansatz and solve exactly.
 
-    Equations are indexed by the generic index patterns of the canonical
-    monomial basis (contracted dummies distinct); the index-coincidence
-    monomials are consequences, and the solution is verified afterwards
-    on the whole order-k identity.
+    The whole order-k identity, index coincidences included, is solved
+    once on its distinct coefficient rows.  `equations` counts the generic
+    index patterns (contracted dummies distinct) of its canonical monomials,
+    the equations of the matching done by hand.
     """
     if ctx.lam is None:
         raise UsageError("the expansion needs a rational twist parameter")
     target = bch_target(k, prior, ctx)
     terms = generate_ansatz(k, real, ctx)
     columns = [_term_column(t, k, ctx) for t in terms]
+    keys = set(target.terms).union(*(col.terms for col in columns))
+    equations = sum(map(_is_generic, {_index_pattern(key) for key in keys}))
 
-    by_pattern: dict[tuple, tuple] = {}
-    for (key, _), equation in coefficient_rows(target, columns, (k,)).items():
-        if by_pattern.setdefault(_index_pattern(key), equation) != equation:
-            raise UsageError("index pattern with non-uniform coefficients")
-    generic = [by_pattern[pat] for pat in sorted(by_pattern) if _is_generic(pat)]
-
-    sol = solve([row for row, _ in generic], [val for _, val in generic])
-    result = ExpansionResult(k, sol.status, terms, sol, len(generic))
+    sol = fit(target, columns, (k,))
+    result = ExpansionResult(k, sol.status, terms, sol, equations)
     if sol.status != "infeasible":
-        _check_solution(sol, columns, target)
-        result.coefficients = {
-            t.name: c for t, c in zip(terms, sol.particular)
-        }
+        result.coefficients = {t.name: c for t, c in zip(terms, sol.particular)}
         result.element = assemble(terms, sol.particular, k, ctx)
     return result
-
-
-def _check_solution(
-    sol: SolutionSpace, columns: list[TensorElement], target: TensorElement
-) -> None:
-    """The generic-pattern solution must solve the whole order-k identity
-    sum_j c_j col_j == target, index coincidences included: the particular
-    solution exactly, and every nullspace vector with a zero sum."""
-    n = target.order
-    if _combination(columns, sol.particular, n) != target or any(
-        _combination(columns, v, n) for v in sol.nullspace
-    ):
-        raise UsageError("generic-pattern solution violates a coincidence equation")
 
 
 def assemble(
@@ -322,8 +287,11 @@ def assemble(
 ) -> TensorElement:
     """r_k = -i a0^k * sum of coeff * term."""
     n = ctx.order
-    combined = _combination([t.element for t in terms], coeffs, n)
-    return combined.scale(Scalar.graded(I_NEG, k, n))
+    acc = TensorElement.zero(n)
+    for t, c in zip(terms, coeffs):
+        if c:
+            acc = acc + t.element.scale(c)
+    return acc.scale(Scalar.graded(I_NEG, k, n))
 
 
 def expand(

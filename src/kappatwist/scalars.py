@@ -290,7 +290,8 @@ class LambdaPoly:
     """Polynomial in ``lam`` with Gaussian rational coefficients, sparse.
 
     ``terms`` holds the a0-free terms ``{(0, j): triple}`` of the same
-    polynomial as a ``Scalar``, with no zero value.
+    polynomial as a ``Scalar``, with no zero value.  It equals only a
+    ``LambdaPoly``, since equal values must hash equal and its hash covers its terms.
     """
 
     # hashed once: lam-polynomials key the memos canonicalize reads per rewrite
@@ -497,7 +498,9 @@ class Scalar:
 
     ``terms`` maps (a0 power, lam power) to a normalised triple; it holds no
     zero value and no grade above ``order``.  Build values with the static
-    constructors below.
+    constructors below.  It equals only a ``Scalar`` (``Scalar.one(2) == 1``
+    is False), since equal values must hash equal and its hash covers its
+    terms and its truncation order.
     """
 
     __slots__ = ("terms", "order")

@@ -16,7 +16,7 @@ import kappatwist
 from kappatwist.algebra import AlgebraElement, Monomial, element_str, p, x
 from kappatwist.cli import run
 from kappatwist.hopf import TwistContext
-from kappatwist.parser import ParseError, evaluate, parse
+from kappatwist.parser import MAX_NESTING, ParseError, evaluate, parse
 from kappatwist.scalars import Scalar, UsageError
 from kappatwist.tensor import TensorElement, tensor_str
 
@@ -220,6 +220,30 @@ class TestCLI:
         capsys.readouterr()
 
 
+def _nested(opener: str, closer: str, depth: int, inner: str = "x1") -> str:
+    return opener * depth + inner + closer * depth
+
+
+class TestNestingBound:
+    def test_200_parentheses_evaluate(self, ctx):
+        assert evaluate(_nested("(", ")", 200), ctx) == x(1, N)
+
+    @pytest.mark.parametrize(
+        "opener, closer", [("(", ")"), ("Z^[", "]"), ("exp(", ")"), ("-", "")]
+    )
+    def test_each_bracket_kind_parses_at_the_bound(self, opener, closer):
+        assert parse(_nested(opener, closer, MAX_NESTING, "a0*x1"))
+        with pytest.raises(ParseError, match="nesting deeper than 200 levels"):
+            parse(_nested(opener, closer, MAX_NESTING + 1, "a0*x1"))
+
+    def test_mixed_nesting_counts_every_level(self):
+        assert parse(_nested("-(", ")", MAX_NESTING // 2))
+        with pytest.raises(ParseError):
+            parse(_nested("-(", ")", MAX_NESTING // 2, "(x1)"))
+        with pytest.raises(ParseError):
+            parse(_nested("-(Z^[", "])", MAX_NESTING // 3 + 1))
+
+
 _BAD_INPUTS = [
     (["rexpand", "--order", "0"], "error: "),
     (["rexpand", "--order", "-1"], "error: "),
@@ -234,6 +258,9 @@ _BAD_INPUTS = [
     (["eval", "Z^[a0]"], "error: "),
     (["eval", "Z^[I]"], "error: "),
     (["eval", "Z^[p0]"], "error: "),
+    (["eval", _nested("(", ")", 300)], "parse error: nesting deeper than 200 levels"),
+    (["eval", _nested("Z^[", "]", 300)], "parse error: nesting deeper than 200 levels"),
+    (["eval", _nested("exp(", ")", 300)], "parse error: nesting deeper than 200 levels"),
 ]
 
 
@@ -265,3 +292,26 @@ def test_rewrite_bound_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_closed_pipe_is_a_quiet_exit(tmp_path):
+    """A reader that stops after 100 bytes leaves the command's own exit
+    code and an empty stderr, for a short JSON line and for text larger
+    than a pipe's buffer."""
+    src = str(Path(kappatwist.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv in (
+        ["rexpand", "--order", "3", "--case", "i"],
+        ["eval", "(x1+p1+x2+p2+x3+p3+x0+p0)^7", "--order", "1"],
+    ):
+        with open(tmp_path / "stderr", "w+") as err, subprocess.Popen(
+            [sys.executable, "-m", "kappatwist.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=env,
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            err.seek(0)
+            assert err.read() == ""

@@ -2,16 +2,37 @@
 solution correctness."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kappatwist.algebra import p, x
-from kappatwist.linsolve import ExactMatrix, coefficient_rows, solve
+from kappatwist import linsolve
+from kappatwist.algebra import AlgebraElement, p, x
+from kappatwist.linsolve import ExactMatrix, coefficient_rows, fit, solve
 from kappatwist.scalars import GR_ONE, GR_ZERO, GaussianRational, Scalar, UsageError
 
 entries = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+# a few basis elements and small Gaussian coefficients at a0 grades 0 and
+# 1, so that equal rows and infeasible fits both come up often
+_BASIS = [x(1, 1), x(2, 1), p(0, 1), p(1, 1), x(1, 1) * p(1, 1)]
+_TERMS = st.tuples(
+    st.integers(0, len(_BASIS) - 1),
+    st.builds(GaussianRational, st.integers(-2, 2), st.integers(-1, 1)),
+    st.integers(0, 1),
+)
+
+
+def _element(terms) -> AlgebraElement:
+    acc = AlgebraElement.zero(1)
+    for index, value, grade in terms:
+        acc = acc + _BASIS[index].scale(Scalar.graded(value, grade, 1))
+    return acc
+
+
+elements = st.lists(_TERMS, max_size=8).map(_element)
 
 
 def _mat_vec(rows, vec):
@@ -129,3 +150,17 @@ class TestCoefficientRows:
         col = x(1, n).scale(Scalar.lam(n))
         with pytest.raises(UsageError, match="symbolic twist parameter leaked"):
             coefficient_rows(x(1, n), [col], (0,))
+
+
+class TestFit:
+    @given(elements, st.lists(elements, min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_fit_solves_the_whole_system_on_distinct_rows(self, target, columns):
+        equations = list(coefficient_rows(target, columns, (0, 1)).values())
+        whole = solve([r for r, _ in equations], [v for _, v in equations])
+        with mock.patch.object(linsolve, "solve", wraps=linsolve.solve) as spy:
+            assert fit(target, columns, (0, 1)) == whole
+        ((rows, rhs), _), = spy.call_args_list
+        handed = list(zip(rows, rhs))
+        assert len(set(handed)) == len(handed)
+        assert set(handed) == set(equations)

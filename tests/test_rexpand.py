@@ -9,11 +9,13 @@ import pytest
 
 from kappatwist.algebra import AlgebraElement, p
 from kappatwist.hopf import TwistContext
+from kappatwist.linsolve import SolutionSpace, coefficient_rows, solve
 from kappatwist.poincare import SPATIAL, realization
 from kappatwist.rexpand import (
     PARAM_NAMES,
-    _check_solution,
     _content,
+    _index_pattern,
+    _is_generic,
     _momentum_product,
     _sub_multisets,
     _term_column,
@@ -213,6 +215,28 @@ def _row_check(sol, concrete) -> bool:
     return True
 
 
+def _combination(elements: list[TensorElement], coeffs, order: int) -> TensorElement:
+    """sum of coeff * element over the nonzero coefficients."""
+    acc = TensorElement.zero(order)
+    for e, c in zip(elements, coeffs):
+        if c:
+            acc = acc + e.scale(c)
+    return acc
+
+
+def _check_solution(
+    sol: SolutionSpace, columns: list[TensorElement], target: TensorElement
+) -> None:
+    """The generic-pattern solution must solve the whole order-k identity
+    sum_j c_j col_j == target, index coincidences included: the particular
+    solution exactly, and every nullspace vector with a zero sum."""
+    n = target.order
+    if _combination(columns, sol.particular, n) != target or any(
+        _combination(columns, v, n) for v in sol.nullspace
+    ):
+        raise UsageError("generic-pattern solution violates a coincidence equation")
+
+
 def _tensor_check(sol, columns, target) -> bool:
     try:
         _check_solution(sol, columns, target)
@@ -286,3 +310,47 @@ class TestReferenceFree:
         residual = residual_through([r.element for r in results4], ctx4)
         for j in (1, 2, 3, 4):
             assert residual.grade_part(j).is_zero(), j
+
+
+# -- the whole-identity solve against the generic-pattern solve -----------
+
+
+def _generic_pattern_solve(target, columns, k):
+    """The solve that `linsolve.fit` replaced: one row per generic index
+    pattern, after a guard that every row of a pattern agrees."""
+    by_pattern: dict[tuple, tuple] = {}
+    for (key, _), equation in coefficient_rows(target, columns, (k,)).items():
+        if by_pattern.setdefault(_index_pattern(key), equation) != equation:
+            raise UsageError("index pattern with non-uniform coefficients")
+    generic = [by_pattern[pat] for pat in sorted(by_pattern) if _is_generic(pat)]
+    sol = solve([row for row, _ in generic], [val for _, val in generic])
+    return sol, len(generic)
+
+
+class TestWholeIdentitySolve:
+    @pytest.mark.parametrize(
+        "case, lam, n, statuses",
+        [
+            ("ii", Fraction(1, 2), 4, ["unique", "unique", "parametric", "parametric"]),
+            ("iii", Fraction(1, 2), 3, ["unique", "unique", "infeasible"]),
+            ("i", Fraction(1, 3), 3, ["unique", "unique", "parametric"]),
+        ],
+    )
+    def test_matches_generic_pattern_solve(self, case, lam, n, statuses):
+        ctx = TwistContext(order=n, lam=lam)
+        results = expand(n, realization(case, ctx), ctx)
+        assert [r.status for r in results] == statuses
+        prior = []
+        for res in results:
+            k = res.order
+            target = bch_target(k, prior, ctx)
+            columns = [_term_column(t, k, ctx) for t in res.terms]
+            oracle, equations = _generic_pattern_solve(target, columns, k)
+            sol = res.solution
+            assert (sol.status, sol.particular, sol.nullspace) == (
+                oracle.status, oracle.particular, oracle.nullspace
+            ), (case, k)
+            assert res.equations == equations
+            if sol.status != "infeasible":
+                _check_solution(sol, columns, target)
+                prior.append(res.element)
