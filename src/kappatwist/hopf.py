@@ -52,6 +52,7 @@ from .tensor import (
     RelationSet,
     TensorElement,
     TensorElement3,
+    canonical_exp,
     canonicalize,
     embed_left,
     embed_middle,
@@ -195,7 +196,7 @@ class TwistContext:
     def rmatrix_canonical(self) -> TensorElement:
         """R canonical mod Rtilde, the form the re-expansion matches."""
         return self._cached(
-            "Rcanon", lambda: canonicalize(self.rmatrix(), self.Rtilde)
+            "Rcanon", lambda: canonical_exp(self.r_exponent, self.Rtilde)
         )
 
     # -- coproducts ------------------------------------------------------

@@ -14,6 +14,9 @@ form reads only the grades <= k of its input.  Order k is therefore solved
 at truncation k: the earlier r's, the scaled ansatz terms and R~ are taken
 at order k, R's canonical form is built once per context and truncated,
 and only the grade-k parts are lifted back to the context's truncation N.
+The exponential of the earlier r's, like R itself, is formed in canonical
+form (`tensor.canonical_exp`): each of its powers is canonicalized as it is
+built, so the fully expanded series never exists.
 The whole order-k identity sum_j c_j col_j == target is then solved once,
 on its distinct coefficient rows (`linsolve.fit`); the number of generic
 index patterns is reported beside the solution as its equation count.
@@ -30,7 +33,7 @@ from .hopf import TwistContext, relation_set
 from .linsolve import SolutionSpace, fit, solve
 from .poincare import SPATIAL, LorentzRealization, mhat, mhat_from_case_i, mij
 from .scalars import GR_ZERO, GaussianRational, Scalar, UsageError
-from .tensor import TensorElement, canonicalize, t_exp, tau0, tensor
+from .tensor import TensorElement, canonical_exp, canonicalize, tau0, tensor
 
 I_NEG = GaussianRational(0, -1)
 
@@ -136,7 +139,7 @@ def _expand_term(
     taken: tuple,
     rest: tuple,
     side: str,
-    boosts: dict,
+    gens: dict,
     ctx: TwistContext,
 ) -> TensorElement:
     n = ctx.order
@@ -149,9 +152,7 @@ def _expand_term(
         dummies = ("k",) if "k" in labels else ()
         frames = list(itertools.permutations(SPATIAL, 2))
     for frame in frames:
-        gen = (
-            boosts[frame[0]] if kind == "boost" else mij(frame[0], frame[1], ctx)
-        )
+        gen = gens[frame]
         for assign in itertools.product(SPATIAL, repeat=len(dummies)):
             idx = {"i": frame[0], "0": 0, **dict(zip(dummies, assign))}
             if kind == "rotation":
@@ -164,13 +165,22 @@ def _expand_term(
     return acc
 
 
+def _generators(boost, ctx: TwistContext) -> dict:
+    """The ansatz's generators by frame, each built once: boost(i) under
+    (i,) and M_ij under (i, j)."""
+    gens = {(i,): boost(i) for i in SPATIAL}
+    for i, j in itertools.permutations(SPATIAL, 2):
+        gens[(i, j)] = mij(i, j, ctx)
+    return gens
+
+
 def generate_ansatz(
     k: int, real: LorentzRealization, ctx: TwistContext
 ) -> list[AnsatzTerm]:
     """Complete rotation-invariant ansatz basis at order k."""
     if k < 1:
         raise UsageError("expansion order must be positive")
-    boosts = {i: mhat(i, real, ctx) for i in SPATIAL}
+    gens = _generators(lambda i: mhat(i, real, ctx), ctx)
     out: list[AnsatzTerm] = []
 
     def push(term: AnsatzTerm):
@@ -182,7 +192,7 @@ def generate_ansatz(
         for content in _content(kind, k):
             for taken, rest in _sub_multisets(content):
                 for side in ("left", "right"):
-                    element = _expand_term(kind, taken, rest, side, boosts, ctx)
+                    element = _expand_term(kind, taken, rest, side, gens, ctx)
                     gtext = _label_str(gname, taken)
                     otext = _label_str("", rest)
                     name = (
@@ -203,7 +213,7 @@ def _residual_at(prior: list[TensorElement], ctx: TwistContext, n: int) -> Tenso
     for r in prior:
         acc = acc + r.at_order(n)
     rtilde = relation_set("Rtilde", ctx.lam_poly, n)
-    return ctx.rmatrix_canonical().at_order(n) - canonicalize(t_exp(acc), rtilde)
+    return ctx.rmatrix_canonical().at_order(n) - canonical_exp(acc, rtilde)
 
 
 def bch_target(k: int, prior: list[TensorElement], ctx: TwistContext) -> TensorElement:
@@ -455,9 +465,9 @@ def translate_basis(
     Uses the identity Mh_i0 = M_i0 Z^(-1/2) + (a0/2) M_ij p_j, so the
     rebuilt element equals the original exactly.
     """
-    boosts = {i: mhat_from_case_i(i, ctx) for i in SPATIAL}
+    gens = _generators(lambda i: mhat_from_case_i(i, ctx), ctx)
     rebuilt = [
-        replace(t, element=_expand_term(t.kind, t.taken, t.rest, t.side, boosts, ctx))
+        replace(t, element=_expand_term(t.kind, t.taken, t.rest, t.side, gens, ctx))
         for t in terms
         if coefficients.get(t.name)
     ]

@@ -4,11 +4,13 @@
 by pairs and triples of monomials, multiplied leg by leg.  This module
 also provides the leg flip tau0, the multiplication map m0, the leg
 embeddings into the tensor cube, graded exponentials and adjoint
-conjugation (through `power_series`), and canonicalization modulo a
-`RelationSet` of exchange relations.  It is purely structural: the
-relations of the twist family (undeformed R0 and the deformed R and
-Rtilde) are written in `hopf`.  The canonical representative of a class
-has no coordinate generators in the left tensor leg.
+conjugation (through `power_series`), canonicalization modulo a
+`RelationSet` of exchange relations, and the canonical exponential, which
+keeps every power of its series in canonical form.  It is purely
+structural: the relations of the twist family (undeformed R0 and the
+deformed R and Rtilde) are written in `hopf`.  The canonical
+representative of a class has no coordinate generators in the left tensor
+leg.
 """
 
 from __future__ import annotations
@@ -173,6 +175,24 @@ def canonicalize(t: TensorElement, rel: RelationSet) -> TensorElement:
             cur = work.get(k2)
             work[k2] = s2 if cur is None else cur + s2
     return TensorElement(done, t.order)
+
+
+def canonical_exp(a: TensorElement, rel: RelationSet) -> TensorElement:
+    """canonicalize(t_exp(a), rel), with every power a^n kept canonical.
+
+    Each rewrite in `canonicalize` turns (x_mu rest) (x) m into
+    replacement(mu) * (rest (x) m), so it subtracts an element of the right
+    ideal spanned by (x_mu (x) 1 - replacement(mu)) * T; truncation in a0 is
+    a quotient by a central ideal and changes nothing.  Hence
+    canon(u * v) == canon(canon(u) * v) for every v, and
+    canon(a^n) == canon(canon(a^(n-1)) * a), and a sum of canonical powers
+    is canonical.  The argument needs the uncanonical factor on the right:
+    it does not carry over to `t_adjoint`, whose nested commutators put
+    uncanonical factors on the left.
+    """
+    return power_series(
+        a, exp_coeffs(a.order), step=lambda t: canonicalize(t * a, rel)
+    )
 
 
 def equal_mod(a: TensorElement, b: TensorElement, rel: RelationSet) -> bool:

@@ -4,9 +4,11 @@ solving, golden third-order family, and the negative result."""
 import dataclasses
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from kappatwist import rexpand
 from kappatwist.algebra import AlgebraElement, p
 from kappatwist.hopf import TwistContext
 from kappatwist.linsolve import SolutionSpace, coefficient_rows, solve
@@ -70,6 +72,12 @@ class TestAnsatz:
     def test_bad_order(self, ctx, real):
         with pytest.raises(UsageError):
             generate_ansatz(0, real, ctx)
+
+    def test_rotations_built_once(self, ctx, real):
+        with mock.patch.object(rexpand, "mij", wraps=rexpand.mij) as spy:
+            terms = generate_ansatz(3, real, ctx)
+        assert any(t.kind == "rotation" for t in terms)
+        assert spy.call_count <= 6
 
 
 class TestSolve:

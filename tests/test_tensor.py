@@ -23,6 +23,7 @@ from kappatwist.scalars import LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import (
     TensorElement,
     TensorElement3,
+    canonical_exp,
     canonicalize,
     embed_left,
     embed_right,
@@ -75,6 +76,28 @@ def graded_tensors():
     return st.builds(
         build, st.lists(st.tuples(gens, gens, coeff, grade, lam_power), max_size=4)
     )
+
+
+@st.composite
+def relation_and_tensors(draw, count, min_grade):
+    """A relation set (R0, R or Rtilde; lam symbolic, 1/2 or 1/3; N <= 4)
+    and `count` tensors of its order whose terms carry a0-grade >= min_grade."""
+    n = draw(st.integers(max(1, min_grade), 4))
+    lam = draw(st.sampled_from([None, Fraction(1, 2), Fraction(1, 3)]))
+    ctx = TwistContext(order=n, lam=lam)
+    rel = draw(st.sampled_from([ctx.R0, ctx.R, ctx.Rtilde]))
+    gens = st.sampled_from(["x0", "x1", "x2", "p0", "p1", "S", "A"])
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    lam_power = st.integers(0, 1 if lam is None else 0)
+    term = st.tuples(gens, gens, coeff, st.integers(min_grade, n), lam_power)
+    out = []
+    for _ in range(count):
+        t = TensorElement.zero(n)
+        for g1, g2, c, k, j in draw(st.lists(term, max_size=3)):
+            s = Scalar.graded(LambdaPoly({j: c}), k, n)
+            t = t + tensor(ctx.generator(g1), ctx.generator(g2)).scale(s)
+        out.append(t)
+    return rel, *out
 
 
 class TestTensorAlgebra:
@@ -172,6 +195,34 @@ class TestExponentials:
         assert t3_exp(a) * t3_exp(-a) == tensor3(
             AlgebraElement.one(N), AlgebraElement.one(N), AlgebraElement.one(N)
         )
+
+
+class TestCanonicalExp:
+    @given(relation_and_tensors(1, min_grade=1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_canonicalized_exp(self, drawn):
+        rel, a = drawn
+        assert canonical_exp(a, rel) == canonicalize(t_exp(a), rel)
+
+    @given(relation_and_tensors(2, min_grade=0))
+    @settings(max_examples=40, deadline=None)
+    def test_relations_span_a_right_ideal(self, drawn):
+        # what canonical_exp relies on: the uncanonical left factor of a
+        # product may be canonicalized first
+        rel, a, b = drawn
+        assert canonicalize(a * b, rel) == canonicalize(canonicalize(a, rel) * b, rel)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rmatrix_canonical_matches_old_route(self, n):
+        ctx = TwistContext(order=n)
+        assert ctx.rmatrix_canonical() == canonicalize(ctx.rmatrix(), ctx.Rtilde)
+
+    @pytest.mark.parametrize("tag", ["R0", "R", "Rtilde"])
+    def test_twist_exponents_in_every_relation_set(self, tag):
+        ctx = TwistContext(order=4)
+        rel = getattr(ctx, tag)
+        for a in (ctx.r_exponent, ctx.twist_exponent, -ctx.twist_exponent):
+            assert canonical_exp(a, rel) == canonicalize(t_exp(a), rel)
 
 
 class TestRelations:
