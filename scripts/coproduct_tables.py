@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from kappatwist.cli import run
+from kappatwist.hopf import GENERATORS
 
 
 def main() -> int:
@@ -19,8 +20,7 @@ def main() -> int:
     args = ap.parse_args()
     order = str(args.order)
     worst = 0
-    for gen in ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3",
-                "A", "S", "Z", "M[1,2]", "M[1,3]", "M[2,3]"):
+    for gen in (*GENERATORS, "M[1,2]", "M[1,3]", "M[2,3]"):
         print(f"Delta {gen:<8} = ", end="")
         worst = max(worst, run(["coproduct", "--gen", gen, "--order", order]))
     for case in ("i", "ii", "iii"):

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    coproduct  -- print the closed-form coproduct of a generator after
+    coproduct  -- print the published coproduct of a generator after
                   verifying it against the computed one (twist or
                   homomorphism route)
     rexpand    -- solve the perturbative R-matrix expansion at one order
@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error.  JSON output has sorted keys and is byte-stable
-for identical inputs and seeds.
+for identical inputs and seeds.  No formulas live here: the published
+coproducts are in `poincare`, the generator names in `hopf.GENERATORS`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import AlgebraElement, element_str
+from .algebra import element_str
 from .hopf import TwistContext
 from .parser import ParseError, elaborate, parse
 from .scalars import DomainError, UsageError, sum_str, term_str
@@ -61,49 +62,20 @@ def _emit_json(payload: dict) -> None:
     _emit(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
 
 
-# -- closed-form coproduct table -----------------------------------------
-
-
-def _closed_form_string(node, case: str | None) -> str:
-    """Reference rendering of the coproduct of a single generator."""
-    kind = node[0]
-    if kind == "gen":
-        name = node[1]
-        if name in ("x1", "x2", "x3"):
-            return f"Z^[lam-1] ox {name}"
-        if name == "x0":
-            return "x0 ox 1 + a0*(1-lam) ox S"
-        if name in ("p1", "p2", "p3"):
-            return f"{name} ox Z^[-lam] + Z^[1-lam] ox {name}"
-        if name in ("p0", "A", "S"):
-            return f"{name} ox 1 + 1 ox {name}"
-        if name == "Z":
-            return "Z ox Z"
-        raise UsageError(f"no closed-form coproduct table entry for {name!r}")
-    if kind == "M":
-        i, j = node[1], node[2]
-        g = f"M[{i},{j}]"
-        return f"{g} ox 1 + 1 ox {g}"
-    if kind == "Mhat":
-        from .poincare import boost_closed_form_string
-
-        if case is None:
-            raise UsageError("boost coproducts need --case i|ii|iii")
-        return boost_closed_form_string(node[1], case)
-    raise UsageError("--gen must name a single generator")
+# -- coproduct ------------------------------------------------------------
 
 
 def _cmd_coproduct(args) -> int:
+    from .poincare import closed_form_coproduct, closed_form_string
+
     lam = _parse_lambda(args.lam)
     case = args.case
     node = parse(args.gen)
     if node[0] == "Mhat" and case == "ii" and lam is None:
         lam = Fraction(1, 2)
     ctx = TwistContext(order=args.order, lam=lam)
-    closed_text = _closed_form_string(node, case)
-    closed = canonicalize(
-        _as_tensor(elaborate(parse(closed_text), ctx, case), ctx), ctx.R
-    )
+    closed_text = closed_form_string(node, case)
+    closed = closed_form_coproduct(node, ctx, case)
     computed = ctx.coproduct_by(elaborate(node, ctx, case), args.method)
     verified = computed == closed
     payload = {
@@ -125,12 +97,6 @@ def _cmd_coproduct(args) -> int:
             print("verification FAILED; canonical residual:", file=sys.stderr)
             print(tensor_str(computed - closed), file=sys.stderr)
     return EXIT_OK if verified else EXIT_FAIL
-
-
-def _as_tensor(value, ctx: TwistContext) -> TensorElement:
-    if isinstance(value, TensorElement):
-        return value
-    return tensor(value, AlgebraElement.one(ctx.order))
 
 
 # -- rexpand --------------------------------------------------------------
@@ -253,7 +219,9 @@ def _cmd_eval(args) -> int:
     value = elaborate(parse(args.expr), ctx, args.case)
     if args.canonicalize:
         rel = {"R0": ctx.R0, "R": ctx.R, "Rtilde": ctx.Rtilde}[args.canonicalize]
-        value = canonicalize(_as_tensor(value, ctx), rel)
+        if not isinstance(value, TensorElement):
+            value = tensor(value, ctx.one)
+        value = canonicalize(value, rel)
     text = (
         tensor_str(value)
         if isinstance(value, TensorElement)

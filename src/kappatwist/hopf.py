@@ -65,6 +65,12 @@ from .tensor import (
 )
 
 
+# The plain generators of the expression language: the coordinates x_mu,
+# the momenta p_mu, A = a0*p0, S = x_k p_k and Z = exp(A).
+GENERATORS = ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "A", "S", "Z")
+COORDINATES, MOMENTA = GENERATORS[:DIM], GENERATORS[DIM : 2 * DIM]
+
+
 @lru_cache(maxsize=1024)
 def exchange_rule(tag: str, lam: LambdaPoly, order: int, mu: int) -> TensorElement:
     """Canonical substitute for x_mu (x) 1 in the relation set `tag`.
@@ -148,23 +154,16 @@ class TwistContext:
         return z_power(cp, self.order)
 
     def generator(self, name: str) -> AlgebraElement:
-        table = {
-            "x0": lambda: x(0, self.order),
-            "x1": lambda: x(1, self.order),
-            "x2": lambda: x(2, self.order),
-            "x3": lambda: x(3, self.order),
-            "p0": lambda: p(0, self.order),
-            "p1": lambda: p(1, self.order),
-            "p2": lambda: p(2, self.order),
-            "p3": lambda: p(3, self.order),
-            "A": lambda: self.A,
-            "S": lambda: self.S,
-            "Z": lambda: self.z(1),
-        }
-        try:
-            return table[name]()
-        except KeyError:
-            raise UsageError(f"unknown generator {name!r}") from None
+        """The plain generator `name`, one of GENERATORS."""
+        if name not in GENERATORS:
+            raise UsageError(f"unknown generator {name!r}")
+        if name == "A":
+            return self.A
+        if name == "S":
+            return self.S
+        if name == "Z":
+            return self.z(1)
+        return (x if name in COORDINATES else p)(int(name[1]), self.order)
 
     def _cached(self, key, builder):
         val = self._cache.get(key)
@@ -204,15 +203,15 @@ class TwistContext:
     def _extend(self, h: AlgebraElement, image) -> TensorElement:
         """Extend a map on the generators multiplicatively over h: each
         monomial x^alpha p^beta goes to the ordered product of the images
-        `image(name)` of its generators ("x0".."x3", "p0".."p3")."""
+        `image(name)` of its generators (COORDINATES, then MOMENTA)."""
         n = self.order
         out = TensorElement.zero(n)
         for mono, s in h.terms.items():
             acc = TensorElement.one(n)
-            for letter, exps in (("x", mono.alpha), ("p", mono.beta)):
-                for mu, e in enumerate(exps):
+            for names, exps in ((COORDINATES, mono.alpha), (MOMENTA, mono.beta)):
+                for name, e in zip(names, exps):
                     if e:
-                        g = image(f"{letter}{mu}")
+                        g = image(name)
                         for _ in range(e):
                             acc = acc * g
             out = out + acc.scale(s)
@@ -222,7 +221,7 @@ class TwistContext:
         """Undeformed coproduct of a generator: x (x) 1 for a coordinate
         (one representative of its class mod R0), p (x) 1 + 1 (x) p."""
         g = self.generator(name)
-        if name[0] == "x":
+        if name in COORDINATES:
             return tensor(g, self.one)
         return tensor(g, self.one) + tensor(self.one, g)
 

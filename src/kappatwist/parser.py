@@ -13,11 +13,11 @@ Grammar (whitespace insensitive):
             | "Z" "^" "[" expr "]"
             | "exp" "(" expr ")" | "(" expr ")"
 
-Generators: x0..x3, p0..p3, A, S, Z, M[i,j], Mhat[i,0].  Tensor products
-are single level; sums of tensor terms are accepted so canonical renderings
-round-trip.  The exponent of `Z^[...]` is an ordinary `expr`; elaboration
-requires it to be a rational polynomial in `lam` (no generators, `a0` or
-`I`).
+Generators: hopf.GENERATORS (x0..x3, p0..p3, A, S, Z), M[i,j], Mhat[i,0].
+Tensor products are single level; sums of tensor terms are accepted so
+canonical renderings round-trip.  The exponent of `Z^[...]` is an ordinary
+`expr`; elaboration requires it to be a rational polynomial in `lam` (no
+generators, `a0` or `I`).
 Brackets ("(", "exp(", "Z^[") and unary signs nest at most MAX_NESTING
 deep, which keeps the recursive descent inside Python's recursion limit.
 """
@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 
 from .algebra import UNIT_MONOMIAL, AlgebraElement, graded_exp
-from .hopf import TwistContext
+from .hopf import GENERATORS, TwistContext
 from .scalars import Scalar, UsageError, as_lambda_poly
 from .tensor import TensorElement, tensor
 
@@ -49,8 +49,6 @@ _TOKEN_RE = re.compile(
 
 # four parser frames per bracket level: 200 levels need about 800 frames
 MAX_NESTING = 200
-
-_GEN_NAMES = {"x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "A", "S", "Z"}
 
 
 def tokenize(src: str):
@@ -212,7 +210,7 @@ class Parser:
                     raise ParseError("boost index pair must be [i,0]", jpos)
                 return ("Mhat", i)
             return ("M", i, j)
-        if text in _GEN_NAMES:
+        if text in GENERATORS:
             return ("gen", text)
         raise ParseError(f"unknown identifier {text!r}", pos)
 
@@ -248,11 +246,13 @@ def elaborate(node, ctx: TwistContext, realization_case: str | None = None):
     """
     kind = node[0]
     n = ctx.order
-    if kind == "tsum":
-        out = TensorElement.zero(n)
+    if kind in ("sum", "tsum"):
+        out = (AlgebraElement if kind == "sum" else TensorElement).zero(n)
         for sign, part in node[1]:
-            t = elaborate(part, ctx, realization_case)
-            out = out + (t if sign > 0 else -t)
+            e = elaborate(part, ctx, realization_case)
+            if kind == "sum":
+                _require_plain(e)
+            out = out + (e if sign > 0 else -e)
         return out
     if kind == "tensor":
         left = elaborate(node[1], ctx, realization_case)
@@ -262,13 +262,6 @@ def elaborate(node, ctx: TwistContext, realization_case: str | None = None):
         ):
             raise UsageError("tensor legs must be plain elements")
         return tensor(left, right)
-    if kind == "sum":
-        out = AlgebraElement.zero(n)
-        for sign, part in node[1]:
-            e = elaborate(part, ctx, realization_case)
-            _require_plain(e)
-            out = out + (e if sign > 0 else -e)
-        return out
     if kind == "mul":
         out = None
         for part in node[1]:

@@ -9,6 +9,10 @@ with three preset cases: (i) the twist-adapted undeformed Lorentz sector,
 (ii) the standard basis (lam = 1/2, deformed [B,B] = -i M cosh A), and
 (iii) the naive boosts, whose coalgebra leaves the Poincare span.
 Rotations M_ij = x_i p_j - x_j p_i are case independent.
+
+The published coproduct of every generator is a template in the expression
+grammar (CLOSED_FORMS, BOOST_CLOSED_FORMS); `closed_form_string` renders it
+and `closed_form_coproduct` takes it to its canonical tensor mod R.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .algebra import (
     power_series,
     x,
 )
-from .hopf import TwistContext
+from .hopf import COORDINATES, TwistContext
 from .linsolve import SolutionSpace, fit
 from .parser import elaborate, parse
 from .scalars import LP_ONE, Scalar, UsageError
@@ -135,6 +139,17 @@ def rotation_coproduct(
     return ctx.coproduct_by(mij(i, j, ctx), method)
 
 
+# The published coproducts of the plain generators (hopf.GENERATORS), by
+# name; {g} is the generator.  The rotations M[i,j] are primitive too.
+_PRIMITIVE = "{g} ox 1 + 1 ox {g}"
+CLOSED_FORMS = {
+    "x0": "x0 ox 1 + a0*(1-lam) ox S",
+    **dict.fromkeys(("x1", "x2", "x3"), "Z^[lam-1] ox {g}"),
+    **dict.fromkeys(("p1", "p2", "p3"), "{g} ox Z^[-lam] + Z^[1-lam] ox {g}"),
+    **dict.fromkeys(("p0", "A", "S"), _PRIMITIVE),
+    "Z": "Z ox Z",
+}
+
 # The published boost coproducts, one template per preset case: {i} is the
 # boost index and {j} < {k} are the other two spatial indices.
 BOOST_CLOSED_FORMS = {
@@ -166,6 +181,30 @@ def boost_closed_form_string(i: int, case: str) -> str:
     return BOOST_CLOSED_FORMS[case].format(i=i, j=j, k=k)
 
 
+def closed_form_string(node, case: str | None) -> str:
+    """The published coproduct of the single generator `node`, a parsed
+    expression: a plain generator, a rotation M[i,j], or a boost Mhat[i,0]
+    in the preset `case`."""
+    kind = node[0]
+    if kind == "gen":
+        return CLOSED_FORMS[node[1]].format(g=node[1])
+    if kind == "M":
+        return _PRIMITIVE.format(g=f"M[{node[1]},{node[2]}]")
+    if kind == "Mhat":
+        if case is None:
+            raise UsageError("boost coproducts need --case i|ii|iii")
+        return boost_closed_form_string(node[1], case)
+    raise UsageError("--gen must name a single generator")
+
+
+def closed_form_coproduct(
+    node, ctx: TwistContext, case: str | None = None
+) -> TensorElement:
+    """The published coproduct of `node` (`closed_form_string`), canonical mod R."""
+    text = closed_form_string(node, case)
+    return canonicalize(elaborate(parse(text), ctx, case), ctx.R)
+
+
 def _closed_form_legs(i: int, case: str) -> list[tuple[int, tuple, tuple]]:
     """(sign, left leg, right leg) of each parsed term of a closed form."""
     return [
@@ -175,8 +214,7 @@ def _closed_form_legs(i: int, case: str) -> list[tuple[int, tuple, tuple]]:
 
 
 def _generator_names(node) -> set[str]:
-    """The plain generators (x0..x3, p0..p3, A, S, Z) named in a parsed
-    expression."""
+    """The plain generators (hopf.GENERATORS) named in a parsed expression."""
     if isinstance(node, tuple) and node[:1] == ("gen",):
         return {node[1]}
     if isinstance(node, (tuple, list)):
@@ -191,7 +229,7 @@ def _leg_kind(leg) -> str:
     names = _generator_names(leg)
     if "S" in names:
         return "dilatation"
-    if names & {"x0", "x1", "x2", "x3"}:
+    if names.intersection(COORDINATES):
         return "coordinate"
     return ""
 
@@ -200,8 +238,7 @@ def boost_coproduct_closed_form(
     i: int, real: LorentzRealization, ctx: TwistContext
 ) -> TensorElement:
     """The published closed forms for the three preset cases, canonical mod R."""
-    text = boost_closed_form_string(i, real.label)
-    return canonicalize(elaborate(parse(text), ctx, real.label), ctx.R)
+    return closed_form_coproduct(("Mhat", i), ctx, real.label)
 
 
 def nonpoincare_leg_kinds(i: int, real: LorentzRealization) -> set[str]:
@@ -256,8 +293,8 @@ def case_iii_x_leg_mismatch(i: int, ctx: TwistContext) -> bool:
 
 
 def rotation_coproduct_closed_form(i: int, j: int, ctx: TwistContext) -> TensorElement:
-    m = mij(i, j, ctx)
-    return canonicalize(tensor(m, ctx.one) + tensor(ctx.one, m), ctx.R)
+    """The published (primitive) coproduct of M[i,j], canonical mod R."""
+    return closed_form_coproduct(("M", i, j), ctx)
 
 
 # -- algebra sector ------------------------------------------------------

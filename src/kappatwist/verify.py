@@ -24,7 +24,7 @@ from .algebra import (
     p,
     x,
 )
-from .hopf import TwistContext
+from .hopf import COORDINATES, MOMENTA, TwistContext
 from .scalars import Scalar, UsageError
 from .tensor import (
     equal_mod,
@@ -183,7 +183,7 @@ def _suite_algebra(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick:
 def _suite_coalgebra(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick: bool):
     def generator_limits():
         bad = []
-        for name in ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3"):
+        for name in COORDINATES + MOMENTA:
             d = ctx.generator_coproduct(name)
             limit = d.a0_limit()
             d0 = ctx.coproduct0(ctx.generator(name))
@@ -247,7 +247,7 @@ def _suite_rmatrix(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick:
     rec.run("rmatrix-flip-inverse", r_inverse)
 
     def opposite_coproduct():
-        names = ("x1", "p1") if quick else ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3")
+        names = ("x1", "p1") if quick else COORDINATES + MOMENTA
         for name in names:
             h = ctx.generator(name)
             lhs = ctx.coproduct_opposite(h)

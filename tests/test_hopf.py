@@ -20,8 +20,8 @@ from kappatwist.algebra import (
     x,
 )
 from kappatwist import hopf
-from kappatwist.hopf import TwistContext
-from kappatwist.parser import evaluate
+from kappatwist.hopf import COORDINATES, GENERATORS, MOMENTA, TwistContext
+from kappatwist.parser import elaborate, evaluate, parse
 from kappatwist.scalars import GaussianRational, LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import (
     TensorElement,
@@ -77,6 +77,50 @@ class TestExchangeRelations:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestGenerators:
+    def test_table_order(self):
+        assert COORDINATES == ("x0", "x1", "x2", "x3")
+        assert MOMENTA == ("p0", "p1", "p2", "p3")
+        assert GENERATORS == (*COORDINATES, *MOMENTA, "A", "S", "Z")
+
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_every_name_parses_to_a_generator(self, name):
+        assert parse(name) == ("gen", name)
+
+    @pytest.mark.parametrize("lam", [None, Fraction(1, 3)])
+    def test_elements(self, lam):
+        ctx = TwistContext(order=N, lam=lam)
+        for mu in range(4):
+            assert ctx.generator(COORDINATES[mu]) == x(mu, N)
+            assert ctx.generator(MOMENTA[mu]) == p(mu, N)
+        assert ctx.generator("A") == p(0, N).scale(Scalar.a0(N))
+        assert ctx.generator("S") == sum(
+            (x(k, N) * p(k, N) for k in (1, 2, 3)), AlgebraElement.zero(N)
+        )
+        assert ctx.generator("Z") == ctx.z(1)
+
+    @pytest.mark.parametrize("name", ["foo", "x4", "p", "M", "Mhat", "I", ""])
+    def test_unknown_name_rejected(self, ctx, name):
+        with pytest.raises(UsageError, match="unknown generator"):
+            ctx.generator(name)
+
+
+class TestElaboration:
+    @pytest.mark.parametrize("lam", [None, Fraction(1, 3)])
+    def test_exp_expression_is_z(self, lam):
+        ctx = TwistContext(order=N, lam=lam)
+        assert evaluate("exp(a0*p0)", ctx) == ctx.z(1)
+
+    def test_sum_rule(self, ctx):
+        x1, p1 = ("gen", "x1"), ("gen", "p1")
+        term = ("tensor", x1, p1)
+        assert elaborate(("sum", [(1, x1), (-1, p1)]), ctx) == x(1, N) - p(1, N)
+        assert elaborate(("tsum", [(1, term), (-1, term)]), ctx) == TensorElement.zero(N)
+        # the parser never nests a tensor in a plain sum; a built tree may
+        with pytest.raises(UsageError, match="cannot be nested"):
+            elaborate(("sum", [(1, x1), (1, term)]), ctx)
 
 
 class TestGeneratorCoproducts:

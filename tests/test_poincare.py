@@ -7,13 +7,17 @@ from fractions import Fraction
 import pytest
 
 from kappatwist.algebra import AlgebraElement, commutator, p, x
-from kappatwist.hopf import TwistContext
+from kappatwist.hopf import GENERATORS, TwistContext
+from kappatwist.parser import elaborate, parse
 from kappatwist.poincare import (
+    CLOSED_FORMS,
     SPATIAL,
     boost_closed_form_string,
     boost_coproduct_closed_form,
     boost_coproduct_order1_match,
     case_iii_x_leg_mismatch,
+    closed_form_coproduct,
+    closed_form_string,
     coproduct_homomorphism_check,
     kappa_commutator_check,
     lorentz_algebra_check,
@@ -216,6 +220,12 @@ class TestCoordinateCoproducts:
         rhs = sym_ctx.one - sym_ctx.z(-1)
         assert lhs == rhs
 
+    @pytest.mark.parametrize("lam", [None, Fraction(1, 3)])
+    def test_spatial_leftward_momenta(self, lam):
+        ctx = TwistContext(order=N, lam=lam)
+        for i in SPATIAL:
+            assert p_leftward(i, ctx) == p(i, N) * ctx.z(ctx.lam_poly - 1)
+
     def test_kappa_commutators(self, sym_ctx):
         assert kappa_commutator_check(sym_ctx)
 
@@ -234,3 +244,103 @@ class TestSpatialIndexing:
     def test_closed_form_string_rejects_bad_input(self, i, case):
         with pytest.raises(UsageError):
             boost_closed_form_string(i, case)
+
+
+# The published coproducts as the CLI's own table rendered them before the
+# table moved into `poincare`, kept as literals: (--gen, case) -> string.
+_RENDERED_CLOSED_FORMS = {
+    ("x0", None): "x0 ox 1 + a0*(1-lam) ox S",
+    ("x1", None): "Z^[lam-1] ox x1",
+    ("x2", None): "Z^[lam-1] ox x2",
+    ("x3", None): "Z^[lam-1] ox x3",
+    ("p0", None): "p0 ox 1 + 1 ox p0",
+    ("p1", None): "p1 ox Z^[-lam] + Z^[1-lam] ox p1",
+    ("p2", None): "p2 ox Z^[-lam] + Z^[1-lam] ox p2",
+    ("p3", None): "p3 ox Z^[-lam] + Z^[1-lam] ox p3",
+    ("A", None): "A ox 1 + 1 ox A",
+    ("S", None): "S ox 1 + 1 ox S",
+    ("Z", None): "Z ox Z",
+    ("M[1,2]", None): "M[1,2] ox 1 + 1 ox M[1,2]",
+    ("M[2,3]", None): "M[2,3] ox 1 + 1 ox M[2,3]",
+    ("Mhat[1,0]", "i"): (
+        "Mhat[1,0] ox 1 + Z ox Mhat[1,0] - a0*Z^[lam]*p2 ox M[1,2]"
+        " - a0*Z^[lam]*p3 ox M[1,3]"
+    ),
+    ("Mhat[2,0]", "i"): (
+        "Mhat[2,0] ox 1 + Z ox Mhat[2,0] - a0*Z^[lam]*p1 ox M[2,1]"
+        " - a0*Z^[lam]*p3 ox M[2,3]"
+    ),
+    ("Mhat[3,0]", "i"): (
+        "Mhat[3,0] ox 1 + Z ox Mhat[3,0] - a0*Z^[lam]*p1 ox M[3,1]"
+        " - a0*Z^[lam]*p2 ox M[3,2]"
+    ),
+    ("Mhat[1,0]", "ii"): (
+        "Mhat[1,0] ox Z^[-1/2] + Z^[1/2] ox Mhat[1,0]"
+        " + 1/2*a0*M[1,2]*Z^[1/2] ox p2 + 1/2*a0*M[1,3]*Z^[1/2] ox p3"
+        " - 1/2*a0*p2 ox M[1,2]*Z^[-1/2] - 1/2*a0*p3 ox M[1,3]*Z^[-1/2]"
+    ),
+    ("Mhat[2,0]", "ii"): (
+        "Mhat[2,0] ox Z^[-1/2] + Z^[1/2] ox Mhat[2,0]"
+        " + 1/2*a0*M[2,1]*Z^[1/2] ox p1 + 1/2*a0*M[2,3]*Z^[1/2] ox p3"
+        " - 1/2*a0*p1 ox M[2,1]*Z^[-1/2] - 1/2*a0*p3 ox M[2,3]*Z^[-1/2]"
+    ),
+    ("Mhat[3,0]", "ii"): (
+        "Mhat[3,0] ox Z^[-1/2] + Z^[1/2] ox Mhat[3,0]"
+        " + 1/2*a0*M[3,1]*Z^[1/2] ox p1 + 1/2*a0*M[3,2]*Z^[1/2] ox p2"
+        " - 1/2*a0*p1 ox M[3,1]*Z^[-1/2] - 1/2*a0*p2 ox M[3,2]*Z^[-1/2]"
+    ),
+    ("Mhat[1,0]", "iii"): (
+        "x1*p0 ox Z^[lam] + Z^[lam-1] ox x1*p0 - x0*p1 ox Z^[-lam]"
+        " - Z^[1-lam] ox x0*p1 - a0*(1-lam)*p1 ox S*Z^[-lam]"
+        " + a0*lam*S*Z^[1-lam] ox p1"
+    ),
+    ("Mhat[2,0]", "iii"): (
+        "x2*p0 ox Z^[lam] + Z^[lam-1] ox x2*p0 - x0*p2 ox Z^[-lam]"
+        " - Z^[1-lam] ox x0*p2 - a0*(1-lam)*p2 ox S*Z^[-lam]"
+        " + a0*lam*S*Z^[1-lam] ox p2"
+    ),
+    ("Mhat[3,0]", "iii"): (
+        "x3*p0 ox Z^[lam] + Z^[lam-1] ox x3*p0 - x0*p3 ox Z^[-lam]"
+        " - Z^[1-lam] ox x0*p3 - a0*(1-lam)*p3 ox S*Z^[-lam]"
+        " + a0*lam*S*Z^[1-lam] ox p3"
+    ),
+}
+
+_ROTATIONS = ("M[1,2]", "M[1,3]", "M[2,3]")
+
+
+class TestClosedFormTable:
+    def test_table_names_every_generator(self):
+        assert set(CLOSED_FORMS) == set(GENERATORS)
+        assert {gen for gen, _ in _RENDERED_CLOSED_FORMS} >= set(GENERATORS)
+
+    @pytest.mark.parametrize("gen, case", sorted(_RENDERED_CLOSED_FORMS, key=str))
+    def test_strings_match_the_rendered_table(self, gen, case):
+        expected = _RENDERED_CLOSED_FORMS[(gen, case)]
+        assert closed_form_string(parse(gen), case) == expected
+
+    @pytest.mark.parametrize("gen", ["x1*p1", "2", "x1 ox p1", "a0", "exp(A)"])
+    def test_non_generators_rejected(self, gen):
+        with pytest.raises(UsageError, match="single generator"):
+            closed_form_string(parse(gen), None)
+
+    def test_boost_needs_case(self):
+        with pytest.raises(UsageError, match="need --case"):
+            closed_form_string(parse("Mhat[1,0]"), None)
+
+    @pytest.mark.parametrize("lam", [None, Fraction(1, 3)])
+    @pytest.mark.parametrize("gen", GENERATORS + _ROTATIONS)
+    def test_coproduct_matches_both_routes(self, gen, lam):
+        ctx = TwistContext(order=N, lam=lam)
+        node = parse(gen)
+        closed = closed_form_coproduct(node, ctx)
+        h = elaborate(node, ctx)
+        assert closed == ctx.coproduct(h)
+        assert closed == ctx.coproduct_hom(h)
+
+    def test_rotation_closed_form_is_primitive(self, sym_ctx):
+        one = sym_ctx.one
+        for i, j in ((1, 2), (1, 3), (2, 3), (3, 1)):
+            m = mij(i, j, sym_ctx)
+            oracle = canonicalize(tensor(m, one) + tensor(one, m), sym_ctx.R)
+            assert rotation_coproduct_closed_form(i, j, sym_ctx) == oracle
