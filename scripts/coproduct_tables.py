@@ -30,8 +30,6 @@ def main() -> int:
                 "coproduct", "--gen", f"Mhat[{i},0]",
                 "--case", case, "--order", order,
             ]
-            if case == "ii":
-                cmd += ["--lambda", "1/2"]
             worst = max(worst, run(cmd))
     return worst
 

@@ -188,7 +188,7 @@ def _cmd_rexpand(args) -> int:
             f" (ansatz {len(result.terms)}, equations {result.equations},"
             f" dimension {result.dimension})"
         )
-        if reached and result.status != "infeasible":
+        if reached:
             _emit("r_%d = %s" % (result.order, _linear_combination_string(result)))
         if not payload["verified_order"]:
             _emit("note: no reference data at this order; result unverified")

@@ -54,9 +54,7 @@ from .tensor import (
     TensorElement3,
     canonical_exp,
     canonicalize,
-    embed_left,
-    embed_middle,
-    embed_right,
+    embed,
     t3_exp,
     t_adjoint,
     t_exp,
@@ -278,13 +276,13 @@ class TwistContext:
         l (x) r (x) 1 + l (x) 1 (x) r.
         """
         f = self.twist_exponent
-        return embed_middle(f) + embed_right(f), embed_left(f) + embed_middle(f)
+        return embed(f, 1) + embed(f, 0), embed(f, 2) + embed(f, 1)
 
     def verify_cocycle(self) -> bool:
         """(F (x) 1)((Delta0 (x) id)F) == (1 (x) F)((id (x) Delta0)F)."""
         first, second = self.cocycle_exponents()
-        lhs = embed_left(self.twist()) * t3_exp(first)
-        rhs = embed_right(self.twist()) * t3_exp(second)
+        lhs = embed(self.twist(), 2) * t3_exp(first)
+        rhs = embed(self.twist(), 0) * t3_exp(second)
         return lhs == rhs
 
     def verify_counit(self) -> bool:

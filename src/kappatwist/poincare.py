@@ -133,12 +133,6 @@ def lorentz_coproduct(
     return ctx.coproduct_by(mhat(i, real, ctx), method)
 
 
-def rotation_coproduct(
-    i: int, j: int, ctx: TwistContext, method: str = "twist"
-) -> TensorElement:
-    return ctx.coproduct_by(mij(i, j, ctx), method)
-
-
 # The published coproducts of the plain generators (hopf.GENERATORS), by
 # name; {g} is the generator.  The rotations M[i,j] are primitive too.
 _PRIMITIVE = "{g} ox 1 + 1 ox {g}"
@@ -436,11 +430,6 @@ def coproduct_homomorphism_check(
 def xhat_coproduct(mu: int, ctx: TwistContext) -> TensorElement:
     """Coproduct of xhat_mu: the class of xhat_mu (x) 1, canonical mod R."""
     return canonicalize(tensor(ctx.xhat(mu), ctx.one), ctx.R)
-
-
-def xhat_coproduct_hom(mu: int, ctx: TwistContext) -> TensorElement:
-    """Same coproduct through the generator-homomorphism route."""
-    return ctx.coproduct_hom(ctx.xhat(mu))
 
 
 def xhat_coproduct_compact(mu: int, ctx: TwistContext) -> TensorElement:

@@ -68,7 +68,7 @@ class ExpansionResult:
 
     @property
     def dimension(self) -> int:
-        return self.solution.dimension if self.status != "infeasible" else 0
+        return self.solution.dimension
 
 
 # -- ansatz enumeration --------------------------------------------------

@@ -2,15 +2,14 @@
 
 `TensorElement` and `TensorElement3` are `SparseElement` containers keyed
 by pairs and triples of monomials, multiplied leg by leg.  This module
-also provides the leg flip tau0, the multiplication map m0, the leg
-embeddings into the tensor cube, graded exponentials and adjoint
-conjugation (through `power_series`), canonicalization modulo a
-`RelationSet` of exchange relations, and the canonical exponential, which
-keeps every power of its series in canonical form.  It is purely
-structural: the relations of the twist family (undeformed R0 and the
-deformed R and Rtilde) are written in `hopf`.  The canonical
-representative of a class has no coordinate generators in the left tensor
-leg.
+also provides the leg flip tau0, the embedding of the tensor square into
+the tensor cube, graded exponentials and adjoint conjugation (through
+`power_series`), canonicalization modulo a `RelationSet` of exchange
+relations, and the canonical exponential, which keeps every power of its
+series in canonical form.  It is purely structural: the relations of the
+twist family (undeformed R0 and the deformed R and Rtilde) are written in
+`hopf`.  The canonical representative of a class has no coordinate
+generators in the left tensor leg.
 """
 
 from __future__ import annotations
@@ -90,26 +89,11 @@ def tensor(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
     return TensorElement(out, a.order)
 
 
-def t_mul(a: TensorElement, b: TensorElement) -> TensorElement:
-    return a * b
-
-
 def tau0(t: TensorElement) -> TensorElement:
     """Leg swap; an involutive algebra map of the tensor square."""
     return TensorElement(
         {(r, l): s for (l, r), s in t.terms.items()}, t.order
     )
-
-
-def m0(t: TensorElement) -> AlgebraElement:
-    """Multiplication map: u (x) v -> u*v in normal form."""
-    out: dict[Monomial, Scalar] = {}
-    for (l, r), s in t.terms.items():
-        for m, c in monomial_product(l, r):
-            contrib = s.scale(c)
-            cur = out.get(m)
-            out[m] = contrib if cur is None else cur + contrib
-    return AlgebraElement(out, t.order)
 
 
 def t_exp(a: TensorElement) -> TensorElement:
@@ -244,22 +228,9 @@ def t3_exp(a: TensorElement3) -> TensorElement3:
     return power_series(a, exp_coeffs(a.order))
 
 
-def embed_left(t: TensorElement) -> TensorElement3:
-    """u (x) v -> u (x) v (x) 1."""
+def embed(t: TensorElement, at: int) -> TensorElement3:
+    """Insert a unit leg at position `at` (0, 1 or 2): at=1 sends
+    u (x) v to u (x) 1 (x) v."""
     return TensorElement3(
-        {(l, r, UNIT_MONOMIAL): s for (l, r), s in t.terms.items()}, t.order
-    )
-
-
-def embed_middle(t: TensorElement) -> TensorElement3:
-    """u (x) v -> u (x) 1 (x) v."""
-    return TensorElement3(
-        {(l, UNIT_MONOMIAL, r): s for (l, r), s in t.terms.items()}, t.order
-    )
-
-
-def embed_right(t: TensorElement) -> TensorElement3:
-    """u (x) v -> 1 (x) u (x) v."""
-    return TensorElement3(
-        {(UNIT_MONOMIAL, l, r): s for (l, r), s in t.terms.items()}, t.order
+        {(*k[:at], UNIT_MONOMIAL, *k[at:]): s for k, s in t.terms.items()}, t.order
     )

@@ -28,7 +28,6 @@ from .hopf import COORDINATES, MOMENTA, TwistContext
 from .scalars import Scalar, UsageError
 from .tensor import (
     equal_mod,
-    t_mul,
     tau0,
     tensor_str,
 )
@@ -55,6 +54,21 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    def run(self, name: str, fn):
+        """Time the check fn and record it: it passes when fn returns None
+        or "", and any other value is its residual."""
+        t0 = time.monotonic()
+        try:
+            residual = fn()
+            passed = residual is None or residual == ""
+            residual_text = "" if passed else str(residual)
+        except UsageError as exc:
+            passed = False
+            residual_text = f"error: {exc}"
+        self.checks.append(
+            CheckRecord(name, passed, residual_text, time.monotonic() - t0)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -83,24 +97,6 @@ class VerificationReport:
             lines.append(line)
         lines.append("result: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
-
-
-class _Recorder:
-    def __init__(self, report: VerificationReport):
-        self.report = report
-
-    def run(self, name: str, fn):
-        t0 = time.monotonic()
-        try:
-            residual = fn()
-            passed = residual is None or residual == ""
-            residual_text = "" if passed else str(residual)
-        except UsageError as exc:
-            passed = False
-            residual_text = f"error: {exc}"
-        self.report.checks.append(
-            CheckRecord(name, passed, residual_text, time.monotonic() - t0)
-        )
 
 
 def _random_element(rng: random.Random, order: int, max_deg: int = 2) -> AlgebraElement:
@@ -133,7 +129,7 @@ def _random_poly(rng: random.Random, order: int, max_deg: int = 2) -> Polynomial
 # -- suites ---------------------------------------------------------------
 
 
-def _suite_algebra(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick: bool):
+def _suite_algebra(report: VerificationReport, ctx: TwistContext, rng: random.Random, quick: bool):
     n = ctx.order
 
     def heisenberg():
@@ -148,7 +144,7 @@ def _suite_algebra(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick:
                     bad.append(f"[p{mu},x{nu}]={element_str(got)}")
         return "; ".join(bad)
 
-    rec.run("heisenberg-commutators", heisenberg)
+    report.run("heisenberg-commutators", heisenberg)
 
     def associativity():
         trials = 20 if quick else 100
@@ -163,7 +159,7 @@ def _suite_algebra(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick:
                 )
         return ""
 
-    rec.run("product-associativity", associativity)
+    report.run("product-associativity", associativity)
 
     def action_composition():
         trials = 10 if quick else 40
@@ -177,10 +173,10 @@ def _suite_algebra(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick:
                 return f"(ab)|>f != a|>(b|>f) for a={element_str(a)}, b={element_str(b)}"
         return ""
 
-    rec.run("module-action-composition", action_composition)
+    report.run("module-action-composition", action_composition)
 
 
-def _suite_coalgebra(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick: bool):
+def _suite_coalgebra(report: VerificationReport, ctx: TwistContext, rng: random.Random, quick: bool):
     def generator_limits():
         bad = []
         for name in COORDINATES + MOMENTA:
@@ -191,7 +187,7 @@ def _suite_coalgebra(rec: _Recorder, ctx: TwistContext, rng: random.Random, quic
                 bad.append(name)
         return "nonprimitive a0-limit: " + ", ".join(bad) if bad else ""
 
-    rec.run("coproduct-a0-limit", generator_limits)
+    report.run("coproduct-a0-limit", generator_limits)
 
     def homomorphism():
         trials = 5 if quick else 20
@@ -199,12 +195,12 @@ def _suite_coalgebra(rec: _Recorder, ctx: TwistContext, rng: random.Random, quic
             a = _random_element(rng, ctx.order, max_deg=1)
             b = _random_element(rng, ctx.order, max_deg=1)
             lhs = ctx.coproduct(a * b)
-            rhs = t_mul(ctx.coproduct(a), ctx.coproduct(b))
+            rhs = ctx.coproduct(a) * ctx.coproduct(b)
             if not equal_mod(lhs, rhs, ctx.R):
                 return f"Delta(ab) != Delta(a)Delta(b) for a={element_str(a)}, b={element_str(b)}"
         return ""
 
-    rec.run("coproduct-homomorphism", homomorphism)
+    report.run("coproduct-homomorphism", homomorphism)
 
     def two_routes():
         for name in ("x1", "p1", "x0", "p0"):
@@ -213,15 +209,15 @@ def _suite_coalgebra(rec: _Recorder, ctx: TwistContext, rng: random.Random, quic
                 return f"twist route != generator route on {name}^2"
         return ""
 
-    rec.run("coproduct-two-routes", two_routes)
+    report.run("coproduct-two-routes", two_routes)
 
 
-def _suite_twist(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick: bool):
-    rec.run(
+def _suite_twist(report: VerificationReport, ctx: TwistContext, rng: random.Random, quick: bool):
+    report.run(
         "cocycle-condition",
         lambda: "" if ctx.verify_cocycle() else "two-sided cocycle products differ",
     )
-    rec.run(
+    report.run(
         "counit-normalization",
         lambda: "" if ctx.verify_counit() else "(eps ox id)F != 1",
     )
@@ -235,16 +231,16 @@ def _suite_twist(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick: b
                 return "star-product flip identity failed"
         return ""
 
-    rec.run("star-product-flip", star_flip)
+    report.run("star-product-flip", star_flip)
 
 
-def _suite_rmatrix(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick: bool):
+def _suite_rmatrix(report: VerificationReport, ctx: TwistContext, rng: random.Random, quick: bool):
     def r_inverse():
         if tau0(ctx.rmatrix()) == ctx.rmatrix_inverse():
             return ""
         return "tau0(R) != R^-1"
 
-    rec.run("rmatrix-flip-inverse", r_inverse)
+    report.run("rmatrix-flip-inverse", r_inverse)
 
     def opposite_coproduct():
         names = ("x1", "p1") if quick else COORDINATES + MOMENTA
@@ -256,20 +252,20 @@ def _suite_rmatrix(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick:
                 return f"opposite coproduct != R-conjugated coproduct on {name}"
         return ""
 
-    rec.run("rmatrix-intertwines-coproducts", opposite_coproduct)
+    report.run("rmatrix-intertwines-coproducts", opposite_coproduct)
 
     def factorization():
         # F_op F^-1 agrees with exp(rho) modulo nothing: both are literal
         # tensor elements.
-        lhs = t_mul(ctx.twist_opposite(), ctx.twist_inverse())
+        lhs = ctx.twist_opposite() * ctx.twist_inverse()
         if lhs == ctx.rmatrix():
             return ""
         return "Ftilde F^-1 != exp(rho)"
 
-    rec.run("rmatrix-twist-factorization", factorization)
+    report.run("rmatrix-twist-factorization", factorization)
 
 
-def _suite_poincare(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick: bool):
+def _suite_poincare(report: VerificationReport, ctx: TwistContext, rng: random.Random, quick: bool):
     from .poincare import (
         boost_coproduct_closed_form,
         kappa_commutator_check,
@@ -279,7 +275,7 @@ def _suite_poincare(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick
         realization,
     )
 
-    rec.run(
+    report.run(
         "kappa-coordinate-commutators",
         lambda: "" if kappa_commutator_check(ctx) else "[xhat,xhat] structure failed",
     )
@@ -295,7 +291,7 @@ def _suite_poincare(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick
             failures = [c.name for c in lorentz_algebra_check(real, case_ctx) if not c.passed]
             return "closure failed: " + ", ".join(failures) if failures else ""
 
-        rec.run(f"lorentz-closure-case-{case}", algebra_closure)
+        report.run(f"lorentz-closure-case-{case}", algebra_closure)
 
         def momentum_sector(real=real, case_ctx=case_ctx):
             failures = [
@@ -303,7 +299,7 @@ def _suite_poincare(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick
             ]
             return "momentum sector failed: " + ", ".join(failures) if failures else ""
 
-        rec.run(f"momentum-sector-case-{case}", momentum_sector)
+        report.run(f"momentum-sector-case-{case}", momentum_sector)
 
         def closed_coproduct(real=real, case_ctx=case_ctx):
             d = lorentz_coproduct(1, real, case_ctx)
@@ -312,7 +308,7 @@ def _suite_poincare(rec: _Recorder, ctx: TwistContext, rng: random.Random, quick
                 return "boost coproduct != closed form:\n" + tensor_str(d - c)
             return ""
 
-        rec.run(f"boost-coproduct-case-{case}", closed_coproduct)
+        report.run(f"boost-coproduct-case-{case}", closed_coproduct)
 
 
 _SUITES = {
@@ -339,9 +335,8 @@ def run_suite(
     ctx = TwistContext(order=order, lam=lam)
     lam_text = "sym" if ctx.lam is None else str(ctx.lam)
     report = VerificationReport(suite, order, lam_text, seed)
-    rec = _Recorder(report)
     rng = random.Random(seed)
     names = SUITE_NAMES if suite == "all" else (suite,)
     for name in names:
-        _SUITES[name](rec, ctx, rng, quick)
+        _SUITES[name](report, ctx, rng, quick)
     return report

@@ -1,6 +1,7 @@
-"""Grammar fuzzing of the command-line surface: whatever string of
-expression-language tokens a user passes, `kappatwist` answers with exit
-code 0, 1 or 2 and never with a traceback."""
+"""Fuzzing of the command-line surface: whatever string of
+expression-language tokens, and whatever option values for `rexpand` and
+`verify`, a user passes, `kappatwist` answers with exit code 0, 1 or 2 and
+never with a traceback."""
 
 import contextlib
 import io
@@ -84,3 +85,71 @@ def test_nesting_past_the_bound_is_a_parse_error():
     code, err = _run(["eval", _nested(MAX_NESTING + 1), "--order", "2"])
     assert code == 2
     assert err.startswith("parse error: nesting deeper than")
+
+
+# rexpand and verify take every option with a drawn value, valid or not,
+# written as "--flag value" or "--flag=value".  The valid orders and
+# truncations stop at 2 ("7" is past the cap of 6) and verify runs
+# --quick, so each case takes a fraction of a second.
+_INTEGERS = ("0", "-1", "1", "2", "7", "x", "1/0", "abc", "0.1", "")
+_VALUES = {
+    "--order": _INTEGERS,
+    "--truncation": _INTEGERS,
+    "--seed": _INTEGERS,
+    "--case": ("i", "ii", "iii", "iv", "x", ""),
+    "--lambda": ("sym", "1/2", "1/3", "0", "-1", "7", "-5/3", "0.1", "x", "1/0", "abc"),
+    "--suite": ("algebra", "coalgebra", "twist", "rmatrix", "poincare", "all", "abc", ""),
+    "--format": ("text", "json", "x"),
+}
+_OPTIONS = {
+    "rexpand": ("--case", "--lambda", "--truncation", "--format"),
+    "verify": ("--suite", "--lambda", "--seed", "--format"),
+}
+
+
+def _option(draw, flag):
+    value = draw(st.sampled_from(_VALUES[flag]))
+    return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+
+
+@st.composite
+def _arguments(draw, command):
+    argv = [command, *_option(draw, "--order")]
+    for flag in _OPTIONS[command]:
+        if draw(st.booleans()):
+            argv += _option(draw, flag)
+    if command == "verify":
+        argv.append("--quick")
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_option_values_exit_cleanly(command, data):
+    argv = data.draw(_arguments(command))
+    code, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["rexpand", "--order", "2", "--case", "i", "--lambda=-5/3"], 0),
+        # argparse reads a separate "-5/3" as an option, not a value
+        (["rexpand", "--order", "2", "--case", "i", "--lambda", "-5/3"], 2),
+        (["rexpand", "--order", "2", "--lambda", "1/0"], 2),
+        (["rexpand", "--order", "0"], 2),
+        (["rexpand", "--order", "2", "--truncation", "1"], 2),
+        (["rexpand", "--order", "7"], 2),
+        (["verify", "--order", "2", "--quick", "--lambda=-5/3", "--seed", "-1"], 0),
+        (["verify", "--order", "-1", "--quick"], 2),
+        (["verify", "--order", "2", "--quick", "--seed", "0.1"], 2),
+        (["verify", "--order", "2", "--quick", "--suite", "abc"], 2),
+    ],
+)
+def test_option_values_exit_codes(argv, code):
+    got, err = _run(argv)
+    assert got == code, (argv, err)
+    assert "Traceback" not in err

@@ -27,7 +27,6 @@ from kappatwist.tensor import (
     TensorElement,
     canonicalize,
     equal_mod,
-    t_mul,
     tau0,
     tensor,
     tensor3,
@@ -175,7 +174,7 @@ class TestGeneratorCoproducts:
             a = ctx.generator(rng.choice(names))
             b = ctx.generator(rng.choice(names))
             lhs = ctx.coproduct(a * b)
-            rhs = t_mul(ctx.coproduct(a), ctx.coproduct(b))
+            rhs = ctx.coproduct(a) * ctx.coproduct(b)
             assert equal_mod(lhs, rhs, ctx.R)
 
     def test_coproduct_respects_commutators(self, ctx):
@@ -227,7 +226,7 @@ class TestTwistAxioms:
         assert ctx.verify_counit()
 
     def test_twist_invertible(self, ctx):
-        assert t_mul(ctx.twist(), ctx.twist_inverse()) == TensorElement.one(N)
+        assert ctx.twist() * ctx.twist_inverse() == TensorElement.one(N)
 
 
 class TestRealization:
@@ -273,7 +272,7 @@ class TestRMatrix:
 
     def test_tau_squared(self, ctx):
         # tau = tau0 R; tau^2 = tau0(R) R = R^-1 R = 1x1
-        prod = t_mul(tau0(ctx.rmatrix()), ctx.rmatrix())
+        prod = tau0(ctx.rmatrix()) * ctx.rmatrix()
         assert prod == TensorElement.one(N)
 
 

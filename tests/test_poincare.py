@@ -29,11 +29,9 @@ from kappatwist.poincare import (
     nonpoincare_leg_kinds,
     p_leftward,
     realization,
-    rotation_coproduct,
     rotation_coproduct_closed_form,
     xhat_coproduct,
     xhat_coproduct_compact,
-    xhat_coproduct_hom,
 )
 from kappatwist.scalars import LP_ONE, LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import canonicalize, tensor
@@ -176,14 +174,14 @@ class TestBoostCoproducts:
 
     def test_rotation_primitive(self, sym_ctx):
         for i, j in ((1, 2), (2, 3)):
-            d = rotation_coproduct(i, j, sym_ctx)
-            dh = rotation_coproduct(i, j, sym_ctx, method="hom")
+            d = sym_ctx.coproduct_by(mij(i, j, sym_ctx), "twist")
+            dh = sym_ctx.coproduct_by(mij(i, j, sym_ctx), "hom")
             closed = rotation_coproduct_closed_form(i, j, sym_ctx)
             assert d == closed and dh == closed
 
     def test_unknown_method_rejected(self, sym_ctx):
         with pytest.raises(UsageError):
-            rotation_coproduct(1, 2, sym_ctx, method="bogus")
+            sym_ctx.coproduct_by(mij(1, 2, sym_ctx), "bogus")
         with pytest.raises(UsageError):
             lorentz_coproduct(1, realization("i", sym_ctx), sym_ctx, method="bogus")
 
@@ -210,7 +208,7 @@ class TestCoordinateCoproducts:
         for mu in range(4):
             direct = xhat_coproduct(mu, sym_ctx)
             compact = xhat_coproduct_compact(mu, sym_ctx)
-            hom = xhat_coproduct_hom(mu, sym_ctx)
+            hom = sym_ctx.coproduct_hom(sym_ctx.xhat(mu))
             assert direct == compact == hom, mu
 
     def test_leftward_momenta(self, sym_ctx):

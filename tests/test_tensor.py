@@ -25,14 +25,11 @@ from kappatwist.tensor import (
     TensorElement3,
     canonical_exp,
     canonicalize,
-    embed_left,
-    embed_right,
+    embed,
     equal_mod,
-    m0,
     t3_exp,
     t_adjoint,
     t_exp,
-    t_mul,
     tau0,
     tensor,
     tensor3,
@@ -104,7 +101,7 @@ class TestTensorAlgebra:
     def test_legwise_product(self):
         a = tensor(x(1, N), p(0, N))
         b = tensor(p(1, N), x(0, N))
-        ab = t_mul(a, b)
+        ab = a * b
         # left legs multiply: x1 p1; right legs: p0 x0 = x0 p0 - i eta_00
         left = x(1, N) * p(1, N)
         right = p(0, N) * x(0, N)
@@ -125,17 +122,13 @@ class TestTensorAlgebra:
     @given(simple_tensors(), simple_tensors(), simple_tensors())
     @settings(max_examples=30, deadline=None)
     def test_associativity(self, a, b, c):
-        assert t_mul(t_mul(a, b), c) == t_mul(a, t_mul(b, c))
+        assert (a * b) * c == a * (b * c)
 
     def test_tau0_involution_and_antihomomorphism(self):
         a = tensor(x(1, N), p(0, N))
         b = tensor(p(1, N), x(2, N))
         assert tau0(tau0(a)) == a
-        assert tau0(t_mul(a, b)) == t_mul(tau0(a), tau0(b))
-
-    def test_m0_multiplies_legs(self):
-        t = tensor(p(1, N), x(1, N))
-        assert m0(t) == p(1, N) * x(1, N)
+        assert tau0(a * b) == tau0(a) * tau0(b)
 
     def test_t_commutator(self):
         a = tensor(p(1, N), AlgebraElement.one(N))
@@ -171,22 +164,21 @@ class TestExponentials:
     def test_t_exp_inverse(self):
         ctx = TwistContext(order=N)
         f = ctx.twist_exponent
-        assert t_mul(t_exp(f), t_exp(-f)) == TensorElement.one(N)
+        assert t_exp(f) * t_exp(-f) == TensorElement.one(N)
 
     def test_adjoint_matches_conjugation(self):
         ctx = TwistContext(order=N)
         f = ctx.twist_exponent
         target = tensor(p(1, N), x(2, N))
-        conj = t_mul(t_mul(t_exp(f), target), t_exp(-f))
+        conj = (t_exp(f) * target) * t_exp(-f)
         assert t_adjoint(f, target) == conj
 
     def test_three_leg_embeddings(self):
-        t = tensor(p(1, N), x(1, N))
-        tl = embed_left(t)
-        tr = embed_right(t)
-        assert tl != tr
-        e3 = tensor3(p(1, N), x(1, N), AlgebraElement.one(N))
-        assert tl == e3
+        u, v, one = p(1, N), x(1, N), AlgebraElement.one(N)
+        t = tensor(u, v)
+        assert embed(t, 0) == tensor3(one, u, v)
+        assert embed(t, 1) == tensor3(u, one, v)
+        assert embed(t, 2) == tensor3(u, v, one)
 
     def test_t3_exp_inverse(self):
         a = tensor3(
