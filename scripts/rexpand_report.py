@@ -5,13 +5,18 @@ named third-order parameters, and the substitution residual.
 
 Usage:
     python scripts/rexpand_report.py [--case i|ii|iii] [--up-to K]
-                                     [--lambda p/q] [--truncation N]
+                                     [--lambda sym|p/q] [--truncation N]
+
+`--lambda` is read as `kappatwist rexpand` reads it: `sym` solves at
+lambda = 1/2.  Exit codes: 0 when every order solves, 1 when the expansion
+is blocked, 2 on a usage or domain error.
 """
 
 import argparse
 import sys
 from fractions import Fraction
 
+from kappatwist.cli import EXIT_USAGE, parse_lambda
 from kappatwist.hopf import TwistContext
 from kappatwist.poincare import realization
 from kappatwist.rexpand import (
@@ -20,17 +25,13 @@ from kappatwist.rexpand import (
     residual_through,
     wedge_check,
 )
+from kappatwist.scalars import DomainError, UsageError
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--case", choices=("i", "ii", "iii"), default="ii")
-    ap.add_argument("--up-to", type=int, default=3)
-    ap.add_argument("--lambda", dest="lam", default="1/2")
-    ap.add_argument("--truncation", type=int, default=0)
-    args = ap.parse_args()
+def report(args) -> int:
+    lam = parse_lambda(args.lam)
     order = args.truncation or max(args.up_to, 2)
-    ctx = TwistContext(order=order, lam=Fraction(args.lam))
+    ctx = TwistContext(order=order, lam=Fraction(1, 2) if lam is None else lam)
     real = realization(args.case, ctx)
 
     results = expand(args.up_to, real, ctx)
@@ -62,6 +63,20 @@ def main() -> int:
         return 0
     print("expansion blocked: no solution at the last reported order")
     return 1
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--case", choices=("i", "ii", "iii"), default="ii")
+    ap.add_argument("--up-to", type=int, default=3)
+    ap.add_argument("--lambda", dest="lam", default="1/2")
+    ap.add_argument("--truncation", type=int, default=0)
+    args = ap.parse_args()
+    try:
+        return report(args)
+    except (UsageError, DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

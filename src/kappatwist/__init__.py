@@ -6,10 +6,10 @@ All arithmetic is exact (Gaussian rationals and polynomials in the twist
 parameter), with deformation-parameter series truncated at a fixed order.
 """
 
-from .algebra import AlgebraElement, commutator, element_str
+from .algebra import AlgebraElement, commutator
 from .hopf import TwistContext
 from .scalars import DomainError, GaussianRational, LambdaPoly, Scalar, UsageError
-from .tensor import TensorElement, canonicalize, equal_mod, tensor, tensor_str
+from .tensor import TensorElement, canonicalize, equal_mod, tensor
 
 __all__ = [
     "AlgebraElement",
@@ -22,10 +22,8 @@ __all__ = [
     "UsageError",
     "canonicalize",
     "commutator",
-    "element_str",
     "equal_mod",
     "tensor",
-    "tensor_str",
 ]
 
 __version__ = "0.1.0"

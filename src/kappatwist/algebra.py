@@ -11,7 +11,8 @@ give their coefficients as packed `scalars` triples.
 `SparseElement` is the one container behind these elements, the
 coordinate polynomials and the two- and three-leg tensors of `tensor`: an
 immutable {key: Scalar} dict at one truncation order, with all arithmetic
-shared and only the product of two keys left to each subclass.
+and the rendering shared, and only the product and the text of keys left
+to each subclass.
 `power_series` is the one truncated power-series loop over any of them
 (exponentials, the boost profile functions, the adjoint action).
 """
@@ -126,13 +127,14 @@ class SparseElement:
     all truncated at one order N.
 
     Subclasses differ only in their keys: each names the key of its unit
-    (`UNIT_KEY`) and the product of two keys, which it passes to
-    `_product` from its own `__mul__`.
+    (`UNIT_KEY`), the text of a key (`key_str`) and the product of two
+    keys, which it passes to `_product` from its own `__mul__`.
     """
 
     __slots__ = ("terms", "order")
 
     UNIT_KEY: object = None
+    key_str: Callable[[object], str]
 
     def __init__(self, terms: Mapping[object, Scalar], order: int):
         clean = {k: s for k, s in terms.items() if not s.is_zero()}
@@ -260,11 +262,14 @@ class SparseElement:
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=itemgetter(0))
 
+    def __str__(self):
+        """Grammar-compatible rendering, terms in key order."""
+        return sum_str(
+            term_str(scalar_str(s), self.key_str(k)) for k, s in self.sorted_terms()
+        )
 
-def _as_scalar(coeff, order: int) -> Scalar:
-    if isinstance(coeff, Scalar):
-        return coeff
-    return Scalar.from_value(1 if coeff is None else coeff, order)
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r}, N={self.order})"
 
 
 class AlgebraElement(SparseElement):
@@ -273,25 +278,15 @@ class AlgebraElement(SparseElement):
     __slots__ = ()
 
     UNIT_KEY = UNIT_MONOMIAL
+    key_str = staticmethod(monomial_str)
 
     def __mul__(self, other):
         return self._product(other, monomial_product)
 
     @staticmethod
     def monomial(m: Monomial, order: int, coeff=None) -> "AlgebraElement":
-        return AlgebraElement({m: _as_scalar(coeff, order)}, order)
-
-    def __str__(self):
-        return element_str(self)
-
-    def __repr__(self):
-        return f"AlgebraElement({element_str(self)!r}, N={self.order})"
-
-
-def element_str(e: AlgebraElement) -> str:
-    return sum_str(
-        term_str(scalar_str(s), monomial_str(m)) for m, s in e.sorted_terms()
-    )
+        unit = AlgebraElement({m: Scalar.one(order)}, order)
+        return unit if coeff is None else unit.scale(coeff)
 
 
 def x(mu: int, order: int) -> AlgebraElement:
@@ -375,23 +370,17 @@ class Polynomial(SparseElement):
 
     UNIT_KEY = ZERO_EXP
 
+    @staticmethod
+    def key_str(exps: Exponents) -> str:
+        return monomial_str(Monomial(exps, ZERO_EXP))
+
     def __mul__(self, other):
         return self._product(other, _exponent_sum)
 
     @staticmethod
     def x_monomial(exps: Exponents, order: int, coeff=None) -> "Polynomial":
-        return Polynomial({exps: _as_scalar(coeff, order)}, order)
-
-    def to_element(self) -> AlgebraElement:
-        return AlgebraElement(
-            {Monomial(e, ZERO_EXP): s for e, s in self.terms.items()}, self.order
-        )
-
-    def __str__(self):
-        return element_str(self.to_element())
-
-    def __repr__(self):
-        return f"Polynomial({str(self)!r}, N={self.order})"
+        unit = Polynomial({exps: Scalar.one(order)}, order)
+        return unit if coeff is None else unit.scale(coeff)
 
 
 def _exponent_sum(e1: Exponents, e2: Exponents):

@@ -25,19 +25,20 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import element_str
 from .hopf import TwistContext
 from .parser import ParseError, elaborate, parse
 from .scalars import DomainError, UsageError, sum_str, term_str
-from .tensor import TensorElement, canonicalize, tensor, tensor_str
-from .verify import run_suite
+from .tensor import TensorElement, canonicalize, tensor
+from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _parse_lambda(text: str):
+def parse_lambda(text: str):
+    """The twist parameter of a `--lambda` option: None for "sym" (symbolic
+    lambda), else an exact rational."""
     if text == "sym":
         return None
     try:
@@ -68,7 +69,7 @@ def _emit_json(payload: dict) -> None:
 def _cmd_coproduct(args) -> int:
     from .poincare import closed_form_coproduct, closed_form_string
 
-    lam = _parse_lambda(args.lam)
+    lam = parse_lambda(args.lam)
     case = args.case
     node = parse(args.gen)
     if node[0] == "Mhat" and case == "ii" and lam is None:
@@ -86,7 +87,7 @@ def _cmd_coproduct(args) -> int:
         "order": args.order,
         "method": args.method,
         "closed_form": closed_text,
-        "canonical": tensor_str(computed),
+        "canonical": str(computed),
         "verified": verified,
     }
     if args.format == "json":
@@ -95,7 +96,7 @@ def _cmd_coproduct(args) -> int:
         _emit(closed_text)
         if not verified:
             print("verification FAILED; canonical residual:", file=sys.stderr)
-            print(tensor_str(computed - closed), file=sys.stderr)
+            print(computed - closed, file=sys.stderr)
     return EXIT_OK if verified else EXIT_FAIL
 
 
@@ -145,7 +146,7 @@ def _cmd_rexpand(args) -> int:
     from .poincare import realization
     from .rexpand import expand, named_parameters
 
-    lam = _parse_lambda(args.lam)
+    lam = parse_lambda(args.lam)
     if lam is None:
         lam = Fraction(1, 2)
     order = args.truncation if args.truncation else max(args.order, 2)
@@ -199,7 +200,7 @@ def _cmd_rexpand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    lam = _parse_lambda(args.lam)
+    lam = parse_lambda(args.lam)
     report = run_suite(
         args.suite, order=args.order, lam=lam, seed=args.seed, quick=args.quick
     )
@@ -214,7 +215,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    lam = _parse_lambda(args.lam)
+    lam = parse_lambda(args.lam)
     ctx = TwistContext(order=args.order, lam=lam)
     value = elaborate(parse(args.expr), ctx, args.case)
     if args.canonicalize:
@@ -222,11 +223,7 @@ def _cmd_eval(args) -> int:
         if not isinstance(value, TensorElement):
             value = tensor(value, ctx.one)
         value = canonicalize(value, rel)
-    text = (
-        tensor_str(value)
-        if isinstance(value, TensorElement)
-        else element_str(value)
-    )
+    text = str(value)
     if args.format == "json":
         _emit_json(
             {
@@ -286,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run a verification suite")
     vf.add_argument(
         "--suite",
-        choices=("algebra", "coalgebra", "twist", "rmatrix", "poincare", "all"),
+        choices=(*SUITE_NAMES, "all"),
         default="all",
     )
     vf.add_argument("--lambda", dest="lam", default="sym")

@@ -219,7 +219,7 @@ class Parser:
         while self.at_op("+", "-"):
             sign = 1 if self.next()[1] == "+" else -1
             parts.append((sign, self.prod()))
-        return parts[0][1] if len(parts) == 1 and parts[0][0] == 1 else ("sum", parts)
+        return parts[0][1] if len(parts) == 1 else ("sum", parts)
 
 
 def _rational(tok) -> Fraction:

@@ -1,15 +1,16 @@
 """Tensor squares and cubes of the phase-space algebra.
 
 `TensorElement` and `TensorElement3` are `SparseElement` containers keyed
-by pairs and triples of monomials, multiplied leg by leg.  This module
-also provides the leg flip tau0, the embedding of the tensor square into
-the tensor cube, graded exponentials and adjoint conjugation (through
-`power_series`), canonicalization modulo a `RelationSet` of exchange
-relations, and the canonical exponential, which keeps every power of its
-series in canonical form.  It is purely structural: the relations of the
-twist family (undeformed R0 and the deformed R and Rtilde) are written in
-`hopf`.  The canonical representative of a class has no coordinate
-generators in the left tensor leg.
+by pairs and triples of monomials, multiplied leg by leg and built by the
+one outer product `tensor(*legs)`.  This module also provides the leg flip
+tau0, the embedding of the tensor square into the tensor cube, graded
+exponentials and adjoint conjugation (through `power_series`),
+canonicalization modulo a `RelationSet` of exchange relations, and the
+canonical exponential, which keeps every power of its series in canonical
+form.  It is purely structural: the relations of the twist family
+(undeformed R0 and the deformed R and Rtilde) are written in `hopf`.  The
+canonical representative of a class has no coordinate generators in the
+left tensor leg.
 """
 
 from __future__ import annotations
@@ -28,20 +29,16 @@ from .algebra import (
     monomial_str,
     power_series,
 )
-from .scalars import (
-    DomainError,
-    Scalar,
-    UsageError,
-    scalar_str,
-    sum_str,
-    term_str,
-    triple_mul,
-)
+from .scalars import DomainError, Scalar, UsageError, triple_mul
 
 TensorKey = tuple[Monomial, Monomial]
 
 # Safety valve for the rewriting loop; generous relative to any truncation.
 MAX_REWRITE_STEPS = 2_000_000
+
+
+def _legs_str(key: tuple[Monomial, ...]) -> str:
+    return " ox ".join(map(monomial_str, key))
 
 
 class TensorElement(SparseElement):
@@ -50,15 +47,10 @@ class TensorElement(SparseElement):
     __slots__ = ()
 
     UNIT_KEY = (UNIT_MONOMIAL, UNIT_MONOMIAL)
+    key_str = staticmethod(_legs_str)
 
     def __mul__(self, other):
         return self._product(other, _pair_product)
-
-    def __str__(self):
-        return tensor_str(self)
-
-    def __repr__(self):
-        return f"TensorElement({tensor_str(self)!r}, N={self.order})"
 
 
 def _pair_product(k1: TensorKey, k2: TensorKey):
@@ -70,23 +62,23 @@ def _pair_product(k1: TensorKey, k2: TensorKey):
     ]
 
 
-def tensor_str(t: TensorElement) -> str:
-    return sum_str(
-        term_str(scalar_str(s), f"{monomial_str(ml)} ox {monomial_str(mr)}")
-        for (ml, mr), s in t.sorted_terms()
-    )
-
-
-def tensor(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
-    if a.order != b.order:
+def tensor(*legs: AlgebraElement) -> SparseElement:
+    """a (x) b as a TensorElement, or a (x) b (x) c as a TensorElement3."""
+    if len(legs) not in (2, 3):
+        raise UsageError(f"a tensor has two or three legs, not {len(legs)}")
+    order = legs[0].order
+    if any(leg.order != order for leg in legs):
         raise UsageError("legs have different truncation orders")
-    out: dict[TensorKey, Scalar] = {}
-    for m1, s1 in a.terms.items():
-        for m2, s2 in b.terms.items():
-            s = s1 * s2
-            if not s.is_zero():
-                out[(m1, m2)] = s
-    return TensorElement(out, a.order)
+    out = {(m,): s for m, s in legs[0].terms.items()}
+    for leg in legs[1:]:
+        grown = {}
+        for key, s1 in out.items():
+            for m, s2 in leg.terms.items():
+                s = s1 * s2
+                if not s.is_zero():
+                    grown[(*key, m)] = s
+        out = grown
+    return (TensorElement if len(legs) == 2 else TensorElement3)(out, order)
 
 
 def tau0(t: TensorElement) -> TensorElement:
@@ -192,12 +184,10 @@ class TensorElement3(SparseElement):
     __slots__ = ()
 
     UNIT_KEY = (UNIT_MONOMIAL, UNIT_MONOMIAL, UNIT_MONOMIAL)
+    key_str = staticmethod(_legs_str)
 
     def __mul__(self, other):
         return self._product(other, _triple_product)
-
-    def __repr__(self):
-        return f"TensorElement3(<{len(self.terms)} terms>, N={self.order})"
 
 
 def _triple_product(k1: TensorKey3, k2: TensorKey3):
@@ -208,20 +198,6 @@ def _triple_product(k1: TensorKey3, k2: TensorKey3):
         for mb, cb in monomial_product(b1, b2)
         for mc, cc in monomial_product(c1, c2)
     ]
-
-
-def tensor3(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> TensorElement3:
-    out: dict[TensorKey3, Scalar] = {}
-    for m1, s1 in a.terms.items():
-        for m2, s2 in b.terms.items():
-            s12 = s1 * s2
-            if s12.is_zero():
-                continue
-            for m3, s3 in c.terms.items():
-                s = s12 * s3
-                if not s.is_zero():
-                    out[(m1, m2, m3)] = s
-    return TensorElement3(out, a.order)
 
 
 def t3_exp(a: TensorElement3) -> TensorElement3:

@@ -20,17 +20,12 @@ from .algebra import (
     Polynomial,
     act,
     commutator,
-    element_str,
     p,
     x,
 )
 from .hopf import COORDINATES, MOMENTA, TwistContext
 from .scalars import Scalar, UsageError
-from .tensor import (
-    equal_mod,
-    tau0,
-    tensor_str,
-)
+from .tensor import equal_mod, tau0
 
 SUITE_NAMES = ("algebra", "coalgebra", "twist", "rmatrix", "poincare")
 
@@ -141,7 +136,7 @@ def _suite_algebra(report: VerificationReport, ctx: TwistContext, rng: random.Ra
                     Scalar.i(n).scale(-ETA[mu] if mu == nu else 0)
                 )
                 if got != want:
-                    bad.append(f"[p{mu},x{nu}]={element_str(got)}")
+                    bad.append(f"[p{mu},x{nu}]={got}")
         return "; ".join(bad)
 
     report.run("heisenberg-commutators", heisenberg)
@@ -153,10 +148,7 @@ def _suite_algebra(report: VerificationReport, ctx: TwistContext, rng: random.Ra
             b = _random_element(rng, n)
             c = _random_element(rng, n)
             if (a * b) * c != a * (b * c):
-                return (
-                    f"(a*b)*c != a*(b*c) for a={element_str(a)}, "
-                    f"b={element_str(b)}, c={element_str(c)}"
-                )
+                return f"(a*b)*c != a*(b*c) for a={a}, b={b}, c={c}"
         return ""
 
     report.run("product-associativity", associativity)
@@ -170,7 +162,7 @@ def _suite_algebra(report: VerificationReport, ctx: TwistContext, rng: random.Ra
             lhs = act(a * b, f)
             rhs = act(a, act(b, f))
             if lhs != rhs:
-                return f"(ab)|>f != a|>(b|>f) for a={element_str(a)}, b={element_str(b)}"
+                return f"(ab)|>f != a|>(b|>f) for a={a}, b={b}"
         return ""
 
     report.run("module-action-composition", action_composition)
@@ -197,7 +189,7 @@ def _suite_coalgebra(report: VerificationReport, ctx: TwistContext, rng: random.
             lhs = ctx.coproduct(a * b)
             rhs = ctx.coproduct(a) * ctx.coproduct(b)
             if not equal_mod(lhs, rhs, ctx.R):
-                return f"Delta(ab) != Delta(a)Delta(b) for a={element_str(a)}, b={element_str(b)}"
+                return f"Delta(ab) != Delta(a)Delta(b) for a={a}, b={b}"
         return ""
 
     report.run("coproduct-homomorphism", homomorphism)
@@ -305,7 +297,7 @@ def _suite_poincare(report: VerificationReport, ctx: TwistContext, rng: random.R
             d = lorentz_coproduct(1, real, case_ctx)
             c = boost_coproduct_closed_form(1, real, case_ctx)
             if d != c:
-                return "boost coproduct != closed form:\n" + tensor_str(d - c)
+                return f"boost coproduct != closed form:\n{d - c}"
             return ""
 
         report.run(f"boost-coproduct-case-{case}", closed_coproduct)

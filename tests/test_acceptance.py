@@ -478,14 +478,13 @@ def test_criterion_12_case_iii_infeasible():
 def test_criterion_13_cli(capsys):
     from kappatwist.cli import run
     from kappatwist.parser import evaluate
-    from kappatwist.tensor import tensor_str
 
     ctx = TwistContext(order=3)
     ok = True
     # round trip on canonical renderings
     for name in ("x0", "x1", "p0", "p1"):
         d = ctx.generator_coproduct(name)
-        ok &= evaluate(tensor_str(d), ctx) == d
+        ok &= evaluate(str(d), ctx) == d
     # documented exit codes
     ok &= run(["coproduct", "--gen", "p1", "--lambda", "sym", "--order", "3"]) == 0
     out = capsys.readouterr().out.strip()

@@ -14,13 +14,13 @@ from kappatwist.algebra import (
     ETA,
     Monomial,
     Polynomial,
+    UNIT_MONOMIAL,
     ZERO_EXP,
     _bump,
     _reorder_1d,
     act,
     commutator,
     dilatation,
-    element_str,
     graded_exp,
     monomial_product,
     p,
@@ -28,8 +28,8 @@ from kappatwist.algebra import (
     x,
     z_power,
 )
-from kappatwist.scalars import DomainError, GaussianRational, LambdaPoly, Scalar
-from kappatwist.tensor import TensorElement, t3_exp, t_adjoint, t_exp, tensor, tensor3
+from kappatwist.scalars import DomainError, GaussianRational, LambdaPoly, Scalar, UsageError
+from kappatwist.tensor import TensorElement, t3_exp, t_adjoint, t_exp, tensor
 
 N = 3
 
@@ -226,7 +226,7 @@ class TestExponentials:
         [
             lambda: graded_exp(x(1, N)),
             lambda: t_exp(tensor(x(1, N), p(0, N))),
-            lambda: t3_exp(tensor3(x(1, N), p(0, N), p(0, N))),
+            lambda: t3_exp(tensor(x(1, N), p(0, N), p(0, N))),
             lambda: t_adjoint(tensor(x(1, N), p(0, N)), TensorElement.one(N)),
         ],
         ids=["graded_exp", "t_exp", "t3_exp", "t_adjoint"],
@@ -242,5 +242,55 @@ class TestExponentials:
 
 def test_element_str_roundtrippable_tokens():
     e = x(1, N) * p(0, N) - AlgebraElement.one(N).scale(Scalar.i(N))
-    s = element_str(e)
+    s = str(e)
     assert "x1" in s and "p0" in s
+
+
+def polynomials():
+    """A truncation order 1..4 and a polynomial of it, with coefficients
+    spread over a0 grades and powers of lam."""
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 3)] * DIM),
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+        st.integers(0, 4),
+        st.integers(0, 2),
+    )
+
+    def build(order, terms):
+        out = Polynomial.zero(order)
+        for exps, c, k, j in terms:
+            out = out + Polynomial.x_monomial(
+                exps, order, Scalar.graded(LambdaPoly({j: c}), k, order)
+            )
+        return out
+
+    return st.builds(build, st.integers(1, 4), st.lists(term, max_size=5))
+
+
+@given(polynomials())
+@settings(max_examples=60, deadline=None)
+def test_polynomial_renders_as_its_momentum_free_element(f):
+    # the former route: a polynomial printed through the AlgebraElement of
+    # its momentum-free monomials
+    as_element = AlgebraElement(
+        {Monomial(e, ZERO_EXP): s for e, s in f.terms.items()}, f.order
+    )
+    assert str(f) == str(as_element)
+    assert repr(f) == f"Polynomial({str(as_element)!r}, N={f.order})"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: AlgebraElement.monomial(UNIT_MONOMIAL, N, c),
+        lambda c: Polynomial.x_monomial(ZERO_EXP, N, c),
+    ],
+    ids=["monomial", "x_monomial"],
+)
+def test_monomial_coefficients_go_through_scale(build):
+    assert build(None) == build(1) == build(Scalar.one(N))
+    assert build(Fraction(2, 3)) == build(None).scale(Fraction(2, 3))
+    with pytest.raises(UsageError):
+        build(Scalar.one(N + 1))
+    with pytest.raises(UsageError):
+        build(1.5)

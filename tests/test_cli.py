@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kappatwist
-from kappatwist.algebra import AlgebraElement, Monomial, element_str, p, x
+from kappatwist.algebra import AlgebraElement, Monomial, p, x
 from kappatwist.cli import run
 from kappatwist.hopf import TwistContext
 from kappatwist.parser import MAX_NESTING, ParseError, evaluate, parse
-from kappatwist.scalars import Scalar, UsageError
-from kappatwist.tensor import TensorElement, tensor_str
+from kappatwist.scalars import LambdaPoly, Scalar, UsageError
+from kappatwist.tensor import TensorElement, tensor
 
 N = 3
 
@@ -80,59 +80,58 @@ class TestParser:
             evaluate(src, ctx)
 
 
-def random_elements():
-    coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
-    idx = st.integers(0, 3)
-
-    def build(terms):
-        out = AlgebraElement.zero(N)
-        for xs, ps, c in terms:
-            alpha = [0] * 4
-            beta = [0] * 4
-            for mu in xs:
-                alpha[mu] += 1
-            for mu in ps:
-                beta[mu] += 1
-            out = out + AlgebraElement.monomial(
-                Monomial(tuple(alpha), tuple(beta)), N
-            ).scale(Scalar.from_value(c, N))
-        return out
-
-    return st.builds(
-        build,
-        st.lists(
-            st.tuples(st.lists(idx, max_size=2), st.lists(idx, max_size=2), coeff),
-            min_size=1,
-            max_size=3,
-        ),
+@st.composite
+def contexts_and_elements(draw, legs):
+    """A context (order 1..4, lam symbolic or 1/3) and an element of it:
+    plain for legs=1, else a two-leg tensor.  Coefficients spread over a0
+    grades, powers of lam (substituted when lam is a number) and I."""
+    n = draw(st.integers(1, 4))
+    lam = draw(st.sampled_from([None, Fraction(1, 3)]))
+    ctx = TwistContext(order=n, lam=lam)
+    exponents = st.builds(
+        lambda mus: tuple(mus.count(mu) for mu in range(4)),
+        st.lists(st.integers(0, 3), max_size=2),
     )
+    monomial = st.builds(Monomial, exponents, exponents)
+    coeff = st.tuples(
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+        st.integers(0, n),
+        st.integers(0, 2),
+        st.booleans(),
+    )
+    out = AlgebraElement.zero(n) if legs == 1 else TensorElement.zero(n)
+    for keys, (c, k, j, imaginary) in draw(
+        st.lists(st.tuples(st.tuples(*[monomial] * legs), coeff), min_size=1, max_size=4)
+    ):
+        s = Scalar.graded(LambdaPoly({j: c}), k, n)
+        if imaginary:
+            s = s * Scalar.i(n)
+        plain = [AlgebraElement.monomial(m, n) for m in keys]
+        out = out + (plain[0] if legs == 1 else tensor(*plain)).scale(s)
+    return ctx, out if lam is None else out.substitute_lambda(lam)
 
 
 class TestRoundTrip:
-    @given(random_elements())
-    @settings(max_examples=40, deadline=None)
-    def test_parse_render_identity(self, e):
-        ctx = TwistContext(order=N)
-        s = element_str(e)
-        assert evaluate(s, ctx) == e
+    @given(contexts_and_elements(legs=1))
+    @settings(max_examples=60, deadline=None)
+    def test_parse_render_identity(self, drawn):
+        ctx, e = drawn
+        assert evaluate(str(e), ctx) == e
 
-    @given(random_elements(), random_elements())
-    @settings(max_examples=25, deadline=None)
-    def test_tensor_parse_render_identity(self, a, b):
-        from kappatwist.tensor import tensor
-
-        ctx = TwistContext(order=N)
-        t = tensor(a, b)
-        s = tensor_str(t)
+    @given(contexts_and_elements(legs=2))
+    @settings(max_examples=60, deadline=None)
+    def test_tensor_parse_render_identity(self, drawn):
+        ctx, t = drawn
         if t.is_zero():
-            return
-        assert evaluate(s, ctx) == t
+            assert str(t) == "0"
+        else:
+            assert evaluate(str(t), ctx) == t
 
     def test_coproduct_rendering_roundtrip(self):
         ctx = TwistContext(order=N)
         for name in ("x0", "x1", "p0", "p1"):
             d = ctx.generator_coproduct(name)
-            assert evaluate(tensor_str(d), ctx) == d
+            assert evaluate(str(d), ctx) == d
 
 
 class TestCLI:

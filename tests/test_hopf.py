@@ -29,7 +29,6 @@ from kappatwist.tensor import (
     equal_mod,
     tau0,
     tensor,
-    tensor3,
 )
 
 N = 3
@@ -202,8 +201,8 @@ class TestTwistAxioms:
         def exponent3(split_first):
             def pair(left, right):
                 if split_first:
-                    return tensor3(left, one, right) + tensor3(one, left, right)
-                return tensor3(left, right, one) + tensor3(left, one, right)
+                    return tensor(left, one, right) + tensor(one, left, right)
+                return tensor(left, right, one) + tensor(left, one, right)
 
             return pair(ctx.S, ctx.A) * (i * lam_s) - pair(ctx.A, ctx.S) * (
                 i * (Scalar.one(order) - lam_s)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kappatwist
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -31,6 +33,31 @@ def test_rexpand_report():
     assert re.search(r"^order 1: unique .* equations=7 ", proc.stdout, re.M)
     assert re.search(r"^order 2: unique .* equations=16 ", proc.stdout, re.M)
     assert "substitution residual through solved orders: clean" in proc.stdout
+
+
+def test_rexpand_report_reads_lambda_as_the_cli():
+    """`sym` solves at lambda = 1/2, as `kappatwist rexpand` does."""
+    sym = _run_script("rexpand_report.py", "--up-to", "2", "--lambda", "sym")
+    half = _run_script("rexpand_report.py", "--up-to", "2", "--lambda", "1/2")
+    assert sym.returncode == half.returncode == 0, sym.stderr
+    assert sym.stdout == half.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--lambda", "1/0"),
+        ("--lambda", "one-half"),
+        ("--up-to", "7"),
+        ("--up-to", "2", "--truncation", "1"),
+    ],
+    ids=["lambda-1/0", "lambda-word", "order-cap", "truncation-low"],
+)
+def test_rexpand_report_usage_errors(args):
+    proc = _run_script("rexpand_report.py", *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_coproduct_tables_bytes():

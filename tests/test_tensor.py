@@ -32,8 +32,6 @@ from kappatwist.tensor import (
     t_exp,
     tau0,
     tensor,
-    tensor3,
-    tensor_str,
 )
 
 N = 3
@@ -176,15 +174,15 @@ class TestExponentials:
     def test_three_leg_embeddings(self):
         u, v, one = p(1, N), x(1, N), AlgebraElement.one(N)
         t = tensor(u, v)
-        assert embed(t, 0) == tensor3(one, u, v)
-        assert embed(t, 1) == tensor3(u, one, v)
-        assert embed(t, 2) == tensor3(u, v, one)
+        assert embed(t, 0) == tensor(one, u, v)
+        assert embed(t, 1) == tensor(u, one, v)
+        assert embed(t, 2) == tensor(u, v, one)
 
     def test_t3_exp_inverse(self):
-        a = tensor3(
+        a = tensor(
             time_translation(N), dilatation(N), AlgebraElement.one(N)
         ) * Scalar.i(N)
-        assert t3_exp(a) * t3_exp(-a) == tensor3(
+        assert t3_exp(a) * t3_exp(-a) == tensor(
             AlgebraElement.one(N), AlgebraElement.one(N), AlgebraElement.one(N)
         )
 
@@ -264,4 +262,56 @@ def test_containers_reject_mixed_orders(cls, op):
 
 
 def test_tensor_str_zero():
-    assert tensor_str(TensorElement.zero(N)) == "0"
+    assert str(TensorElement.zero(N)) == "0"
+
+
+def tensor3_loop(a, b, c):
+    """The former tensor3: a triple loop over the legs' terms."""
+    out = {}
+    for m1, s1 in a.terms.items():
+        for m2, s2 in b.terms.items():
+            s12 = s1 * s2
+            if s12.is_zero():
+                continue
+            for m3, s3 in c.terms.items():
+                s = s12 * s3
+                if not s.is_zero():
+                    out[(m1, m2, m3)] = s
+    return TensorElement3(out, a.order)
+
+
+@st.composite
+def graded_legs(draw, count):
+    """`count` plain elements of one order 1..4 whose coefficients spread
+    over a0 grades and powers of lam, so that leg products can truncate."""
+    n = draw(st.integers(1, 4))
+    ctx = TwistContext(order=n)
+    gens = st.sampled_from(["x0", "x1", "p0", "p1", "S", "A"])
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    term = st.tuples(gens, coeff, st.integers(0, n), st.integers(0, 2))
+    legs = []
+    for _ in range(count):
+        leg = AlgebraElement.zero(n)
+        for g, c, k, j in draw(st.lists(term, min_size=1, max_size=3)):
+            leg = leg + ctx.generator(g).scale(Scalar.graded(LambdaPoly({j: c}), k, n))
+        legs.append(leg)
+    return legs
+
+
+@given(graded_legs(3))
+@settings(max_examples=60, deadline=None)
+def test_three_leg_tensor_matches_triple_loop(legs):
+    got = tensor(*legs)
+    assert isinstance(got, TensorElement3)
+    assert got == tensor3_loop(*legs)
+
+
+@pytest.mark.parametrize("count", [0, 1, 4])
+def test_tensor_takes_two_or_three_legs(count):
+    with pytest.raises(UsageError):
+        tensor(*[p(1, N)] * count)
+
+
+def test_tensor_rejects_mixed_orders():
+    with pytest.raises(UsageError):
+        tensor(p(1, N), p(1, N), p(1, N + 1))
