@@ -14,9 +14,8 @@ is blocked, 2 on a usage or domain error.
 
 import argparse
 import sys
-from fractions import Fraction
 
-from kappatwist.cli import EXIT_USAGE, parse_lambda
+from kappatwist.cli import EXIT_USAGE, rexpand_lambda
 from kappatwist.hopf import TwistContext
 from kappatwist.poincare import realization
 from kappatwist.rexpand import (
@@ -29,9 +28,8 @@ from kappatwist.scalars import DomainError, UsageError
 
 
 def report(args) -> int:
-    lam = parse_lambda(args.lam)
     order = args.truncation or max(args.up_to, 2)
-    ctx = TwistContext(order=order, lam=Fraction(1, 2) if lam is None else lam)
+    ctx = TwistContext(order=order, lam=rexpand_lambda(args.lam))
     real = realization(args.case, ctx)
 
     results = expand(args.up_to, real, ctx)

@@ -47,6 +47,13 @@ def parse_lambda(text: str):
         raise UsageError(f"invalid twist parameter {text!r}") from exc
 
 
+def rexpand_lambda(text: str) -> Fraction:
+    """The twist parameter the re-expansion solves at.  It solves over exact
+    rationals only, so "sym" means lambda = 1/2."""
+    lam = parse_lambda(text)
+    return Fraction(1, 2) if lam is None else lam
+
+
 def _emit(text: str) -> None:
     """Print a line: the CLI's one stdout writer.  A reader that closed the
     pipe (`| head`) gets no more: stdout goes to os.devnull, as the SIGPIPE
@@ -146,9 +153,7 @@ def _cmd_rexpand(args) -> int:
     from .poincare import realization
     from .rexpand import expand, named_parameters
 
-    lam = parse_lambda(args.lam)
-    if lam is None:
-        lam = Fraction(1, 2)
+    lam = rexpand_lambda(args.lam)
     order = args.truncation if args.truncation else max(args.order, 2)
     ctx = TwistContext(order=order, lam=lam)
     real = realization(args.case, ctx)

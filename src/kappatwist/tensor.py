@@ -66,19 +66,27 @@ def tensor(*legs: AlgebraElement) -> SparseElement:
     """a (x) b as a TensorElement, or a (x) b (x) c as a TensorElement3."""
     if len(legs) not in (2, 3):
         raise UsageError(f"a tensor has two or three legs, not {len(legs)}")
-    order = legs[0].order
-    if any(leg.order != order for leg in legs):
+    a, b, *rest = legs
+    if a.order != b.order or (rest and rest[0].order != a.order):
         raise UsageError("legs have different truncation orders")
-    out = {(m,): s for m, s in legs[0].terms.items()}
-    for leg in legs[1:]:
-        grown = {}
-        for key, s1 in out.items():
-            for m, s2 in leg.terms.items():
-                s = s1 * s2
-                if not s.is_zero():
-                    grown[(*key, m)] = s
-        out = grown
-    return (TensorElement if len(legs) == 2 else TensorElement3)(out, order)
+    out = {
+        (m1, m2): s
+        for m1, s1 in a.terms.items()
+        for m2, s2 in b.terms.items()
+        if not (s := s1 * s2).is_zero()
+    }
+    if not rest:
+        return TensorElement(out, a.order)
+    (c,) = rest
+    return TensorElement3(
+        {
+            (m1, m2, m3): s
+            for (m1, m2), s12 in out.items()
+            for m3, s3 in c.terms.items()
+            if not (s := s12 * s3).is_zero()
+        },
+        a.order,
+    )
 
 
 def tau0(t: TensorElement) -> TensorElement:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import kappatwist
 from kappatwist.algebra import AlgebraElement, Monomial, p, x
-from kappatwist.cli import run
+from kappatwist.cli import rexpand_lambda, run
 from kappatwist.hopf import TwistContext
 from kappatwist.parser import MAX_NESTING, ParseError, evaluate, parse
 from kappatwist.scalars import LambdaPoly, Scalar, UsageError
@@ -314,3 +314,11 @@ def test_closed_pipe_is_a_quiet_exit(tmp_path):
             assert proc.wait(timeout=60) == 0
             err.seek(0)
             assert err.read() == ""
+
+
+def test_rexpand_lambda_solves_sym_at_one_half():
+    """The re-expansion solves at exact rationals: `sym` means 1/2."""
+    assert rexpand_lambda("sym") == Fraction(1, 2)
+    assert rexpand_lambda("1/3") == Fraction(1, 3)
+    with pytest.raises(UsageError):
+        rexpand_lambda("1/0")
