@@ -19,6 +19,14 @@ sum of two commuting terms that each carry a0, and F^-1 acts there as
 Z^((1-lam)e) (x) Z^(-lam d) -- also under truncation, where exp(X + Y) =
 exp(X) exp(Y) still holds for commuting X and Y.  Ftilde^-1 = tau0(F^-1)
 acts as Z^(-lam e) (x) Z^((1-lam)d).
+
+The twist is Abelian, so F, (Delta0 (x) id)F and (id (x) Delta0)F lie in
+the commutative algebra C[S, A]^(x)n, where a product adds exponents.
+`verify_cocycle` checks the cocycle condition there, in `CommutingTriple`.
+The check loses no strength: `expand`, which sends the key (s, a) of a leg
+to S^s p0^a, is an injective algebra map that commutes with Delta0 (S and
+A are primitive), and the check first requires that the lifted exponent
+and its exponential expand to `twist_exponent` and to the cached `twist()`.
 """
 
 from __future__ import annotations
@@ -28,18 +36,24 @@ from functools import lru_cache, partial
 from .algebra import (
     AlgebraElement,
     DIM,
+    Monomial,
     Polynomial,
+    SparseElement,
     UNIT_MONOMIAL,
     ZERO_EXP,
     _bump,
+    _exponent_sum,
     act,
     dilatation,
+    exp_coeffs,
     p,
+    power_series,
     time_translation,
     x,
     z_power,
 )
 from .scalars import (
+    DomainError,
     LP_LAM,
     LP_ONE,
     GaussianRational,
@@ -54,8 +68,6 @@ from .tensor import (
     TensorElement3,
     canonical_exp,
     canonicalize,
-    embed,
-    t3_exp,
     t_adjoint,
     t_exp,
     tau0,
@@ -111,6 +123,56 @@ def relation_set(tag: str, lam: LambdaPoly, order: int) -> RelationSet:
     # the rule holds values only, not a context: a reference back would keep
     # every context alive until a garbage-collection pass
     return RelationSet(tag, order, partial(exchange_rule, tag, lam, order))
+
+
+def _commuting_legs_str(key: tuple[int, ...]) -> str:
+    return " ox ".join(
+        "*".join(f"{g}^{e}" if e > 1 else g for g, e in (("S", s), ("p0", a)) if e)
+        or "1"
+        for s, a in zip(key[::2], key[1::2])
+    )
+
+
+class _Commuting(SparseElement):
+    """Element of C[S, A]^(x)n, keyed by the exponents (s1, a1, ..., sn, an)
+    of S^s1 p0^a1 (x) ... (x) S^sn p0^an; the a0^a of A^a sits in the
+    coefficient.  S and p0 commute, so a product adds exponents."""
+
+    __slots__ = ()
+
+    key_str = staticmethod(_commuting_legs_str)
+
+    def __mul__(self, other):
+        return self._product(other, _exponent_sum)
+
+
+class CommutingPair(_Commuting):
+    __slots__ = ()
+    UNIT_KEY = (0,) * 4
+
+
+class CommutingTriple(_Commuting):
+    __slots__ = ()
+    UNIT_KEY = (0,) * 6
+
+
+def _unit_leg(c: CommutingPair, at: int) -> CommutingTriple:
+    """The key-level `embed`: a unit leg inserted at position `at`."""
+    return CommutingTriple(
+        {k[: 2 * at] + (0, 0) + k[2 * at :]: s for k, s in c.terms.items()}, c.order
+    )
+
+
+def _split_exponent(f: CommutingPair) -> tuple[CommutingTriple, CommutingTriple]:
+    """(Delta0 (x) id)f and (id (x) Delta0)f for f with primitive legs:
+    the first sends l (x) r to l (x) 1 (x) r + 1 (x) l (x) r, the second
+    to l (x) r (x) 1 + l (x) 1 (x) r."""
+    return _unit_leg(f, 1) + _unit_leg(f, 0), _unit_leg(f, 2) + _unit_leg(f, 1)
+
+
+# x1 p1 and p0, the monomials of S (x) A and A (x) S that the lift reads
+_X1P1 = Monomial((0, 1, 0, 0), (0, 1, 0, 0))
+_P0 = Monomial(ZERO_EXP, (1, 0, 0, 0))
 
 
 class TwistContext:
@@ -268,22 +330,61 @@ class TwistContext:
 
     # -- twist axioms ----------------------------------------------------
 
-    def cocycle_exponents(self) -> tuple[TensorElement3, TensorElement3]:
-        """(Delta0 (x) id)f and (id (x) Delta0)f for the twist exponent f.
+    def _s_p0_power(self, s: int, a: int) -> AlgebraElement:
+        """S^s p0^a, cached per context."""
 
-        S and A are primitive, so Delta0 splits one leg: the first sends
-        l (x) r to l (x) 1 (x) r + 1 (x) l (x) r, the second to
-        l (x) r (x) 1 + l (x) 1 (x) r.
-        """
+        def build():
+            if a:
+                return self._s_p0_power(s, a - 1) * p(0, self.order)
+            return self._s_p0_power(s - 1, 0) * self.S if s else self.one
+
+        return self._cached(("Sp0", s, a), build)
+
+    def expand(self, c: _Commuting) -> SparseElement:
+        """The image of c in the tensor square or cube of the phase-space
+        algebra: an injective algebra map, key (s, a) to S^s p0^a on each leg."""
+        kind = TensorElement if len(c.UNIT_KEY) == 4 else TensorElement3
+        out = kind.zero(c.order)
+        for key, s in c.terms.items():
+            legs = (self._s_p0_power(*e) for e in zip(key[::2], key[1::2]))
+            out = out + tensor(*legs).scale(s)
+        return out
+
+    def _twist_lift(self) -> CommutingPair | None:
+        """The twist exponent in C[S, A]^(x)2, read off its S (x) A and
+        A (x) S coefficients; None if that does not give it back."""
         f = self.twist_exponent
-        return embed(f, 1) + embed(f, 0), embed(f, 2) + embed(f, 1)
+        lift = CommutingPair(
+            {
+                (1, 0, 0, 1): f.coefficient((_X1P1, _P0)),
+                (0, 1, 1, 0): f.coefficient((_P0, _X1P1)),
+            },
+            self.order,
+        )
+        return lift if self.expand(lift) == f else None
+
+    def cocycle_exponents(self) -> tuple[CommutingTriple, CommutingTriple]:
+        """(Delta0 (x) id)f and (id (x) Delta0)f for the twist exponent f,
+        in C[S, A]^(x)3; S and A are primitive."""
+        f = self._twist_lift()
+        if f is None:
+            raise DomainError("the twist exponent is not in C[S, A] (x) C[S, A]")
+        return _split_exponent(f)
 
     def verify_cocycle(self) -> bool:
-        """(F (x) 1)((Delta0 (x) id)F) == (1 (x) F)((id (x) Delta0)F)."""
-        first, second = self.cocycle_exponents()
-        lhs = embed(self.twist(), 2) * t3_exp(first)
-        rhs = embed(self.twist(), 0) * t3_exp(second)
-        return lhs == rhs
+        """(F (x) 1)((Delta0 (x) id)F) == (1 (x) F)((id (x) Delta0)F), in
+        C[S, A]^(x)3 (module docstring).  Fails unless the lifted F expands
+        to the cached `twist()`."""
+        f = self._twist_lift()
+        if f is None:
+            return False
+        coeffs = exp_coeffs(self.order)
+        F = power_series(f, coeffs)
+        if self.expand(F) != self.twist():
+            return False
+        first, second = _split_exponent(f)
+        lhs = _unit_leg(F, 2) * power_series(first, coeffs)
+        return lhs == _unit_leg(F, 0) * power_series(second, coeffs)
 
     def verify_counit(self) -> bool:
         """(eps (x) id)F == 1 with eps the unit-coefficient projection."""

@@ -2,9 +2,12 @@
 
 `TensorElement` and `TensorElement3` are `SparseElement` containers keyed
 by pairs and triples of monomials, multiplied leg by leg and built by the
-one outer product `tensor(*legs)`.  This module also provides the leg flip
-tau0, the embedding of the tensor square into the tensor cube, graded
-exponentials and adjoint conjugation (through `power_series`),
+one outer product `tensor(*legs)`.  The tensor cube is the target of
+`hopf`'s `expand` and, with `embed` (the tensor square inside the cube)
+and `t3_exp`, the independent route that tests check the cocycle
+condition against; `hopf` checks it in C[S, A]^(x)3.  This module also
+provides the leg flip tau0, graded exponentials and adjoint conjugation
+(through `power_series`),
 canonicalization modulo a `RelationSet` of exchange relations, and the
 canonical exponential, which keeps every power of its series in canonical
 form.  It is purely structural: the relations of the twist family
@@ -187,7 +190,7 @@ TensorKey3 = tuple[Monomial, Monomial, Monomial]
 
 
 class TensorElement3(SparseElement):
-    """Triple tensors; just enough structure for the cocycle check."""
+    """Finite Scalar-linear combination of monomial tensor triples."""
 
     __slots__ = ()
 

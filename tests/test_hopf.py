@@ -16,22 +16,41 @@ from kappatwist.algebra import (
     Polynomial,
     act,
     commutator,
+    exp_coeffs,
     p,
+    power_series,
     x,
 )
 from kappatwist import hopf
-from kappatwist.hopf import COORDINATES, GENERATORS, MOMENTA, TwistContext
+from kappatwist.hopf import (
+    COORDINATES,
+    GENERATORS,
+    MOMENTA,
+    CommutingPair,
+    CommutingTriple,
+    TwistContext,
+)
 from kappatwist.parser import elaborate, evaluate, parse
-from kappatwist.scalars import GaussianRational, LambdaPoly, Scalar, UsageError
+from kappatwist.scalars import (
+    DomainError,
+    GaussianRational,
+    LambdaPoly,
+    Scalar,
+    UsageError,
+)
 from kappatwist.tensor import (
     TensorElement,
     canonicalize,
+    embed,
     equal_mod,
+    t3_exp,
     tau0,
     tensor,
 )
 
 N = 3
+LAMBDAS = [None, Fraction(1, 2), Fraction(1, 3)]
+LAMBDA_IDS = ["sym", "1/2", "1/3"]
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +227,8 @@ class TestTwistAxioms:
                 i * (Scalar.one(order) - lam_s)
             )
 
-        assert ctx.cocycle_exponents() == (exponent3(True), exponent3(False))
+        got = tuple(map(ctx.expand, ctx.cocycle_exponents()))
+        assert got == (exponent3(True), exponent3(False))
 
     def test_cocycle_mutation_detected(self):
         # F stays cached from the true exponent while the exponent that
@@ -221,11 +241,90 @@ class TestTwistAxioms:
         ).scale(i * (Scalar.one(N) - lam_of(ctx)))
         assert not ctx.verify_cocycle()
 
+    def test_cached_twist_mutation_detected(self):
+        # the exponent is right, but the cached F carries one extra term at
+        # the top a0 grade
+        ctx = TwistContext(order=N)
+        extra = tensor(ctx.S, ctx.S).scale(Scalar.a0(N, N))
+        ctx._cache["F"] = ctx.twist() + extra
+        assert not ctx.verify_cocycle()
+
+    @pytest.mark.parametrize("mutated", [False, True], ids=["true", "mutated"])
+    @pytest.mark.parametrize("lam", LAMBDAS, ids=LAMBDA_IDS)
+    @pytest.mark.parametrize("order", range(1, 5))
+    def test_cocycle_agrees_with_three_leg_route(self, order, lam, mutated):
+        # the reference route multiplies normal-ordered three-leg tensors
+        ctx = TwistContext(order=order, lam=lam)
+        if mutated:  # F stays cached from the true exponent
+            ctx.twist()
+            ctx.twist_exponent = ctx.twist_exponent + tensor(ctx.A, ctx.S).scale(
+                Scalar.i(order)
+            )
+        f, F = ctx.twist_exponent, ctx.twist()
+        first, second = embed(f, 1) + embed(f, 0), embed(f, 2) + embed(f, 1)
+        e_first, e_second = t3_exp(first), t3_exp(second)
+        want = embed(F, 2) * e_first == embed(F, 0) * e_second
+        assert ctx.verify_cocycle() is want is (not mutated)
+        coeffs = exp_coeffs(order)
+        c_first, c_second = ctx.cocycle_exponents()
+        assert ctx.expand(c_first) == first and ctx.expand(c_second) == second
+        assert ctx.expand(power_series(c_first, coeffs)) == e_first
+        assert ctx.expand(power_series(c_second, coeffs)) == e_second
+
+    @pytest.mark.parametrize("lam", [None, Fraction(1, 2)], ids=["sym", "1/2"])
+    @pytest.mark.parametrize("order", [5, 6])
+    def test_cocycle_at_high_order(self, order, lam):
+        assert TwistContext(order=order, lam=lam).verify_cocycle()
+
+    def test_cocycle_exponents_reject_a_non_commuting_exponent(self):
+        ctx = TwistContext(order=N)
+        ctx.twist_exponent = ctx.twist_exponent + tensor(x(1, N), ctx.A)
+        assert not ctx.verify_cocycle()
+        with pytest.raises(DomainError):
+            ctx.cocycle_exponents()
+
     def test_counit(self, ctx):
         assert ctx.verify_counit()
 
     def test_twist_invertible(self, ctx):
         assert ctx.twist() * ctx.twist_inverse() == TensorElement.one(N)
+
+
+@st.composite
+def _commuting_pair_of_elements(draw):
+    """A context at order 1..4, symbolic or rational lam, and two elements
+    of C[S, A]^(x)2 or C[S, A]^(x)3 with coefficients spread over a0
+    grades and, for symbolic lam, powers of lam."""
+    order = draw(st.integers(1, 4))
+    lam = draw(st.sampled_from(LAMBDAS))
+    kind = draw(st.sampled_from([CommutingPair, CommutingTriple]))
+    legs = len(kind.UNIT_KEY) // 2
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 1), st.integers(0, 2)] * legs),
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+        st.integers(0, order),
+        st.integers(0, 2 if lam is None else 0),
+    )
+
+    def build(terms):
+        out = kind.zero(order)
+        for key, c, k, j in terms:
+            coeff = Scalar.graded(LambdaPoly({j: c}), k, order)
+            out = out + kind({key: coeff}, order)
+        return out
+
+    elements = st.builds(build, st.lists(term, max_size=3))
+    return TwistContext(order=order, lam=lam), draw(elements), draw(elements)
+
+
+class TestCommutingExpansion:
+    @given(_commuting_pair_of_elements())
+    @settings(max_examples=100, deadline=None)
+    def test_expand_is_an_injective_algebra_map(self, setting):
+        ctx, a, b = setting
+        assert ctx.expand(a * b) == ctx.expand(a) * ctx.expand(b)
+        for c in (a, b, a * b):
+            assert ctx.expand(c).is_zero() == c.is_zero()
 
 
 class TestRealization:
