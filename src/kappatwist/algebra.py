@@ -8,6 +8,12 @@ as the module the full algebra operates on via `act`.  Products and `act`
 both apply the commutator through `_reorder_1d`, and monomial products
 give their coefficients as packed `scalars` triples.
 
+`commutator(a, b)` walks the pairs of terms once instead of forming both
+products.  For two keys, k1*k2 and k2*k1 share their contraction-free
+term (x^(a1+a2) p^(b1+b2) in each leg, coefficient 1); the coefficients
+are central, so that term cancels exactly in a*b - b*a.  The commutator
+leaves it out, and a pair that contracts in neither order costs nothing.
+
 `SparseElement` is the one container behind these elements, the
 coordinate polynomials and the two- and three-leg tensors of `tensor`: an
 immutable {key: Scalar} dict at one truncation order, with all arithmetic
@@ -23,7 +29,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .scalars import (
     DomainError,
@@ -97,7 +103,11 @@ def _reorder_1d(mu: int, b: int, a: int) -> tuple[tuple[int, int, Triple], ...]:
 
 @lru_cache(maxsize=200_000)
 def monomial_product(m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, Triple], ...]:
-    """Product of two normal-ordered monomials, again in normal form."""
+    """Product of two normal-ordered monomials, again in normal form.
+
+    The first entry is the contraction-free one, Monomial(a1+a2, b1+b2)
+    with coefficient (1, 0, 1): every `_reorder_1d` lists k = 0 first.
+    `commutator` relies on that (see `SparseElement.key_product`)."""
     a1, b1 = m1
     a2, b2 = m2
     # Move p^b1 through x^a2; indices reorder independently (eta diagonal).
@@ -128,13 +138,20 @@ class SparseElement:
 
     Subclasses differ only in their keys: each names the key of its unit
     (`UNIT_KEY`), the text of a key (`key_str`) and the product of two
-    keys, which it passes to `_product` from its own `__mul__`.
+    keys (`key_product`), which it also passes to `_product` from its own
+    `__mul__`.
+
+    `key_product(k1, k2)` lists the (key, coefficient) pairs of k1*k2, and
+    its first pair is always the contraction-free term with coefficient
+    (1, 0, 1).  That term is the same for k2*k1, which is what lets
+    `commutator` drop it.
     """
 
     __slots__ = ("terms", "order")
 
     UNIT_KEY: object = None
     key_str: Callable[[object], str]
+    key_product: Callable[[object, object], Sequence[tuple[object, Triple]]]
 
     def __init__(self, terms: Mapping[object, Scalar], order: int):
         clean = {k: s for k, s in terms.items() if not s.is_zero()}
@@ -224,12 +241,24 @@ class SparseElement:
         return self.__class__({k: c * s for k, c in self.terms.items()}, self.order)
 
     def __pow__(self, n: int):
+        """self^n by repeated squaring.  A running power that truncates to
+        zero makes the result zero, so the loop ends there: a nilpotent
+        element takes a few products whatever the exponent."""
         if n < 0:
             raise UsageError("negative powers are not defined")
-        acc = self.one(self.order)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        acc = None
+        square = self
+        while n:
+            if n & 1:
+                acc = square if acc is None else acc * square
+                if acc.is_zero():
+                    return acc
+            n >>= 1
+            if n:
+                square = square * square
+                if square.is_zero():
+                    return square
+        return self.one(self.order) if acc is None else acc
 
     def min_grade(self) -> int | None:
         """Lowest a0 power over all coefficients, or None for zero."""
@@ -280,6 +309,13 @@ class AlgebraElement(SparseElement):
     UNIT_KEY = UNIT_MONOMIAL
     key_str = staticmethod(monomial_str)
 
+    @staticmethod
+    def key_product(m1: Monomial, m2: Monomial):
+        # looks `monomial_product` up at call time, so that a tracer that
+        # replaces it on this module (perfbench/layers.py) also counts the
+        # calls of `commutator`
+        return monomial_product(m1, m2)
+
     def __mul__(self, other):
         return self._product(other, monomial_product)
 
@@ -317,9 +353,50 @@ def time_translation(order: int) -> AlgebraElement:
     )
 
 
+def key_commutator(key_product: Callable, k1, k2) -> list:
+    """The (key, coefficient) pairs of k1*k2 - k2*k1 for two basis keys,
+    without the contraction-free term that both products list first and
+    that cancels; empty for keys that contract in neither order."""
+    ab = key_product(k1, k2)
+    ba = key_product(k2, k1)
+    return [*ab[1:], *[(k, (-re, -im, d)) for k, (re, im, d) in ba[1:]]]
+
+
 def commutator(a: SparseElement, b: SparseElement) -> SparseElement:
-    """a * b - b * a, for two elements of one container type."""
-    return a * b - b * a
+    """a * b - b * a, for two elements of one container type, in one walk
+    over the pairs of terms.
+
+    Coefficients are central, so a pair of terms s1*k1 and s2*k2
+    contributes s1*s2 * (k1*k2 - k2*k1), and the contraction-free term of
+    the two key products cancels; `key_commutator` leaves it out.  A pair
+    that contracts in neither order costs no coefficient product, and for
+    the commutative containers every pair is such a pair."""
+    if b.__class__ is not a.__class__:
+        raise UsageError(
+            f"commutator of a {type(a).__name__} and a {type(b).__name__}"
+        )
+    a._check(b)
+    key_product = a.key_product
+    order = a.order
+    # walked by grade, as in `SparseElement._product`
+    right = sorted(
+        ((s.min_grade(), k, s) for k, s in b.terms.items()), key=itemgetter(0)
+    )
+    out: dict = {}
+    for k1, s1 in a.terms.items():
+        room = order - s1.min_grade()
+        for g2, k2, s2 in right:
+            if g2 > room:
+                break
+            terms = key_commutator(key_product, k1, k2)
+            if not terms:
+                continue
+            s = s1 * s2
+            for k, c in terms:
+                contrib = s.scale(c)
+                cur = out.get(k)
+                out[k] = contrib if cur is None else cur + contrib
+    return a.__class__(out, order)
 
 
 def power_series(a: SparseElement, coeffs, start=None, step=None):
@@ -363,6 +440,12 @@ def z_power(exponent, order: int) -> AlgebraElement:
     return graded_exp(time_translation(order).scale(Scalar.from_value(cp, order)))
 
 
+def _exponent_sum(e1: Exponents, e2: Exponents):
+    """The key product of a commutative container: only the
+    contraction-free term."""
+    return ((tuple(a + b for a, b in zip(e1, e2)), _ONE),)
+
+
 class Polynomial(SparseElement):
     """Element of the commutative coordinate algebra (functions of x)."""
 
@@ -374,6 +457,8 @@ class Polynomial(SparseElement):
     def key_str(exps: Exponents) -> str:
         return monomial_str(Monomial(exps, ZERO_EXP))
 
+    key_product = staticmethod(_exponent_sum)
+
     def __mul__(self, other):
         return self._product(other, _exponent_sum)
 
@@ -381,10 +466,6 @@ class Polynomial(SparseElement):
     def x_monomial(exps: Exponents, order: int, coeff=None) -> "Polynomial":
         unit = Polynomial({exps: Scalar.one(order)}, order)
         return unit if coeff is None else unit.scale(coeff)
-
-
-def _exponent_sum(e1: Exponents, e2: Exponents):
-    return ((tuple(a + b for a, b in zip(e1, e2)), _ONE),)
 
 
 def act(h: AlgebraElement, f: Polynomial) -> Polynomial:

@@ -141,6 +141,7 @@ class _Commuting(SparseElement):
     __slots__ = ()
 
     key_str = staticmethod(_commuting_legs_str)
+    key_product = staticmethod(_exponent_sum)
 
     def __mul__(self, other):
         return self._product(other, _exponent_sum)

@@ -44,6 +44,17 @@ def _legs_str(key: tuple[Monomial, ...]) -> str:
     return " ox ".join(map(monomial_str, key))
 
 
+def _pair_product(k1: TensorKey, k2: TensorKey):
+    """Leg by leg; the contraction-free pair comes first, because it does
+    in each `monomial_product`."""
+    (l1, r1), (l2, r2) = k1, k2
+    return [
+        ((ml, mr), triple_mul(cl, cr))
+        for ml, cl in monomial_product(l1, l2)
+        for mr, cr in monomial_product(r1, r2)
+    ]
+
+
 class TensorElement(SparseElement):
     """Finite Scalar-linear combination of monomial tensor pairs."""
 
@@ -51,18 +62,10 @@ class TensorElement(SparseElement):
 
     UNIT_KEY = (UNIT_MONOMIAL, UNIT_MONOMIAL)
     key_str = staticmethod(_legs_str)
+    key_product = staticmethod(_pair_product)
 
     def __mul__(self, other):
         return self._product(other, _pair_product)
-
-
-def _pair_product(k1: TensorKey, k2: TensorKey):
-    (l1, r1), (l2, r2) = k1, k2
-    return [
-        ((ml, mr), triple_mul(cl, cr))
-        for ml, cl in monomial_product(l1, l2)
-        for mr, cr in monomial_product(r1, r2)
-    ]
 
 
 def tensor(*legs: AlgebraElement) -> SparseElement:
@@ -104,7 +107,10 @@ def t_exp(a: TensorElement) -> TensorElement:
 
 
 def t_adjoint(conjugator: TensorElement, target: TensorElement) -> TensorElement:
-    """exp(ad conjugator) applied to target, truncated by the a0 grading."""
+    """exp(ad conjugator) applied to target, truncated by the a0 grading:
+    sum_k ad^k(target)/k! with ad(t) = [conjugator, t].  Each step is one
+    `commutator`, a single walk over the pairs of terms that skips the
+    contraction-free term conjugator*t and t*conjugator share."""
     return power_series(
         conjugator,
         exp_coeffs(target.order),
@@ -189,19 +195,8 @@ def equal_mod(a: TensorElement, b: TensorElement, rel: RelationSet) -> bool:
 TensorKey3 = tuple[Monomial, Monomial, Monomial]
 
 
-class TensorElement3(SparseElement):
-    """Finite Scalar-linear combination of monomial tensor triples."""
-
-    __slots__ = ()
-
-    UNIT_KEY = (UNIT_MONOMIAL, UNIT_MONOMIAL, UNIT_MONOMIAL)
-    key_str = staticmethod(_legs_str)
-
-    def __mul__(self, other):
-        return self._product(other, _triple_product)
-
-
 def _triple_product(k1: TensorKey3, k2: TensorKey3):
+    """Leg by leg, the contraction-free triple first."""
     (a1, b1, c1), (a2, b2, c2) = k1, k2
     return [
         ((ma, mb, mc), triple_mul(triple_mul(ca, cb), cc))
@@ -209,6 +204,19 @@ def _triple_product(k1: TensorKey3, k2: TensorKey3):
         for mb, cb in monomial_product(b1, b2)
         for mc, cc in monomial_product(c1, c2)
     ]
+
+
+class TensorElement3(SparseElement):
+    """Finite Scalar-linear combination of monomial tensor triples."""
+
+    __slots__ = ()
+
+    UNIT_KEY = (UNIT_MONOMIAL, UNIT_MONOMIAL, UNIT_MONOMIAL)
+    key_str = staticmethod(_legs_str)
+    key_product = staticmethod(_triple_product)
+
+    def __mul__(self, other):
+        return self._product(other, _triple_product)
 
 
 def t3_exp(a: TensorElement3) -> TensorElement3:

@@ -128,15 +128,21 @@ def _suite_algebra(report: VerificationReport, ctx: TwistContext, rng: random.Ra
     n = ctx.order
 
     def heisenberg():
+        # both the one-pass commutator and the two products it replaces,
+        # so that the check still tests the product
         bad = []
         for mu in range(DIM):
             for nu in range(DIM):
-                got = commutator(p(mu, n), x(nu, n))
+                pm, xn = p(mu, n), x(nu, n)
                 want = AlgebraElement.one(n).scale(
                     Scalar.i(n).scale(-ETA[mu] if mu == nu else 0)
                 )
+                got = commutator(pm, xn)
                 if got != want:
                     bad.append(f"[p{mu},x{nu}]={got}")
+                got = pm * xn - xn * pm
+                if got != want:
+                    bad.append(f"p{mu}*x{nu}-x{nu}*p{mu}={got}")
         return "; ".join(bad)
 
     report.run("heisenberg-commutators", heisenberg)

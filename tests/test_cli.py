@@ -243,6 +243,12 @@ class TestNestingBound:
             parse(_nested("-(Z^[", "])", MAX_NESTING // 3 + 1))
 
 
+def _cli_env() -> dict:
+    """The environment of a fresh interpreter that imports this kappatwist."""
+    src = str(Path(kappatwist.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 _BAD_INPUTS = [
     (["rexpand", "--order", "0"], "error: "),
     (["rexpand", "--order", "-1"], "error: "),
@@ -269,19 +275,41 @@ _BAD_INPUTS = [
 def test_bad_input_exits_2_without_traceback(argv, prefix):
     """Exit 2 with a one-line error, in a fresh interpreter so that an
     escaping exception would show as a traceback on stderr."""
-    src = str(Path(kappatwist.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "kappatwist.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_cli_env(),
         timeout=60,
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(prefix)
     assert proc.stderr.count("\n") == 1
+
+
+_HUGE_POWERS = [
+    ("A^99999999", "0"),
+    ("a0^99999999", "0"),
+    ("x1^99999999", "x1^99999999"),
+    ("exp(A)^99999999", "1 + 99999999*a0*p0 + 9999999800000001/2*a0^2*p0^2"),
+]
+
+
+@pytest.mark.parametrize("expr, want", _HUGE_POWERS, ids=[e for e, _ in _HUGE_POWERS])
+def test_nilpotent_and_one_term_powers_end(expr, want):
+    """A power is taken by repeated squaring and stops at the first zero, so
+    a huge exponent of a nilpotent or one-term element is a short request."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "kappatwist.cli", "eval", expr, "--order", "2"],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == want + "\n"
+    assert proc.stderr == ""
 
 
 def test_rewrite_bound_exits_2(monkeypatch, capsys):
@@ -297,8 +325,7 @@ def test_closed_pipe_is_a_quiet_exit(tmp_path):
     """A reader that stops after 100 bytes leaves the command's own exit
     code and an empty stderr, for a short JSON line and for text larger
     than a pipe's buffer."""
-    src = str(Path(kappatwist.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _cli_env()
     for argv in (
         ["rexpand", "--order", "3", "--case", "i"],
         ["eval", "(x1+p1+x2+p2+x3+p3+x0+p0)^7", "--order", "1"],
