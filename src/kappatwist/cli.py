@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .hopf import TwistContext
-from .parser import ParseError, elaborate, parse
+from .parser import ParseError, elaborate, evaluate, parse
 from .scalars import DomainError, UsageError, sum_str, term_str
 from .tensor import TensorElement, canonicalize, tensor
 from .verify import SUITE_NAMES, run_suite
@@ -222,7 +222,7 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     lam = parse_lambda(args.lam)
     ctx = TwistContext(order=args.order, lam=lam)
-    value = elaborate(parse(args.expr), ctx, args.case)
+    value = evaluate(args.expr, ctx, args.case)
     if args.canonicalize:
         rel = {"R0": ctx.R0, "R": ctx.R, "Rtilde": ctx.Rtilde}[args.canonicalize]
         if not isinstance(value, TensorElement):

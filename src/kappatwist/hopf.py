@@ -11,9 +11,10 @@ S (x) A).  This module is the one place that knows the twist family: the
 exchange relations R0, R and Rtilde that `tensor.canonicalize` rewrites
 with (`exchange_rule`), the twist exponent, and the powers Z^c.
 
-Star products and the realization operator act with F^-1 or Ftilde^-1 in
-closed form.  On a polynomial of spatial degree d (its degree in x1, x2,
-x3), S acts as -i*d and A as i*a0 d/dx0, and [S, A] = 0.  So on
+Star products act with F^-1 or Ftilde^-1 in closed form; the realization
+of xhat_mu on f is the star product of x_mu with f.  On a polynomial of
+spatial degree d (its degree in x1, x2, x3), S acts as -i*d and A as
+i*a0 d/dx0, and [S, A] = 0.  So on
 f_d (x) g_e the exponent of F^-1 is (1-lam)*e A (x) 1 - lam*d 1 (x) A, a
 sum of two commuting terms that each carry a0, and F^-1 acts there as
 Z^((1-lam)e) (x) Z^(-lam d) -- also under truncation, where exp(X + Y) =
@@ -41,7 +42,6 @@ from .algebra import (
     SparseElement,
     UNIT_MONOMIAL,
     ZERO_EXP,
-    _bump,
     _exponent_sum,
     act,
     dilatation,
@@ -158,7 +158,8 @@ class CommutingTriple(_Commuting):
 
 
 def _unit_leg(c: CommutingPair, at: int) -> CommutingTriple:
-    """The key-level `embed`: a unit leg inserted at position `at`."""
+    """A unit leg inserted at position `at`: at=1 sends l (x) r to
+    l (x) 1 (x) r."""
     return CommutingTriple(
         {k[: 2 * at] + (0, 0) + k[2 * at :]: s for k, s in c.terms.items()}, c.order
     )
@@ -396,24 +397,22 @@ class TwistContext:
                 acc = acc + AlgebraElement.monomial(r, n, s)
         return acc == self.one
 
-    # -- realization and star products -----------------------------------
+    # -- coordinates and star products -----------------------------------
 
-    def realization_operator(self, mu: int, f: Polynomial) -> Polynomial:
-        """f -> m0(F^-1 |> (x_mu (x) f)), by the closed-form action of F^-1."""
-        if not 0 <= mu < DIM:
-            raise UsageError(f"index {mu} out of range")
-        self._check_orders(f)
-        return self._closed_form_action(
-            "F", Polynomial.x_monomial(_bump(ZERO_EXP, mu), self.order), f
-        )
+    def xhat(self, mu: int) -> AlgebraElement:
+        """Closed-form noncommutative coordinates of the twist family."""
+        n = self.order
+        if mu == 0:
+            return x(0, n) - self.S.scale(Scalar.a0(n) * (Scalar.one(n) - self.lam_s))
+        return x(mu, n) * self.z(-self.lam_poly)
 
-    def _check_orders(self, *args: Polynomial) -> None:
-        if any(a.order != self.order for a in args):
-            raise UsageError("argument and context truncation orders differ")
-
-    def _closed_form_action(self, which: str, f: Polynomial, g: Polynomial) -> Polynomial:
+    def star_product(self, f: Polynomial, g: Polynomial, which: str = "F") -> Polynomial:
         """m0(op |> (f (x) g)) for op = F^-1 ("F") or Ftilde^-1 ("Ftilde"):
         two Z-power shifts per pair of spatial degrees (module docstring)."""
+        if which not in ("F", "Ftilde"):
+            raise UsageError("star product flavor must be 'F' or 'Ftilde'")
+        if f.order != self.order or g.order != self.order:
+            raise UsageError("argument and context truncation orders differ")
         lam, rest = self.lam_poly, LP_ONE - self.lam_poly
         out = Polynomial.zero(self.order)
         g_parts = _spatial_parts(g)
@@ -425,19 +424,6 @@ class TwistContext:
                     left, right = lam.scale(-e), rest.scale(d)
                 out = out + act(self.z(left), f_d) * act(self.z(right), g_e)
         return out
-
-    def xhat(self, mu: int) -> AlgebraElement:
-        """Closed-form noncommutative coordinates of the twist family."""
-        n = self.order
-        if mu == 0:
-            return x(0, n) - self.S.scale(Scalar.a0(n) * (Scalar.one(n) - self.lam_s))
-        return x(mu, n) * self.z(-self.lam_poly)
-
-    def star_product(self, f: Polynomial, g: Polynomial, which: str = "F") -> Polynomial:
-        if which not in ("F", "Ftilde"):
-            raise UsageError("star product flavor must be 'F' or 'Ftilde'")
-        self._check_orders(f, g)
-        return self._closed_form_action(which, f, g)
 
 
 def _spatial_parts(f: Polynomial) -> list[tuple[int, Polynomial]]:

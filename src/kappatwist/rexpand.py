@@ -20,19 +20,21 @@ built, so the fully expanded series never exists.
 The whole order-k identity sum_j c_j col_j == target is then solved once,
 on its distinct coefficient rows (`linsolve.fit`); the number of generic
 index patterns is reported beside the solution as its equation count.
+At k = 3 the solution is a three-parameter family; `named_parameters`
+reads its conventional labels (alpha1, beta1, alpha2) off the
+coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .algebra import DIM, ZERO_EXP, AlgebraElement, Monomial
 from .hopf import TwistContext, relation_set
-from .linsolve import SolutionSpace, fit, solve
-from .poincare import SPATIAL, LorentzRealization, mhat, mhat_from_case_i, mij
-from .scalars import GR_ZERO, GaussianRational, Scalar, UsageError
+from .linsolve import SolutionSpace, fit
+from .poincare import SPATIAL, LorentzRealization, mhat, mij
+from .scalars import GaussianRational, Scalar, UsageError
 from .tensor import TensorElement, canonical_exp, canonicalize, tau0, tensor
 
 I_NEG = GaussianRational(0, -1)
@@ -43,17 +45,12 @@ class AnsatzTerm:
     """One rotation-invariant basis term of the order-k ansatz.
 
     `element` is the bare invariant sum (no a0 power, no -i); the candidate
-    r_k is -i a0^k times a rational combination of these.  The recipe
-    fields (kind, taken, rest, side) record how the term was assembled so
-    it can be rebuilt with substituted generators.
+    r_k is -i a0^k times a rational combination of these.
     """
 
     name: str
     element: TensorElement
     kind: str = "boost"  # boost | rotation
-    taken: tuple = ()  # momentum labels sharing the generator's leg
-    rest: tuple = ()  # momentum labels on the other leg
-    side: str = "left"  # which leg carries the generator
 
 
 @dataclass
@@ -165,22 +162,17 @@ def _expand_term(
     return acc
 
 
-def _generators(boost, ctx: TwistContext) -> dict:
-    """The ansatz's generators by frame, each built once: boost(i) under
-    (i,) and M_ij under (i, j)."""
-    gens = {(i,): boost(i) for i in SPATIAL}
-    for i, j in itertools.permutations(SPATIAL, 2):
-        gens[(i, j)] = mij(i, j, ctx)
-    return gens
-
-
 def generate_ansatz(
     k: int, real: LorentzRealization, ctx: TwistContext
 ) -> list[AnsatzTerm]:
     """Complete rotation-invariant ansatz basis at order k."""
     if k < 1:
         raise UsageError("expansion order must be positive")
-    gens = _generators(lambda i: mhat(i, real, ctx), ctx)
+    # the generators by frame, each built once: the boost under (i,) and
+    # M_ij under (i, j)
+    gens = {(i,): mhat(i, real, ctx) for i in SPATIAL}
+    for i, j in itertools.permutations(SPATIAL, 2):
+        gens[(i, j)] = mij(i, j, ctx)
     out: list[AnsatzTerm] = []
 
     def push(term: AnsatzTerm):
@@ -200,7 +192,7 @@ def generate_ansatz(
                         if side == "left"
                         else f"{otext} ox {gtext}"
                     )
-                    push(AnsatzTerm(name, element, kind, taken, rest, side))
+                    push(AnsatzTerm(name, element, kind))
     return out
 
 
@@ -358,117 +350,3 @@ def named_parameters(result: ExpansionResult) -> dict[str, GaussianRational]:
     for pname, (tname, factor) in zip(PARAM_NAMES, _PARAM_POSITIONS):
         out[pname] = result.coefficients[tname] * factor
     return out
-
-
-def specialize_coefficients(
-    result: ExpansionResult, alpha1, beta1, alpha2
-) -> dict[str, GaussianRational]:
-    """Named coefficients of the k=3 family member with the given
-    parameter values."""
-    if result.order != 3 or result.status != "parametric":
-        raise UsageError("specialization needs the parametric order-3 family")
-    sol = result.solution
-    want = [GaussianRational(v) for v in (alpha1, beta1, alpha2)]
-    index = {t.name: i for i, t in enumerate(result.terms)}
-    # parameter value = factor * (particular + sum_f t_f * null_f) at the
-    # watched coefficient positions; solve the small square system for t.
-    rows = []
-    rhs = []
-    for (tname, factor), target in zip(_PARAM_POSITIONS, want):
-        col = index[tname]
-        rows.append([factor * vec[col] for vec in sol.nullspace])
-        rhs.append(target - factor * sol.particular[col])
-    small = solve(rows, rhs)
-    if small.status != "unique":
-        raise UsageError("parameter labels do not pin down the family member")
-    coeffs = list(sol.particular)
-    for t_val, vec in zip(small.particular, sol.nullspace):
-        coeffs = [c + t_val * v for c, v in zip(coeffs, vec)]
-    return {t.name: c for t, c in zip(result.terms, coeffs)}
-
-
-def specialize(
-    result: ExpansionResult, alpha1, beta1, alpha2, ctx: TwistContext
-) -> TensorElement:
-    """Pick the member of the k=3 family with the given parameter values."""
-    coeffs = specialize_coefficients(result, alpha1, beta1, alpha2)
-    return assemble(
-        result.terms, [coeffs[t.name] for t in result.terms], 3, ctx
-    )
-
-
-def _mirror_name(name: str) -> str:
-    left, right = name.split(" ox ")
-    return f"{right} ox {left}"
-
-
-def coefficient_wedge_check(coefficients: dict[str, GaussianRational]) -> bool:
-    """Flip-antisymmetry of the named coefficient table: the mirror of
-    every term must appear with the opposite coefficient.
-
-    This is strictly stronger than flip-antisymmetry of the assembled
-    element, because distinct named terms share concrete monomials at
-    index coincidences.
-    """
-    return all(
-        coefficients.get(_mirror_name(name), GR_ZERO) == -c
-        for name, c in coefficients.items()
-    )
-
-
-def reference_third_order(
-    alpha1, beta1, alpha2, real: LorentzRealization, ctx: TwistContext
-) -> TensorElement:
-    """The known three-parameter family at order 3, assembled from its
-    published coefficient table (times -i a0^3 / 24)."""
-    a1, b1, a2 = (GaussianRational(v) for v in (alpha1, beta1, alpha2))
-    two = GaussianRational(2)
-    table = {
-        "Mh_i0*p_0^2 ox p_i": GaussianRational(3),
-        "p_i ox Mh_i0*p_0^2": GaussianRational(-3),
-        "Mh_i0 ox p_i*p_0^2": GaussianRational(3),
-        "p_i*p_0^2 ox Mh_i0": GaussianRational(-3),
-        "Mh_i0*p_0 ox p_i*p_0": two,
-        "p_i*p_0 ox Mh_i0*p_0": -two,
-        "Mh_i0*p_i*p_j ox p_j": -(a1 + two),
-        "p_j ox Mh_i0*p_i*p_j": b1 + two,
-        "Mh_i0*p_j^2 ox p_i": a1,
-        "p_i ox Mh_i0*p_j^2": -b1,
-        "Mh_i0 ox p_i*p_j^2": -two,
-        "p_i*p_j^2 ox Mh_i0": two,
-        "Mh_i0*p_i ox p_j^2": -(a2 + two),
-        "p_j^2 ox Mh_i0*p_i": a2 + two,
-        "Mh_i0*p_j ox p_i*p_j": a2 + two,
-        "p_i*p_j ox Mh_i0*p_j": -(a2 + two),
-        "M_ij*p_j*p_0 ox p_i": -a1,
-        "p_i ox M_ij*p_j*p_0": b1,
-        "M_ij*p_j ox p_i*p_0": -a2,
-        "p_i*p_0 ox M_ij*p_j": a2,
-    }
-    terms = generate_ansatz(3, real, ctx)
-    scale = Fraction(1, 24)
-    coeffs = [table.get(t.name, GR_ZERO) * scale for t in terms]
-    return assemble(terms, coeffs, 3, ctx)
-
-
-# -- change of generator basis -------------------------------------------
-
-
-def translate_basis(
-    k: int,
-    coefficients: dict[str, GaussianRational],
-    terms: list[AnsatzTerm],
-    ctx: TwistContext,
-) -> TensorElement:
-    """Re-express a solved r_k through the case-(i) generators.
-
-    Uses the identity Mh_i0 = M_i0 Z^(-1/2) + (a0/2) M_ij p_j, so the
-    rebuilt element equals the original exactly.
-    """
-    gens = _generators(lambda i: mhat_from_case_i(i, ctx), ctx)
-    rebuilt = [
-        replace(t, element=_expand_term(t.kind, t.taken, t.rest, t.side, gens, ctx))
-        for t in terms
-        if coefficients.get(t.name)
-    ]
-    return assemble(rebuilt, [coefficients[t.name] for t in rebuilt], k, ctx)

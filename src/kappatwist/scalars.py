@@ -644,16 +644,6 @@ class Scalar:
         t = self.terms.get((grade, 0))
         return GR_ZERO if t is None else _gr(t)
 
-    def divide_by_a0(self) -> "Scalar":
-        """Exact division by a0: every grade shifts down by one.
-
-        The top grade of the result is unknowable at this truncation and is
-        left zero, consistent with working modulo a0^(N+1).
-        """
-        if self.min_grade() == 0:
-            raise UsageError("a0-division of an ungraded element")
-        return _build({(k - 1, j): t for (k, j), t in self.terms.items()}, self.order)
-
     def __repr__(self):
         return f"Scalar({scalar_str(self)!r}, N={self.order})"
 

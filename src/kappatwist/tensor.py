@@ -3,11 +3,10 @@
 `TensorElement` and `TensorElement3` are `SparseElement` containers keyed
 by pairs and triples of monomials, multiplied leg by leg and built by the
 one outer product `tensor(*legs)`.  The tensor cube is the target of
-`hopf`'s `expand` and, with `embed` (the tensor square inside the cube)
-and `t3_exp`, the independent route that tests check the cocycle
-condition against; `hopf` checks it in C[S, A]^(x)3.  This module also
-provides the leg flip tau0, graded exponentials and adjoint conjugation
-(through `power_series`),
+`hopf`'s `expand` and, with `t3_exp`, the independent route that tests
+check the cocycle condition against; `hopf` checks it in C[S, A]^(x)3.
+This module also provides the leg flip tau0, graded exponentials and
+adjoint conjugation (through `power_series`),
 canonicalization modulo a `RelationSet` of exchange relations, and the
 canonical exponential, which keeps every power of its series in canonical
 form.  It is purely structural: the relations of the twist family
@@ -45,13 +44,14 @@ def _legs_str(key: tuple[Monomial, ...]) -> str:
 
 
 def _pair_product(k1: TensorKey, k2: TensorKey):
-    """Leg by leg; the contraction-free pair comes first, because it does
-    in each `monomial_product`."""
+    """Leg by leg, each leg's product taken once; the contraction-free pair
+    comes first, because it does in each `monomial_product`."""
     (l1, r1), (l2, r2) = k1, k2
+    right = monomial_product(r1, r2)
     return [
         ((ml, mr), triple_mul(cl, cr))
         for ml, cl in monomial_product(l1, l2)
-        for mr, cr in monomial_product(r1, r2)
+        for mr, cr in right
     ]
 
 
@@ -196,13 +196,15 @@ TensorKey3 = tuple[Monomial, Monomial, Monomial]
 
 
 def _triple_product(k1: TensorKey3, k2: TensorKey3):
-    """Leg by leg, the contraction-free triple first."""
+    """Leg by leg, each leg's product taken once; the contraction-free
+    triple first."""
     (a1, b1, c1), (a2, b2, c2) = k1, k2
+    middle, last = monomial_product(b1, b2), monomial_product(c1, c2)
     return [
         ((ma, mb, mc), triple_mul(triple_mul(ca, cb), cc))
         for ma, ca in monomial_product(a1, a2)
-        for mb, cb in monomial_product(b1, b2)
-        for mc, cc in monomial_product(c1, c2)
+        for mb, cb in middle
+        for mc, cc in last
     ]
 
 
@@ -221,11 +223,3 @@ class TensorElement3(SparseElement):
 
 def t3_exp(a: TensorElement3) -> TensorElement3:
     return power_series(a, exp_coeffs(a.order))
-
-
-def embed(t: TensorElement, at: int) -> TensorElement3:
-    """Insert a unit leg at position `at` (0, 1 or 2): at=1 sends
-    u (x) v to u (x) 1 (x) v."""
-    return TensorElement3(
-        {(*k[:at], UNIT_MONOMIAL, *k[at:]): s for k, s in t.terms.items()}, t.order
-    )

@@ -14,7 +14,7 @@ from kappatwist.cli import run
 from kappatwist.hopf import TwistContext
 from kappatwist.linsolve import solve
 from kappatwist.poincare import realization
-from kappatwist.rexpand import expand, specialize_coefficients
+from kappatwist.rexpand import expand
 from kappatwist.scalars import (
     GaussianRational,
     LambdaPoly,
@@ -22,6 +22,7 @@ from kappatwist.scalars import (
     UsageError,
     exact_triple,
 )
+from paper_reference import specialize_coefficients
 
 N = 2
 INEXACT = [0.1, "1/3", Decimal("0.5"), None]

@@ -109,3 +109,80 @@ def test_no_unused_function_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_lazy_import_of_a_top_level_module(path):
     assert redundant_lazy_imports(path) == []
+
+
+# -- every definition in the package is reached from outside the tests --
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+SCANNED = [
+    *MODULES,
+    *sorted((ROOT / "scripts").glob("*.py")),
+    *sorted(PERFBENCH.rglob("*.py")),
+]
+
+# Definitions that nothing in src/, scripts/ or perfbench/ names, kept on purpose
+UNREFERENCED_ALLOWED = {
+    "algebra.SparseElement.substitute_lambda": "the tests' lambda-specialisation oracle",
+    "hopf.TwistContext.cocycle_exponents": "exposes the split the cocycle check relies on",
+    "cli._ArgumentParser.error": "argparse calls it",
+}
+
+
+def definitions(path: Path):
+    """(qualified name, node): top-level functions and classes, and the
+    public methods of the classes."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def references(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of every Name and Attribute in the file."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+    return out
+
+
+def hook_names() -> set[str]:
+    """Every part of every path that perfbench/layers.py hooks."""
+    layers = ast.parse((PERFBENCH / "layers.py").read_text())
+    return {
+        part
+        for node in ast.walk(layers)
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) in ("SPANNED", "COUNTED") for t in node.targets)
+        for entry in node.value.elts
+        if isinstance(entry, ast.Tuple)
+        for part in entry.elts[1].value.split(".")
+    }
+
+
+def unreferenced_definitions() -> list[str]:
+    refs = {path: references(path) for path in SCANNED}
+    hooked = hook_names()
+    out = []
+    for path in MODULES:
+        for qualname, node in definitions(path):
+            name = qualname.rsplit(".", 1)[-1]
+            own = range(node.lineno, node.end_lineno + 1)
+            if name in hooked or any(
+                n == name and (where != path or line not in own)
+                for where, found in refs.items()
+                for n, line in found
+            ):
+                continue
+            out.append(f"{path.stem}.{qualname}")
+    return out
+
+
+def test_every_definition_is_referenced_outside_the_tests():
+    assert sorted(unreferenced_definitions()) == sorted(UNREFERENCED_ALLOWED)

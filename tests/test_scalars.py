@@ -209,16 +209,6 @@ class TestScalar:
         for k, part in enumerate(parts):
             assert part.is_zero() or part.min_grade() == k
 
-    @given(scalar_triples())
-    @settings(max_examples=60, deadline=None)
-    def test_divide_by_a0_inverts_a0_multiple(self, abc):
-        a = abc[0]
-        graded = a - a.grade_part(0)
-        assert graded.divide_by_a0() * Scalar.a0(a.order) == graded
-        if not a.grade_part(0).is_zero():
-            with pytest.raises(UsageError):
-                a.divide_by_a0()
-
     @given(scalar_triples(), rationals)
     @settings(max_examples=60, deadline=None)
     def test_numeric_coefficient_rejects_lambda(self, abc, v):

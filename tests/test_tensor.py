@@ -25,7 +25,6 @@ from kappatwist.tensor import (
     TensorElement3,
     canonical_exp,
     canonicalize,
-    embed,
     equal_mod,
     t3_exp,
     t_adjoint,
@@ -33,6 +32,7 @@ from kappatwist.tensor import (
     tau0,
     tensor,
 )
+from paper_reference import embed
 
 N = 3
 
