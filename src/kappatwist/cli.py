@@ -83,7 +83,7 @@ def _cmd_coproduct(args) -> int:
         lam = Fraction(1, 2)
     ctx = TwistContext(order=args.order, lam=lam)
     closed_text = closed_form_string(node, case)
-    closed = closed_form_coproduct(node, ctx, case)
+    closed = closed_form_coproduct(closed_text, ctx, case)
     computed = ctx.coproduct_by(elaborate(node, ctx, case), args.method)
     verified = computed == closed
     payload = {

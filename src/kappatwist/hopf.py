@@ -9,7 +9,8 @@ with S = x_k p_k and A = a0*p0; its exponential deforms the undeformed
 coproducts by conjugation.  The R-matrix exponent is rho = i*(A (x) S -
 S (x) A).  This module is the one place that knows the twist family: the
 exchange relations R0, R and Rtilde that `tensor.canonicalize` rewrites
-with (`exchange_rule`), the twist exponent, and the powers Z^c.
+with (`exchange_rule`, and `spatial_shift` for spatial degree d at once),
+the twist exponent, and the powers Z^c.
 
 Star products act with F^-1 or Ftilde^-1 in closed form; the realization
 of xhat_mu on f is the star product of x_mu with f.  On a polynomial of
@@ -81,33 +82,55 @@ GENERATORS = ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "A", "S", "Z")
 COORDINATES, MOMENTA = GENERATORS[:DIM], GENERATORS[DIM : 2 * DIM]
 
 
+def _twist_sign(tag: str, lam: LambdaPoly) -> tuple[int, LambdaPoly]:
+    """(sign, lt) of the deformed set `tag`: Rtilde is R with lam -> 1 - lam
+    and a0 -> -a0 (so Z^c -> Z^-c)."""
+    if tag == "R":
+        return 1, lam
+    if tag == "Rtilde":
+        return -1, LP_ONE - lam
+    raise UsageError(f"unknown relation set {tag!r}")
+
+
+# Process-wide, like z_power: a fresh context reuses the shifts of earlier ones.
+@lru_cache(maxsize=256)
+def spatial_shift(tag: str, lam: LambdaPoly, order: int, d: int) -> TensorElement:
+    """Z^(d*u) (x) Z^(d*v), with which a left leg of spatial degree d crosses
+    in the relation set `tag`: x_i (x) 1 = (Z^u (x) Z^v)(1 (x) x_i), where
+    (u, v) is (0, 0) for R0, (lam-1, -lam) for R and (lam, 1-lam) for
+    Rtilde.  Z commutes with x1..x3, so d crossings multiply to this."""
+    n = order
+    if tag == "R0":
+        return TensorElement.one(n)
+    sign, lt = _twist_sign(tag, lam)
+    return tensor(
+        z_power((lt - LP_ONE).scale(sign * d), n), z_power(lt.scale(-sign * d), n)
+    )
+
+
 @lru_cache(maxsize=1024)
 def exchange_rule(tag: str, lam: LambdaPoly, order: int, mu: int) -> TensorElement:
     """Canonical substitute for x_mu (x) 1 in the relation set `tag`.
 
     R0 (x_mu (x) 1 = 1 (x) x_mu) is the undeformed set; R and Rtilde hold
     for the coproduct and the opposite coproduct of the twist with
-    parameter `lam`.  Rtilde is R with lam -> 1 - lam and a0 -> -a0 (so
-    Z^c -> Z^-c), which is how `sign` and `lt` enter below:
+    parameter `lam` (`_twist_sign` relates them):
 
         R:      x_i (x) 1 = Z^(lam-1) (x) x_i Z^(-lam)
                 x_0 (x) 1 = 1 (x) x_0 - a0((1-lam) 1 (x) S + lam S (x) 1)
         Rtilde: x_i (x) 1 = Z^lam (x) x_i Z^(1-lam)
                 x_0 (x) 1 = 1 (x) x_0 + a0(lam 1 (x) S + (1-lam) S (x) 1)
+
+    The spatial rules are `spatial_shift` at d = 1 times 1 (x) x_i, so
+    their exponents are written once.
     """
     n = order
     unit = AlgebraElement.one(n)
-    if tag == "R0":
-        return tensor(unit, x(mu, n))
-    if tag == "R":
-        sign, lt = 1, lam
-    elif tag == "Rtilde":
-        sign, lt = -1, LP_ONE - lam
-    else:
-        raise UsageError(f"unknown relation set {tag!r}")
     if mu != 0:
-        left = z_power((lt - LP_ONE).scale(sign), n)
-        return tensor(left, x(mu, n) * z_power(lt.scale(-sign), n))
+        return spatial_shift(tag, lam, order, 1) * tensor(unit, x(mu, n))
+    if tag == "R0":
+        return tensor(unit, x(0, n))
+    sign, lt = _twist_sign(tag, lam)
     S = dilatation(n)
     a0 = Scalar.a0(n).scale(sign)
     return (
@@ -120,9 +143,12 @@ def exchange_rule(tag: str, lam: LambdaPoly, order: int, mu: int) -> TensorEleme
 def relation_set(tag: str, lam: LambdaPoly, order: int) -> RelationSet:
     """The relation set `tag` ("R0", "R" or "Rtilde") of the twist with
     parameter `lam`, at truncation `order`."""
-    # the rule holds values only, not a context: a reference back would keep
+    # the rules hold values only, not a context: a reference back would keep
     # every context alive until a garbage-collection pass
-    return RelationSet(tag, order, partial(exchange_rule, tag, lam, order))
+    rule = (tag, lam, order)
+    return RelationSet(
+        tag, order, partial(exchange_rule, *rule), partial(spatial_shift, *rule)
+    )
 
 
 def _commuting_legs_str(key: tuple[int, ...]) -> str:

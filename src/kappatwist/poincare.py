@@ -12,9 +12,10 @@ Rotations M_ij = x_i p_j - x_j p_i are case independent.
 
 The published coproduct of every generator is a template in the expression
 grammar (CLOSED_FORMS, BOOST_CLOSED_FORMS); `closed_form_string` renders it
-and `closed_form_coproduct` takes it to its canonical tensor mod R.  The
-algebra-sector checks (`kappa_commutator_check`, `lorentz_algebra_check`,
-`momentum_sector_closed_forms`) are the ones the verify suites run.
+and `closed_form_coproduct` takes the rendered text to its canonical
+tensor mod R.  The algebra-sector checks (`kappa_commutator_check`,
+`lorentz_algebra_check`, `momentum_sector_closed_forms`) are the ones the
+verify suites run.
 """
 
 from __future__ import annotations
@@ -183,10 +184,10 @@ def closed_form_string(node, case: str | None) -> str:
 
 
 def closed_form_coproduct(
-    node, ctx: TwistContext, case: str | None = None
+    text: str, ctx: TwistContext, case: str | None = None
 ) -> TensorElement:
-    """The published coproduct of `node` (`closed_form_string`), canonical mod R."""
-    text = closed_form_string(node, case)
+    """A published coproduct `text` (`closed_form_string`), canonical mod R;
+    `case` is the realization its Mhat generators are read in."""
     return canonicalize(evaluate(text, ctx, case), ctx.R)
 
 
@@ -194,7 +195,9 @@ def boost_coproduct_closed_form(
     i: int, real: LorentzRealization, ctx: TwistContext
 ) -> TensorElement:
     """The published closed forms for the three preset cases, canonical mod R."""
-    return closed_form_coproduct(("Mhat", i), ctx, real.label)
+    return closed_form_coproduct(
+        boost_closed_form_string(i, real.label), ctx, real.label
+    )
 
 
 # -- algebra sector ------------------------------------------------------

@@ -12,11 +12,14 @@ canonical exponential, which keeps every power of its series in canonical
 form.  It is purely structural: the relations of the twist family
 (undeformed R0 and the deformed R and Rtilde) are written in `hopf`.  The
 canonical representative of a class has no coordinate generators in the
-left tensor leg.
+left tensor leg.  `canonicalize` rewrites x0 one at a time and moves the
+spatial coordinates x1..x3 of a left leg across in closed form, with one
+tensor product per spatial degree (the `shift` of the relation set).
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable, NamedTuple
 
 from .algebra import (
@@ -24,6 +27,7 @@ from .algebra import (
     Monomial,
     SparseElement,
     UNIT_MONOMIAL,
+    ZERO_EXP,
     _bump,
     commutator,
     exp_coeffs,
@@ -124,28 +128,48 @@ class RelationSet(NamedTuple):
 
     `replacement(mu)` is the canonical substitute for x_mu (x) 1: its left
     leg is either coordinate-free or carries a strictly higher a0 grade, so
-    left-to-right rewriting terminates under truncation.  The relations
-    themselves belong to the twist family and come from `hopf`.
+    left-to-right rewriting terminates under truncation.
+
+    `shift(d)` is the group-like factor Z^(d*u) (x) Z^(d*v) with which a
+    left leg of spatial degree d crosses: for i = 1, 2, 3,
+    replacement(i) == shift(1) * (1 (x) x_i), and shift(d) == shift(1)^d
+    (Z commutes with x1..x3, and each shift(d) is a function of p0 on each
+    leg).  The relations themselves belong to the twist family and come
+    from `hopf`.
     """
 
     tag: str
     order: int
     replacement: Callable[[int], TensorElement]
+    shift: Callable[[int], TensorElement]
 
 
-def _peel_smallest_x(m: Monomial) -> tuple[int, Monomial]:
-    """Split off the lexicographically smallest coordinate generator."""
-    for mu, e in enumerate(m.alpha):
-        if e:
-            return mu, Monomial(_bump(m.alpha, mu, -1), m.beta)
-    raise ValueError("no coordinate generator to peel")
+def _add_into(acc: dict, key, s: Scalar) -> None:
+    cur = acc.get(key)
+    acc[key] = s if cur is None else cur + s
 
 
 def canonicalize(t: TensorElement, rel: RelationSet) -> TensorElement:
-    """Rewrite until the left leg of every term is coordinate-free."""
+    """Rewrite until the left leg of every term is coordinate-free.
+
+    x0 is peeled off a left leg one at a time through replacement(0), whose
+    terms go back to the work list.  A left leg x^alpha p^beta without x0,
+    of spatial degree d > 0, is moved across in one closed form: the d
+    rewrites through replacement(i) compose to
+
+        canon(x^alpha p^beta (x) m) = shift(d) * (p^beta (x) x^alpha m),
+
+    where x^alpha m only adds exponents and the left leg p^beta is already
+    canonical.  Such terms are collected per d and multiplied by shift(d)
+    once per d.  Rewriting in another order reaches the same normal form
+    (Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978).
+    Each x0 peel counts one step against MAX_REWRITE_STEPS and each
+    closed-form move d, the number of rewrites it stands for.
+    """
     if t.order != rel.order:
         raise UsageError("tensor and relation set truncation orders differ")
     done: dict[TensorKey, Scalar] = {}
+    by_degree: dict[int, dict[TensorKey, Scalar]] = {}
     work = dict(t.terms)
     steps = 0
     while work:
@@ -153,20 +177,30 @@ def canonicalize(t: TensorElement, rel: RelationSet) -> TensorElement:
         ml, mr = key
         if s.is_zero():
             continue
-        if ml.x_degree() == 0:
-            cur = done.get(key)
-            done[key] = s if cur is None else cur + s
+        d = ml.x_degree()
+        if d == 0:
+            _add_into(done, key, s)
             continue
-        steps += 1
+        x0 = ml.alpha[0]
+        steps += 1 if x0 else d
         if steps > MAX_REWRITE_STEPS:
             raise DomainError(
                 f"canonicalization exceeded {MAX_REWRITE_STEPS} rewrite steps"
             )
-        mu, rest = _peel_smallest_x(ml)
-        produced = rel.replacement(mu) * TensorElement({(rest, mr): s}, t.order)
-        for k2, s2 in produced.terms.items():
-            cur = work.get(k2)
-            work[k2] = s2 if cur is None else cur + s2
+        if x0:
+            rest = Monomial(_bump(ml.alpha, 0, -1), ml.beta)
+            produced = rel.replacement(0) * TensorElement({(rest, mr): s}, t.order)
+            for k2, s2 in produced.terms.items():
+                _add_into(work, k2, s2)
+        else:
+            moved = (
+                Monomial(ZERO_EXP, ml.beta),
+                Monomial(tuple(map(add, ml.alpha, mr.alpha)), mr.beta),
+            )
+            _add_into(by_degree.setdefault(d, {}), moved, s)
+    for d, bucket in by_degree.items():
+        for k2, s2 in (rel.shift(d) * TensorElement(bucket, t.order)).terms.items():
+            _add_into(done, k2, s2)
     return TensorElement(done, t.order)
 
 
@@ -176,7 +210,9 @@ def canonical_exp(a: TensorElement, rel: RelationSet) -> TensorElement:
     Each rewrite in `canonicalize` turns (x_mu rest) (x) m into
     replacement(mu) * (rest (x) m), so it subtracts an element of the right
     ideal spanned by (x_mu (x) 1 - replacement(mu)) * T; truncation in a0 is
-    a quotient by a central ideal and changes nothing.  Hence
+    a quotient by a central ideal and changes nothing.  A closed-form move
+    of a spatial degree-d left leg is d such rewrites composed, so it
+    subtracts an element of the same ideal.  Hence
     canon(u * v) == canon(canon(u) * v) for every v, and
     canon(a^n) == canon(canon(a^(n-1)) * a), and a sum of canonical powers
     is canonical.  The argument needs the uncanonical factor on the right:

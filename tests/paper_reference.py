@@ -31,6 +31,7 @@ from kappatwist.poincare import (
     LorentzRealization,
     boost_closed_form_string,
     closed_form_coproduct,
+    closed_form_string,
     mhat,
     mij,
     realization,
@@ -218,7 +219,7 @@ def case_iii_x_leg_mismatch(i: int, ctx: TwistContext) -> bool:
 
 def rotation_coproduct_closed_form(i: int, j: int, ctx: TwistContext) -> TensorElement:
     """The published (primitive) coproduct of M[i,j], canonical mod R."""
-    return closed_form_coproduct(("M", i, j), ctx)
+    return closed_form_coproduct(closed_form_string(("M", i, j), None), ctx)
 
 
 def mhat_from_case_i(i: int, ctx: TwistContext) -> AlgebraElement:

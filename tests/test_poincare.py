@@ -332,7 +332,7 @@ class TestClosedFormTable:
     def test_coproduct_matches_both_routes(self, gen, lam):
         ctx = TwistContext(order=N, lam=lam)
         node = parse(gen)
-        closed = closed_form_coproduct(node, ctx)
+        closed = closed_form_coproduct(closed_form_string(node, None), ctx)
         h = elaborate(node, ctx)
         assert closed == ctx.coproduct(h)
         assert closed == ctx.coproduct_hom(h)

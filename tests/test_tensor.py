@@ -3,6 +3,7 @@ canonical forms."""
 
 from fractions import Fraction
 
+import importlib
 import operator
 
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappatwist.algebra import (
+    ZERO_EXP,
     AlgebraElement,
+    Monomial,
     Polynomial,
     commutator,
     dilatation,
@@ -19,7 +22,7 @@ from kappatwist.algebra import (
     x,
 )
 from kappatwist.hopf import TwistContext
-from kappatwist.scalars import LambdaPoly, Scalar, UsageError
+from kappatwist.scalars import DomainError, LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import (
     TensorElement,
     TensorElement3,
@@ -34,6 +37,8 @@ from kappatwist.tensor import (
 )
 from paper_reference import embed
 
+# the module, which the package's `tensor` function shadows as an attribute
+tensor_module = importlib.import_module("kappatwist.tensor")
 N = 3
 
 
@@ -315,3 +320,88 @@ def test_tensor_takes_two_or_three_legs(count):
 def test_tensor_rejects_mixed_orders():
     with pytest.raises(UsageError):
         tensor(p(1, N), p(1, N), p(1, N + 1))
+
+
+def canonicalize_by_coordinate(t, rel):
+    """The former `canonicalize`: peel the smallest coordinate off a left
+    leg and multiply by its replacement, one rewrite per coordinate, until
+    every left leg is coordinate-free."""
+    done, work = {}, dict(t.terms)
+    while work:
+        (ml, mr), s = work.popitem()
+        if s.is_zero():
+            continue
+        if ml.x_degree() == 0:
+            done[(ml, mr)] = done[(ml, mr)] + s if (ml, mr) in done else s
+            continue
+        mu = next(mu for mu, e in enumerate(ml.alpha) if e)
+        rest = Monomial(tuple(e - (nu == mu) for nu, e in enumerate(ml.alpha)), ml.beta)
+        produced = rel.replacement(mu) * TensorElement({(rest, mr): s}, t.order)
+        for k, s2 in produced.terms.items():
+            work[k] = work[k] + s2 if k in work else s2
+    return TensorElement(done, t.order)
+
+
+_LAMS = [None, Fraction(1, 3), Fraction(1, 2), Fraction(-5, 3)]
+
+
+@st.composite
+def spatial_tensors(draw):
+    """A relation set (R0, R or Rtilde; lam symbolic, 1/3, 1/2 or -5/3;
+    N = 1..6) and a tensor of its order.  Left legs mix x0 with x1..x3;
+    right legs carry x0, so that the Z powers of a shift contract with
+    them; coefficients spread over a0 grades and, for symbolic lam, over
+    powers of lam."""
+    n = draw(st.integers(1, 6))
+    lam = draw(st.sampled_from(_LAMS))
+    ctx = TwistContext(order=n, lam=lam)
+    rel = draw(st.sampled_from([ctx.R0, ctx.R, ctx.Rtilde]))
+    small = st.integers(0, 2)
+    left = st.builds(
+        Monomial,
+        st.tuples(st.integers(0, 2), small, st.integers(0, 1), st.integers(0, 1)),
+        st.tuples(st.integers(0, 1), st.integers(0, 1), st.just(0), st.just(0)),
+    )
+    right = st.builds(
+        Monomial,
+        st.tuples(st.integers(0, 2), st.integers(0, 1), st.just(0), st.integers(0, 1)),
+        st.tuples(st.integers(0, 1), st.just(0), st.integers(0, 1), st.just(0)),
+    )
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    lam_power = st.integers(0, 2 if lam is None else 0)
+    term = st.tuples(left, right, coeff, st.integers(0, n), lam_power)
+    terms = {}
+    for ml, mr, c, k, j in draw(st.lists(term, min_size=1, max_size=3)):
+        terms[(ml, mr)] = Scalar.graded(LambdaPoly({j: c}), k, n)
+    return rel, TensorElement(terms, n)
+
+
+class TestClosedFormCanonicalize:
+    @given(spatial_tensors())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_coordinate_rewriting(self, drawn):
+        rel, t = drawn
+        assert canonicalize(t, rel) == canonicalize_by_coordinate(t, rel)
+
+    @pytest.mark.parametrize("lam", _LAMS, ids=str)
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_shift_contract(self, n, lam):
+        ctx = TwistContext(order=n, lam=lam)
+        one = AlgebraElement.one(n)
+        for rel in (ctx.R0, ctx.R, ctx.Rtilde):
+            for i in (1, 2, 3):
+                assert rel.shift(1) * tensor(one, x(i, n)) == rel.replacement(i)
+            for d in range(n + 3):
+                assert rel.shift(d) == rel.shift(1) ** d, (rel.tag, d)
+
+    @pytest.mark.parametrize("tag", ["R0", "R", "Rtilde"])
+    def test_closed_form_counts_one_step_per_coordinate(self, tag, monkeypatch):
+        # x1 x2^2 p1 (x) x0 stands for three rewrites
+        rel = getattr(TwistContext(order=N), tag)
+        left = Monomial((0, 1, 2, 0), (0, 1, 0, 0))
+        t = TensorElement({(left, Monomial((1, 0, 0, 0), ZERO_EXP)): Scalar.one(N)}, N)
+        monkeypatch.setattr(tensor_module, "MAX_REWRITE_STEPS", 3)
+        assert canonicalize(t, rel) == canonicalize_by_coordinate(t, rel)
+        monkeypatch.setattr(tensor_module, "MAX_REWRITE_STEPS", 2)
+        with pytest.raises(DomainError):
+            canonicalize(t, rel)
