@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Solve the perturbative R-matrix expansion order by order and print a
-report: ansatz sizes, equation counts, solution-space dimensions, the
-named third-order parameters, and the substitution residual.
+report: a first line naming the case, the lambda solved at and the
+truncation, then ansatz sizes, equation counts, solution-space
+dimensions, the named third-order parameters, and the substitution
+residual.
 
 Usage:
     python scripts/rexpand_report.py [--case i|ii|iii] [--up-to K]
@@ -29,8 +31,10 @@ from kappatwist.scalars import DomainError, UsageError
 
 def report(args) -> int:
     order = args.truncation or max(args.up_to, 2)
-    ctx = TwistContext(order=order, lam=rexpand_lambda(args.lam))
+    lam = rexpand_lambda(args.lam)
+    ctx = TwistContext(order=order, lam=lam)
     real = realization(args.case, ctx)
+    print(f"case={args.case} lambda={lam} truncation={order}")
 
     results = expand(args.up_to, real, ctx)
     for r in results:

@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals.
 
 Gaussian elimination with deterministic pivoting (first nonzero entry in
 column order), returning either a unique solution, a particular solution
-plus a nullspace basis, or an infeasibility verdict.  `coefficient_rows`
-reads the rows of an exact fit of sparse elements off their
-coefficients, and `fit` solves that fit on its distinct rows.  Entries
+plus a nullspace basis, or an infeasibility verdict.  The rows are dense
+lists, but each elimination step touches only the columns where its
+pivot row is nonzero.  `coefficient_rows` reads the rows of an exact fit
+of sparse elements off their coefficients in one pass over each
+element's terms, and `fit` solves that fit on its distinct rows.  Entries
 must be exact numbers (`scalars.as_gaussian`).
 """
 
@@ -72,14 +74,20 @@ def solve(matrix, rhs) -> SolutionSpace:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
+        pivot = rows[r]
+        # left of c the pivot row is zero: its earlier pivot columns are
+        # eliminated, and the other columns had no entry in rows r.. when
+        # they were passed
+        support = [j for j in range(c, m + 1) if pivot[j]]
+        inv = pivot[c].inverse()
+        for j in support:
+            pivot[j] = pivot[j] * inv
         for i in range(n):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [
-                    vi - factor * vr for vi, vr in zip(rows[i], rows[r])
-                ]
+            row = rows[i]
+            if i != r and row[c]:
+                factor = row[c]
+                for j in support:
+                    row[j] = row[j] - factor * pivot[j]
         pivots.append((r, c))
         r += 1
         if r == n:
@@ -116,18 +124,23 @@ def coefficient_rows(target, columns, grades) -> dict:
     and in the target.  Rows whose entries and value are all zero are left
     out; a symbolic twist parameter raises (`Scalar.numeric_coefficient`).
     """
-    keys = set(target.terms)
-    for col in columns:
-        keys.update(col.terms)
+    by_key: dict = {}
+    for j, col in enumerate(columns):
+        for key, s in col.terms.items():
+            by_key.setdefault(key, {})[j] = s
+    target_terms = target.terms
+    width = len(columns)
     out = {}
-    for key in sorted(keys):
-        coeffs = [col.coefficient(key) for col in columns]
-        value = target.coefficient(key)
+    for key in sorted(by_key.keys() | target_terms.keys()):
+        entries = by_key.get(key, {})
+        value = target_terms.get(key)
         for grade in grades:
-            row = tuple(c.numeric_coefficient(grade) for c in coeffs)
-            val = value.numeric_coefficient(grade)
+            row = [GR_ZERO] * width
+            for j, s in entries.items():
+                row[j] = s.numeric_coefficient(grade)
+            val = GR_ZERO if value is None else value.numeric_coefficient(grade)
             if val or any(row):
-                out[(key, grade)] = (row, val)
+                out[(key, grade)] = (tuple(row), val)
     return out
 
 
@@ -138,5 +151,8 @@ def fit(target, columns, grades) -> SolutionSpace:
     distinct = {}
     for row, val in coefficient_rows(target, columns, grades).values():
         distinct.setdefault((*(c.triple for c in row), val.triple), (row, val))
+    if not distinct:
+        # no row survives: one zero row keeps all len(columns) unknowns free
+        return solve([(GR_ZERO,) * len(columns)], [GR_ZERO])
     equations = distinct.values()
     return solve([row for row, _ in equations], [val for _, val in equations])

@@ -17,6 +17,11 @@ and only the grade-k parts are lifted back to the context's truncation N.
 The exponential of the earlier r's, like R itself, is formed in canonical
 form (`tensor.canonical_exp`): each of its powers is canonicalized as it is
 built, so the fully expanded series never exists.
+The ansatz is built by exponent arithmetic: a candidate gen*p^taken (x)
+p^rest shifts the momentum exponents of the generator's terms, since a
+momentum on the right contracts with nothing.  The column of order k
+reads only a candidate's grade-0 part and r_k only its grades <= N - k,
+so the generators are truncated at N - k before they are expanded.
 The whole order-k identity sum_j c_j col_j == target is then solved once,
 on its distinct coefficient rows (`linsolve.fit`); the number of generic
 index patterns is reported beside the solution as its equation count.
@@ -29,13 +34,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add
 
-from .algebra import DIM, ZERO_EXP, AlgebraElement, Monomial
+from .algebra import DIM, ZERO_EXP, Monomial
 from .hopf import TwistContext, relation_set
 from .linsolve import SolutionSpace, fit
 from .poincare import SPATIAL, LorentzRealization, mhat, mij
 from .scalars import GaussianRational, Scalar, UsageError
-from .tensor import TensorElement, canonical_exp, canonicalize, tau0, tensor
+from .tensor import TensorElement, canonical_exp, canonicalize, tau0
 
 I_NEG = GaussianRational(0, -1)
 
@@ -44,8 +50,9 @@ I_NEG = GaussianRational(0, -1)
 class AnsatzTerm:
     """One rotation-invariant basis term of the order-k ansatz.
 
-    `element` is the bare invariant sum (no a0 power, no -i); the candidate
-    r_k is -i a0^k times a rational combination of these.
+    `element` is the bare invariant sum (no a0 power, no -i), truncated at
+    N - k (`_ansatz_order`); the candidate r_k is -i a0^k times a rational
+    combination of these.
     """
 
     name: str
@@ -110,12 +117,13 @@ def _sub_multisets(labels):
     return seen
 
 
-def _momentum_product(labels, idx, n: int) -> AlgebraElement:
-    """The momentum monomial p^beta named by `labels` under `idx`."""
+def _momentum_exponents(labels, idx) -> tuple[int, ...]:
+    """The exponents beta of the momentum monomial p^beta named by `labels`
+    under `idx`."""
     beta = [0] * DIM
     for lab in labels:
         beta[idx[lab]] += 1
-    return AlgebraElement.monomial(Monomial(ZERO_EXP, tuple(beta)), n)
+    return tuple(beta)
 
 
 def _label_str(gname, labels):
@@ -132,15 +140,16 @@ def _label_str(gname, labels):
 
 
 def _expand_term(
-    kind: str,
-    taken: tuple,
-    rest: tuple,
-    side: str,
-    gens: dict,
-    ctx: TwistContext,
+    kind: str, taken: tuple, rest: tuple, side: str, gens: dict, order: int
 ) -> TensorElement:
-    n = ctx.order
-    acc = TensorElement.zero(n)
+    """The candidate gen*p^taken (x) p^rest (or its mirror), summed over the
+    frames and dummy indices.
+
+    A momentum monomial on the right contracts with nothing, so each term
+    x^alpha p^gamma of the generator becomes x^alpha p^(gamma + taken) with
+    its coefficient unchanged, and the other leg p^rest has coefficient 1:
+    every term is an exponent shift of a generator term."""
+    out: dict = {}
     labels = set(taken) | set(rest)
     if kind == "boost":
         dummies = tuple(d for d in ("j", "k") if d in labels)
@@ -154,25 +163,36 @@ def _expand_term(
             idx = {"i": frame[0], "0": 0, **dict(zip(dummies, assign))}
             if kind == "rotation":
                 idx["j"] = frame[1]
-            gleg = gen * _momentum_product(taken, idx, n)
-            oleg = _momentum_product(rest, idx, n)
-            acc = acc + (
-                tensor(gleg, oleg) if side == "left" else tensor(oleg, gleg)
-            )
-    return acc
+            shift = _momentum_exponents(taken, idx)
+            other = Monomial(ZERO_EXP, _momentum_exponents(rest, idx))
+            for (alpha, gamma), s in gen.terms.items():
+                leg = Monomial(alpha, tuple(map(add, gamma, shift)))
+                key = (leg, other) if side == "left" else (other, leg)
+                cur = out.get(key)
+                out[key] = s if cur is None else cur + s
+    return TensorElement(out, order)
+
+
+def _ansatz_order(k: int, ctx: TwistContext) -> int:
+    """The truncation of the order-k ansatz terms: the order-k column reads
+    only a term's grade-0 part, and r_k = -i a0^k * (sum of c * term) only
+    its grades <= N - k."""
+    return max(ctx.order - k, 0)
 
 
 def generate_ansatz(
     k: int, real: LorentzRealization, ctx: TwistContext
 ) -> list[AnsatzTerm]:
-    """Complete rotation-invariant ansatz basis at order k."""
+    """Complete rotation-invariant ansatz basis at order k, truncated at
+    N - k (`assemble` lifts r_k back to N)."""
     if k < 1:
         raise UsageError("expansion order must be positive")
+    order = _ansatz_order(k, ctx)
     # the generators by frame, each built once: the boost under (i,) and
     # M_ij under (i, j)
-    gens = {(i,): mhat(i, real, ctx) for i in SPATIAL}
+    gens = {(i,): mhat(i, real, ctx).at_order(order) for i in SPATIAL}
     for i, j in itertools.permutations(SPATIAL, 2):
-        gens[(i, j)] = mij(i, j, ctx)
+        gens[(i, j)] = mij(i, j, ctx).at_order(order)
     out: list[AnsatzTerm] = []
 
     def push(term: AnsatzTerm):
@@ -184,7 +204,7 @@ def generate_ansatz(
         for content in _content(kind, k):
             for taken, rest in _sub_multisets(content):
                 for side in ("left", "right"):
-                    element = _expand_term(kind, taken, rest, side, gens, ctx)
+                    element = _expand_term(kind, taken, rest, side, gens, order)
                     gtext = _label_str(gname, taken)
                     otext = _label_str("", rest)
                     name = (
@@ -287,13 +307,14 @@ def solve_order(
 def assemble(
     terms: list[AnsatzTerm], coeffs, k: int, ctx: TwistContext
 ) -> TensorElement:
-    """r_k = -i a0^k * sum of coeff * term."""
+    """r_k = -i a0^k * sum of coeff * term, lifted from the terms'
+    truncation N - k to N."""
     n = ctx.order
-    acc = TensorElement.zero(n)
+    acc = TensorElement.zero(_ansatz_order(k, ctx))
     for t, c in zip(terms, coeffs):
         if c:
             acc = acc + t.element.scale(c)
-    return acc.scale(Scalar.graded(I_NEG, k, n))
+    return acc.at_order(n).scale(Scalar.graded(I_NEG, k, n))
 
 
 def expand(

@@ -9,16 +9,18 @@ from unittest import mock
 import pytest
 
 from kappatwist import rexpand
-from kappatwist.algebra import AlgebraElement, p
+from kappatwist.algebra import DIM, ZERO_EXP, AlgebraElement, Monomial, p
 from kappatwist.hopf import TwistContext
 from kappatwist.linsolve import SolutionSpace, coefficient_rows, solve
-from kappatwist.poincare import SPATIAL, realization
+from kappatwist.poincare import SPATIAL, mhat, mij, realization
 from kappatwist.rexpand import (
+    I_NEG,
     PARAM_NAMES,
     _content,
     _index_pattern,
     _is_generic,
-    _momentum_product,
+    _label_str,
+    _momentum_exponents,
     _sub_multisets,
     _term_column,
     assemble,
@@ -30,8 +32,8 @@ from kappatwist.rexpand import (
     solve_order,
     wedge_check,
 )
-from kappatwist.scalars import GR_ONE, GR_ZERO, GaussianRational, UsageError
-from kappatwist.tensor import TensorElement, canonicalize, equal_mod, t_exp
+from kappatwist.scalars import GR_ONE, GR_ZERO, GaussianRational, Scalar, UsageError
+from kappatwist.tensor import TensorElement, canonicalize, equal_mod, t_exp, tensor
 from paper_reference import (
     coefficient_wedge_check,
     reference_third_order,
@@ -189,7 +191,8 @@ class TestMomentumProduct:
                         product = AlgebraElement.one(n)
                         for lab in labels:
                             product = product * p(idx[lab], n)
-                        assert _momentum_product(labels, idx, n) == product
+                        mono = Monomial(ZERO_EXP, _momentum_exponents(labels, idx))
+                        assert AlgebraElement.monomial(mono, n) == product
 
 
 def _concrete_equations(columns, target, k):
@@ -358,3 +361,124 @@ class TestWholeIdentitySolve:
             if sol.status != "infeasible":
                 _check_solution(sol, columns, target)
                 prior.append(res.element)
+
+
+# -- the exponent-shift ansatz against the product-based one ---------------
+#
+# The oracle is the ansatz as it was built before `_expand_term` wrote its
+# terms by exponent shifts: every candidate is a product gen * p^taken and
+# an outer product with p^rest, summed term by term, at the full truncation
+# N.
+
+
+def _oracle_momentum_product(labels, idx, n: int) -> AlgebraElement:
+    beta = [0] * DIM
+    for lab in labels:
+        beta[idx[lab]] += 1
+    return AlgebraElement.monomial(Monomial(ZERO_EXP, tuple(beta)), n)
+
+
+def _oracle_expand_term(kind, taken, rest, side, gens, ctx) -> TensorElement:
+    n = ctx.order
+    acc = TensorElement.zero(n)
+    labels = set(taken) | set(rest)
+    if kind == "boost":
+        dummies = tuple(d for d in ("j", "k") if d in labels)
+        frames = [(i,) for i in SPATIAL]
+    else:
+        dummies = ("k",) if "k" in labels else ()
+        frames = list(itertools.permutations(SPATIAL, 2))
+    for frame in frames:
+        gen = gens[frame]
+        for assign in itertools.product(SPATIAL, repeat=len(dummies)):
+            idx = {"i": frame[0], "0": 0, **dict(zip(dummies, assign))}
+            if kind == "rotation":
+                idx["j"] = frame[1]
+            gleg = gen * _oracle_momentum_product(taken, idx, n)
+            oleg = _oracle_momentum_product(rest, idx, n)
+            acc = acc + (
+                tensor(gleg, oleg) if side == "left" else tensor(oleg, gleg)
+            )
+    return acc
+
+
+def _oracle_generate_ansatz(k, real, ctx) -> list[rexpand.AnsatzTerm]:
+    gens = {(i,): mhat(i, real, ctx) for i in SPATIAL}
+    for i, j in itertools.permutations(SPATIAL, 2):
+        gens[(i, j)] = mij(i, j, ctx)
+    out: list[rexpand.AnsatzTerm] = []
+
+    def push(term):
+        element, negated = term.element, -term.element
+        if element and not any(t.element in (element, negated) for t in out):
+            out.append(term)
+
+    for kind, gname in (("boost", "Mh_i0"), ("rotation", "M_ij")):
+        for content in _content(kind, k):
+            for taken, rest in _sub_multisets(content):
+                for side in ("left", "right"):
+                    element = _oracle_expand_term(kind, taken, rest, side, gens, ctx)
+                    gtext = _label_str(gname, taken)
+                    otext = _label_str("", rest)
+                    name = (
+                        f"{gtext} ox {otext}" if side == "left" else f"{otext} ox {gtext}"
+                    )
+                    push(rexpand.AnsatzTerm(name, element, kind))
+    return out
+
+
+def _oracle_assemble(terms, coeffs, k, ctx) -> TensorElement:
+    n = ctx.order
+    acc = TensorElement.zero(n)
+    for t, c in zip(terms, coeffs):
+        if c:
+            acc = acc + t.element.scale(c)
+    return acc.scale(Scalar.graded(I_NEG, k, n))
+
+
+_ANSATZ_CASES = [
+    ("i", Fraction(1, 3)),
+    ("i", Fraction(1, 2)),
+    ("ii", Fraction(1, 2)),
+    ("iii", Fraction(1, 2)),
+]
+
+
+@pytest.fixture(scope="module", params=_ANSATZ_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def ansatz_pairs(request):
+    """(N, k, terms, oracle terms, ctx) for N = 1..5 and k = 1..N."""
+    case, lam = request.param
+    out = []
+    for n in range(1, 6):
+        ctx = TwistContext(order=n, lam=lam)
+        real = realization(case, ctx)
+        for k in range(1, n + 1):
+            out.append(
+                (n, k, generate_ansatz(k, real, ctx), _oracle_generate_ansatz(k, real, ctx), ctx)
+            )
+    return out
+
+
+class TestAnsatzAgainstProducts:
+    def test_names_and_order_match(self, ansatz_pairs):
+        for n, k, terms, oracle, _ in ansatz_pairs:
+            assert [(t.name, t.kind) for t in terms] == [
+                (t.name, t.kind) for t in oracle
+            ], (n, k)
+
+    def test_elements_are_the_oracle_at_truncation_n_minus_k(self, ansatz_pairs):
+        for n, k, terms, oracle, _ in ansatz_pairs:
+            for t, o in zip(terms, oracle):
+                assert t.element.order == n - k
+                assert t.element == o.element.at_order(n - k), (n, k, t.name)
+
+    def test_columns_and_assembly_match(self, ansatz_pairs):
+        for n, k, terms, oracle, ctx in ansatz_pairs:
+            for t, o in zip(terms, oracle):
+                assert _term_column(t, k, ctx) == _term_column(o, k, ctx), (n, k, t.name)
+            coeffs = [
+                GaussianRational(j % 5 - 2, j % 3 - 1) for j in range(len(terms))
+            ]
+            assert assemble(terms, coeffs, k, ctx) == _oracle_assemble(
+                oracle, coeffs, k, ctx
+            ), (n, k)

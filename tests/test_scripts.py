@@ -30,6 +30,7 @@ def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 def test_rexpand_report():
     proc = _run_script("rexpand_report.py", "--up-to", "2")
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "case=ii lambda=1/2 truncation=2"
     assert re.search(r"^order 1: unique .* equations=7 ", proc.stdout, re.M)
     assert re.search(r"^order 2: unique .* equations=16 ", proc.stdout, re.M)
     assert "substitution residual through solved orders: clean" in proc.stdout
@@ -41,6 +42,15 @@ def test_rexpand_report_reads_lambda_as_the_cli():
     half = _run_script("rexpand_report.py", "--up-to", "2", "--lambda", "1/2")
     assert sym.returncode == half.returncode == 0, sym.stderr
     assert sym.stdout == half.stdout
+
+
+def test_rexpand_report_header_names_what_was_solved():
+    proc = _run_script(
+        "rexpand_report.py", "--case", "iii", "--up-to", "1", "--lambda", "sym",
+        "--truncation", "3",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "case=iii lambda=1/2 truncation=3"
 
 
 @pytest.mark.parametrize(
