@@ -17,7 +17,7 @@ is blocked, 2 on a usage or domain error.
 import argparse
 import sys
 
-from kappatwist.cli import EXIT_USAGE, rexpand_lambda
+from kappatwist.cli import EXIT_USAGE, rexpand_lambda, rexpand_truncation
 from kappatwist.hopf import TwistContext
 from kappatwist.poincare import realization
 from kappatwist.rexpand import (
@@ -30,7 +30,7 @@ from kappatwist.scalars import DomainError, UsageError
 
 
 def report(args) -> int:
-    order = args.truncation or max(args.up_to, 2)
+    order = rexpand_truncation(args.up_to, args.truncation)
     lam = rexpand_lambda(args.lam)
     ctx = TwistContext(order=order, lam=lam)
     real = realization(args.case, ctx)
@@ -72,7 +72,7 @@ def main() -> int:
     ap.add_argument("--case", choices=("i", "ii", "iii"), default="ii")
     ap.add_argument("--up-to", type=int, default=3)
     ap.add_argument("--lambda", dest="lam", default="1/2")
-    ap.add_argument("--truncation", type=int, default=0)
+    ap.add_argument("--truncation", type=int, default=None)
     args = ap.parse_args()
     try:
         return report(args)

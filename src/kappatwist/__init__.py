@@ -9,7 +9,7 @@ parameter), with deformation-parameter series truncated at a fixed order.
 from .algebra import AlgebraElement, commutator
 from .hopf import TwistContext
 from .scalars import DomainError, GaussianRational, LambdaPoly, Scalar, UsageError
-from .tensor import TensorElement, canonicalize, equal_mod, tensor
+from .tensor import TensorElement, canonicalize, equal_mod
 
 __all__ = [
     "AlgebraElement",
@@ -23,7 +23,6 @@ __all__ = [
     "canonicalize",
     "commutator",
     "equal_mod",
-    "tensor",
 ]
 
 __version__ = "0.1.0"

@@ -280,11 +280,6 @@ class SparseElement:
             {k: s.a0_limit() for k, s in self.terms.items()}, self.order
         )
 
-    def substitute_lambda(self, value):
-        return self.__class__(
-            {k: s.substitute_lambda(value) for k, s in self.terms.items()}, self.order
-        )
-
     def coefficient(self, key) -> Scalar:
         return self.terms.get(key, Scalar.zero(self.order))
 

@@ -54,6 +54,12 @@ def rexpand_lambda(text: str) -> Fraction:
     return Fraction(1, 2) if lam is None else lam
 
 
+def rexpand_truncation(order: int, truncation: int | None) -> int:
+    """The a0 truncation the re-expansion of order k runs at: the one
+    given, or max(k, 2) when none is."""
+    return max(order, 2) if truncation is None else truncation
+
+
 def _emit(text: str) -> None:
     """Print a line: the CLI's one stdout writer.  A reader that closed the
     pipe (`| head`) gets no more: stdout goes to os.devnull, as the SIGPIPE
@@ -154,7 +160,7 @@ def _cmd_rexpand(args) -> int:
     from .rexpand import expand, named_parameters
 
     lam = rexpand_lambda(args.lam)
-    order = args.truncation if args.truncation else max(args.order, 2)
+    order = rexpand_truncation(args.order, args.truncation)
     ctx = TwistContext(order=order, lam=lam)
     real = realization(args.case, ctx)
     results = expand(args.order, real, ctx)
@@ -280,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     rx.add_argument("--case", choices=("i", "ii", "iii"), default="ii")
     rx.add_argument("--lambda", dest="lam", default="sym")
     rx.add_argument(
-        "--truncation", type=int, default=0, help="a0-truncation order (default max(k,2))"
+        "--truncation", type=int, default=None, help="a0-truncation order (default max(k,2))"
     )
     rx.add_argument("--format", choices=("text", "json"), default="json")
     rx.set_defaults(func=_cmd_rexpand)

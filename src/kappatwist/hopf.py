@@ -9,8 +9,8 @@ with S = x_k p_k and A = a0*p0; its exponential deforms the undeformed
 coproducts by conjugation.  The R-matrix exponent is rho = i*(A (x) S -
 S (x) A).  This module is the one place that knows the twist family: the
 exchange relations R0, R and Rtilde that `tensor.canonicalize` rewrites
-with (`exchange_rule`, and `spatial_shift` for spatial degree d at once),
-the twist exponent, and the powers Z^c.
+with (`exchange_rule` for x0, and `spatial_shift` for the spatial
+coordinates, d of them at once), the twist exponent, and the powers Z^c.
 
 Star products act with F^-1 or Ftilde^-1 in closed form; the realization
 of xhat_mu on f is the star product of x_mu with f.  On a polynomial of
@@ -54,7 +54,6 @@ from .algebra import (
     z_power,
 )
 from .scalars import (
-    DomainError,
     LP_LAM,
     LP_ONE,
     GaussianRational,
@@ -66,7 +65,6 @@ from .scalars import (
 from .tensor import (
     RelationSet,
     TensorElement,
-    TensorElement3,
     canonical_exp,
     canonicalize,
     t_adjoint,
@@ -109,25 +107,22 @@ def spatial_shift(tag: str, lam: LambdaPoly, order: int, d: int) -> TensorElemen
 
 
 @lru_cache(maxsize=1024)
-def exchange_rule(tag: str, lam: LambdaPoly, order: int, mu: int) -> TensorElement:
-    """Canonical substitute for x_mu (x) 1 in the relation set `tag`.
+def exchange_rule(tag: str, lam: LambdaPoly, order: int) -> TensorElement:
+    """Canonical substitute for x0 (x) 1 in the relation set `tag`.
 
     R0 (x_mu (x) 1 = 1 (x) x_mu) is the undeformed set; R and Rtilde hold
     for the coproduct and the opposite coproduct of the twist with
     parameter `lam` (`_twist_sign` relates them):
 
-        R:      x_i (x) 1 = Z^(lam-1) (x) x_i Z^(-lam)
-                x_0 (x) 1 = 1 (x) x_0 - a0((1-lam) 1 (x) S + lam S (x) 1)
-        Rtilde: x_i (x) 1 = Z^lam (x) x_i Z^(1-lam)
-                x_0 (x) 1 = 1 (x) x_0 + a0(lam 1 (x) S + (1-lam) S (x) 1)
+        R:      x_0 (x) 1 = 1 (x) x_0 - a0((1-lam) 1 (x) S + lam S (x) 1)
+        Rtilde: x_0 (x) 1 = 1 (x) x_0 + a0(lam 1 (x) S + (1-lam) S (x) 1)
 
-    The spatial rules are `spatial_shift` at d = 1 times 1 (x) x_i, so
-    their exponents are written once.
+    Their spatial rules, x_i (x) 1 = Z^(lam-1) (x) x_i Z^(-lam) for R and
+    Z^lam (x) x_i Z^(1-lam) for Rtilde, are `spatial_shift` at d = 1 times
+    1 (x) x_i, so their exponents are written once.
     """
     n = order
     unit = AlgebraElement.one(n)
-    if mu != 0:
-        return spatial_shift(tag, lam, order, 1) * tensor(unit, x(mu, n))
     if tag == "R0":
         return tensor(unit, x(0, n))
     sign, lt = _twist_sign(tag, lam)
@@ -235,7 +230,9 @@ class TwistContext:
     # -- basic elements -------------------------------------------------
 
     def z(self, exponent=1) -> AlgebraElement:
-        """Z^c with c a rational or lam-polynomial exponent."""
+        """Z^c with c a rational or lam-polynomial exponent.  At a rational
+        lam, c is evaluated there, so that a caller's symbolic exponent does
+        not leak into the rational context."""
         cp = as_lambda_poly(exponent)
         if self.lam is not None:
             cp = LambdaPoly.const(cp.eval(self.lam))
@@ -368,14 +365,13 @@ class TwistContext:
 
         return self._cached(("Sp0", s, a), build)
 
-    def expand(self, c: _Commuting) -> SparseElement:
-        """The image of c in the tensor square or cube of the phase-space
-        algebra: an injective algebra map, key (s, a) to S^s p0^a on each leg."""
-        kind = TensorElement if len(c.UNIT_KEY) == 4 else TensorElement3
-        out = kind.zero(c.order)
-        for key, s in c.terms.items():
-            legs = (self._s_p0_power(*e) for e in zip(key[::2], key[1::2]))
-            out = out + tensor(*legs).scale(s)
+    def expand(self, c: CommutingPair) -> TensorElement:
+        """The image of c in the tensor square of the phase-space algebra:
+        an injective algebra map, key (s, a) to S^s p0^a on each leg."""
+        out = TensorElement.zero(c.order)
+        for (s1, a1, s2, a2), s in c.terms.items():
+            leg1, leg2 = self._s_p0_power(s1, a1), self._s_p0_power(s2, a2)
+            out = out + tensor(leg1, leg2).scale(s)
         return out
 
     def _twist_lift(self) -> CommutingPair | None:
@@ -390,14 +386,6 @@ class TwistContext:
             self.order,
         )
         return lift if self.expand(lift) == f else None
-
-    def cocycle_exponents(self) -> tuple[CommutingTriple, CommutingTriple]:
-        """(Delta0 (x) id)f and (id (x) Delta0)f for the twist exponent f,
-        in C[S, A]^(x)3; S and A are primitive."""
-        f = self._twist_lift()
-        if f is None:
-            raise DomainError("the twist exponent is not in C[S, A] (x) C[S, A]")
-        return _split_exponent(f)
 
     def verify_cocycle(self) -> bool:
         """(F (x) 1)((Delta0 (x) id)F) == (1 (x) F)((id (x) Delta0)F), in

@@ -118,11 +118,9 @@ def kappa_commutator_check(ctx: TwistContext) -> bool:
     return True
 
 
-def lorentz_coproduct(
-    i: int, real: LorentzRealization, ctx: TwistContext, method: str = "twist"
-) -> TensorElement:
-    """Coproduct of the boost, by twist conjugation or by homomorphism."""
-    return ctx.coproduct_by(mhat(i, real, ctx), method)
+def lorentz_coproduct(i: int, real: LorentzRealization, ctx: TwistContext) -> TensorElement:
+    """Coproduct of the boost, by twist conjugation."""
+    return ctx.coproduct(mhat(i, real, ctx))
 
 
 # The published coproducts of the plain generators (hopf.GENERATORS), by

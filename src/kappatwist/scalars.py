@@ -614,9 +614,6 @@ class Scalar:
             return self
         return _build(_scale(self.terms, t), self.order)
 
-    def substitute_lambda(self, value: RationalLike) -> "Scalar":
-        return _build(_substitute(self.terms, value), self.order)
-
     def min_grade(self) -> int | None:
         """Lowest a0 power with a nonzero coefficient, or None for zero."""
         return min(self.terms)[0] if self.terms else None

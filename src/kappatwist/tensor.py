@@ -1,20 +1,23 @@
-"""Tensor squares and cubes of the phase-space algebra.
+"""Tensor squares of the phase-space algebra.
 
-`TensorElement` and `TensorElement3` are `SparseElement` containers keyed
-by pairs and triples of monomials, multiplied leg by leg and built by the
-one outer product `tensor(*legs)`.  The tensor cube is the target of
-`hopf`'s `expand` and, with `t3_exp`, the independent route that tests
-check the cocycle condition against; `hopf` checks it in C[S, A]^(x)3.
-This module also provides the leg flip tau0, graded exponentials and
-adjoint conjugation (through `power_series`),
+`TensorElement` is the `SparseElement` container keyed by pairs of
+monomials, multiplied leg by leg and built by the outer product
+`tensor(a, b)`.  This module also provides the leg flip tau0, graded
+exponentials and adjoint conjugation (through `power_series`),
 canonicalization modulo a `RelationSet` of exchange relations, and the
 canonical exponential, which keeps every power of its series in canonical
 form.  It is purely structural: the relations of the twist family
 (undeformed R0 and the deformed R and Rtilde) are written in `hopf`.  The
 canonical representative of a class has no coordinate generators in the
-left tensor leg.  `canonicalize` rewrites x0 one at a time and moves the
-spatial coordinates x1..x3 of a left leg across in closed form, with one
-tensor product per spatial degree (the `shift` of the relation set).
+left tensor leg.  `canonicalize` rewrites x0 one at a time through the x0
+rule and moves the spatial coordinates x1..x3 of a left leg across in
+closed form, with one tensor product per spatial degree (the `shift` of
+the relation set).
+
+`TensorElement3`, `_triple_product` and `t3_exp` (the tensor cube) have
+no caller in the engine.  They stay because the benchmark harness hooks
+`t3_exp` and `TensorElement3.__mul__`, and the tests' three-leg route for
+the cocycle condition is built on them.
 """
 
 from __future__ import annotations
@@ -72,28 +75,16 @@ class TensorElement(SparseElement):
         return self._product(other, _pair_product)
 
 
-def tensor(*legs: AlgebraElement) -> SparseElement:
-    """a (x) b as a TensorElement, or a (x) b (x) c as a TensorElement3."""
-    if len(legs) not in (2, 3):
-        raise UsageError(f"a tensor has two or three legs, not {len(legs)}")
-    a, b, *rest = legs
-    if a.order != b.order or (rest and rest[0].order != a.order):
+def tensor(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
+    """a (x) b."""
+    if a.order != b.order:
         raise UsageError("legs have different truncation orders")
-    out = {
-        (m1, m2): s
-        for m1, s1 in a.terms.items()
-        for m2, s2 in b.terms.items()
-        if not (s := s1 * s2).is_zero()
-    }
-    if not rest:
-        return TensorElement(out, a.order)
-    (c,) = rest
-    return TensorElement3(
+    return TensorElement(
         {
-            (m1, m2, m3): s
-            for (m1, m2), s12 in out.items()
-            for m3, s3 in c.terms.items()
-            if not (s := s12 * s3).is_zero()
+            (m1, m2): s
+            for m1, s1 in a.terms.items()
+            for m2, s2 in b.terms.items()
+            if not (s := s1 * s2).is_zero()
         },
         a.order,
     )
@@ -126,21 +117,21 @@ def t_adjoint(conjugator: TensorElement, target: TensorElement) -> TensorElement
 class RelationSet(NamedTuple):
     """One exchange-relation set (R0, R or Rtilde) at truncation order N.
 
-    `replacement(mu)` is the canonical substitute for x_mu (x) 1: its left
-    leg is either coordinate-free or carries a strictly higher a0 grade, so
+    `x0_rule()` is the canonical substitute for x0 (x) 1: its left leg is
+    either coordinate-free or carries a strictly higher a0 grade, so
     left-to-right rewriting terminates under truncation.
 
     `shift(d)` is the group-like factor Z^(d*u) (x) Z^(d*v) with which a
-    left leg of spatial degree d crosses: for i = 1, 2, 3,
-    replacement(i) == shift(1) * (1 (x) x_i), and shift(d) == shift(1)^d
-    (Z commutes with x1..x3, and each shift(d) is a function of p0 on each
-    leg).  The relations themselves belong to the twist family and come
-    from `hopf`.
+    left leg of spatial degree d crosses.  The spatial rules are
+    x_i (x) 1 = shift(1) * (1 (x) x_i) for i = 1, 2, 3, and
+    shift(d) == shift(1)^d (Z commutes with x1..x3, and each shift(d) is a
+    function of p0 on each leg).  The relations themselves belong to the
+    twist family and come from `hopf`.
     """
 
     tag: str
     order: int
-    replacement: Callable[[int], TensorElement]
+    x0_rule: Callable[[], TensorElement]
     shift: Callable[[int], TensorElement]
 
 
@@ -152,10 +143,10 @@ def _add_into(acc: dict, key, s: Scalar) -> None:
 def canonicalize(t: TensorElement, rel: RelationSet) -> TensorElement:
     """Rewrite until the left leg of every term is coordinate-free.
 
-    x0 is peeled off a left leg one at a time through replacement(0), whose
+    x0 is peeled off a left leg one at a time through the x0 rule, whose
     terms go back to the work list.  A left leg x^alpha p^beta without x0,
     of spatial degree d > 0, is moved across in one closed form: the d
-    rewrites through replacement(i) compose to
+    rewrites through the spatial rules shift(1) * (1 (x) x_i) compose to
 
         canon(x^alpha p^beta (x) m) = shift(d) * (p^beta (x) x^alpha m),
 
@@ -189,7 +180,7 @@ def canonicalize(t: TensorElement, rel: RelationSet) -> TensorElement:
             )
         if x0:
             rest = Monomial(_bump(ml.alpha, 0, -1), ml.beta)
-            produced = rel.replacement(0) * TensorElement({(rest, mr): s}, t.order)
+            produced = rel.x0_rule() * TensorElement({(rest, mr): s}, t.order)
             for k2, s2 in produced.terms.items():
                 _add_into(work, k2, s2)
         else:
@@ -207,12 +198,14 @@ def canonicalize(t: TensorElement, rel: RelationSet) -> TensorElement:
 def canonical_exp(a: TensorElement, rel: RelationSet) -> TensorElement:
     """canonicalize(t_exp(a), rel), with every power a^n kept canonical.
 
-    Each rewrite in `canonicalize` turns (x_mu rest) (x) m into
-    replacement(mu) * (rest (x) m), so it subtracts an element of the right
-    ideal spanned by (x_mu (x) 1 - replacement(mu)) * T; truncation in a0 is
-    a quotient by a central ideal and changes nothing.  A closed-form move
-    of a spatial degree-d left leg is d such rewrites composed, so it
-    subtracts an element of the same ideal.  Hence
+    Let rule_mu be the substitute for x_mu (x) 1: x0_rule() for mu = 0
+    and shift(1) * (1 (x) x_i) for mu = i.  Each x0 peel in `canonicalize`
+    turns (x0 rest) (x) m into rule_0 * (rest (x) m), so it subtracts an
+    element of the right ideal spanned by (x_mu (x) 1 - rule_mu) * T;
+    truncation in a0 is a quotient by a central ideal and changes nothing.
+    A closed-form move of a spatial degree-d left leg is d such rewrites by
+    the spatial rules composed, so it subtracts an element of the same
+    ideal.  Hence
     canon(u * v) == canon(canon(u) * v) for every v, and
     canon(a^n) == canon(canon(a^(n-1)) * a), and a sum of canonical powers
     is canonical.  The argument needs the uncanonical factor on the right:

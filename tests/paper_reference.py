@@ -6,6 +6,11 @@ the three-parameter family of the third-order R-matrix term, case (iii)'s
 failure to close in the Poincare span, the first-order boost fit, the
 leftward momenta and the compact coordinate coproducts.  They are test
 support, not engine code: nothing in `kappatwist` calls them.
+
+The last helpers are the engine paths that only the tests use: the
+three-leg route for the cocycle condition (the outer product `tensor3`,
+`embed`, the split exponents and their image in the tensor cube) and the
+specialisation of a symbolic lambda to a rational value.
 """
 
 from __future__ import annotations
@@ -23,7 +28,12 @@ from kappatwist.algebra import (
     p,
     power_series,
 )
-from kappatwist.hopf import COORDINATES, TwistContext
+from kappatwist.hopf import (
+    COORDINATES,
+    CommutingTriple,
+    TwistContext,
+    _split_exponent,
+)
 from kappatwist.linsolve import SolutionSpace, fit, solve
 from kappatwist.parser import elaborate, parse
 from kappatwist.poincare import (
@@ -42,7 +52,16 @@ from kappatwist.rexpand import (
     assemble,
     generate_ansatz,
 )
-from kappatwist.scalars import GR_ZERO, LP_ONE, GaussianRational, Scalar, UsageError
+from kappatwist.scalars import (
+    GR_ZERO,
+    LP_ONE,
+    DomainError,
+    GaussianRational,
+    Scalar,
+    UsageError,
+    _build,
+    _substitute,
+)
 from kappatwist.tensor import TensorElement, TensorElement3, canonicalize, tensor
 
 
@@ -330,4 +349,47 @@ def embed(t: TensorElement, at: int) -> TensorElement3:
     u (x) v to u (x) 1 (x) v."""
     return TensorElement3(
         {(*k[:at], UNIT_MONOMIAL, *k[at:]): s for k, s in t.terms.items()}, t.order
+    )
+
+
+def tensor3(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> TensorElement3:
+    """a (x) b (x) c."""
+    if c.order != a.order:
+        raise UsageError("legs have different truncation orders")
+    return TensorElement3(
+        {
+            (m1, m2, m3): s
+            for (m1, m2), s12 in tensor(a, b).terms.items()
+            for m3, s3 in c.terms.items()
+            if not (s := s12 * s3).is_zero()
+        },
+        a.order,
+    )
+
+
+def cocycle_exponents(ctx: TwistContext) -> tuple[CommutingTriple, CommutingTriple]:
+    """(Delta0 (x) id)f and (id (x) Delta0)f for the twist exponent f,
+    in C[S, A]^(x)3; S and A are primitive."""
+    f = ctx._twist_lift()
+    if f is None:
+        raise DomainError("the twist exponent is not in C[S, A] (x) C[S, A]")
+    return _split_exponent(f)
+
+
+def expand_triple(ctx: TwistContext, c: CommutingTriple) -> TensorElement3:
+    """The image of c in the tensor cube: `TwistContext.expand` on three
+    legs, key (s, a) to S^s p0^a on each leg."""
+    out = TensorElement3.zero(c.order)
+    for key, s in c.terms.items():
+        legs = (ctx._s_p0_power(*e) for e in zip(key[::2], key[1::2]))
+        out = out + tensor3(*legs).scale(s)
+    return out
+
+
+def substitute_lambda(value, lam):
+    """A Scalar or a sparse element with lambda set to the rational `lam`."""
+    if isinstance(value, Scalar):
+        return _build(_substitute(value.terms, lam), value.order)
+    return value.__class__(
+        {k: substitute_lambda(s, lam) for k, s in value.terms.items()}, value.order
     )

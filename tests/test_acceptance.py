@@ -264,6 +264,7 @@ def test_criterion_06_poincare_coproducts(ctx4, half4):
     from kappatwist.poincare import (
         boost_coproduct_closed_form,
         lorentz_coproduct,
+        mhat,
         mij,
         realization,
     )
@@ -274,8 +275,8 @@ def test_criterion_06_poincare_coproducts(ctx4, half4):
         ctx = half4 if case == "ii" else ctx4
         real = realization(case, ctx)
         for i in (1, 2, 3):
-            d_twist = lorentz_coproduct(i, real, ctx, method="twist")
-            d_hom = lorentz_coproduct(i, real, ctx, method="hom")
+            d_twist = lorentz_coproduct(i, real, ctx)
+            d_hom = ctx.coproduct_by(mhat(i, real, ctx), "hom")
             closed = boost_coproduct_closed_form(i, real, ctx)
             ok &= d_twist == d_hom == closed
     for i, j in ((1, 2), (1, 3), (2, 3)):

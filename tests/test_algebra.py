@@ -30,6 +30,7 @@ from kappatwist.algebra import (
 )
 from kappatwist.scalars import DomainError, GaussianRational, LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import TensorElement, t3_exp, t_adjoint, t_exp, tensor
+from paper_reference import tensor3
 
 N = 3
 
@@ -226,7 +227,7 @@ class TestExponentials:
         [
             lambda: graded_exp(x(1, N)),
             lambda: t_exp(tensor(x(1, N), p(0, N))),
-            lambda: t3_exp(tensor(x(1, N), p(0, N), p(0, N))),
+            lambda: t3_exp(tensor3(x(1, N), p(0, N), p(0, N))),
             lambda: t_adjoint(tensor(x(1, N), p(0, N)), TensorElement.one(N)),
         ],
         ids=["graded_exp", "t_exp", "t3_exp", "t_adjoint"],

@@ -147,6 +147,7 @@ def test_any_option_values_exit_cleanly(command, data):
         (["verify", "--order", "-1", "--quick"], 2),
         (["verify", "--order", "2", "--quick", "--seed", "0.1"], 2),
         (["verify", "--order", "2", "--quick", "--suite", "abc"], 2),
+        (["rexpand", "--order", "2", "--truncation", "0"], 2),
     ],
 )
 def test_option_values_exit_codes(argv, code):

@@ -123,8 +123,6 @@ SCANNED = [
 
 # Definitions that nothing in src/, scripts/ or perfbench/ names, kept on purpose
 UNREFERENCED_ALLOWED = {
-    "algebra.SparseElement.substitute_lambda": "the tests' lambda-specialisation oracle",
-    "hopf.TwistContext.cocycle_exponents": "exposes the split the cocycle check relies on",
     "cli._ArgumentParser.error": "argparse calls it",
 }
 

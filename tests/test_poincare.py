@@ -167,8 +167,8 @@ class TestBoostCoproducts:
         ctx = half_ctx if case == "ii" else sym_ctx
         real = realization(case, ctx)
         for i in (1, 2):
-            d_twist = lorentz_coproduct(i, real, ctx, method="twist")
-            d_hom = lorentz_coproduct(i, real, ctx, method="hom")
+            d_twist = lorentz_coproduct(i, real, ctx)
+            d_hom = ctx.coproduct_by(mhat(i, real, ctx), "hom")
             closed = boost_coproduct_closed_form(i, real, ctx)
             assert d_twist == d_hom, (case, i)
             assert d_twist == closed, (case, i)
@@ -183,8 +183,6 @@ class TestBoostCoproducts:
     def test_unknown_method_rejected(self, sym_ctx):
         with pytest.raises(UsageError):
             sym_ctx.coproduct_by(mij(1, 2, sym_ctx), "bogus")
-        with pytest.raises(UsageError):
-            lorentz_coproduct(1, realization("i", sym_ctx), sym_ctx, method="bogus")
 
     def test_homomorphism_on_brackets(self, sym_ctx, half_ctx):
         assert coproduct_homomorphism_check(realization("i", sym_ctx), sym_ctx)

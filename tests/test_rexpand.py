@@ -312,11 +312,46 @@ class TestTruncationAtK:
             assert bch_target(k, prior[: k - 1], ctx) == want, (n, case, k)
 
 
+def _permute_axes(key, g):
+    """The key with the spatial axes permuted by g, on x and p of both legs."""
+
+    def move(e):
+        return (e[0], *(e[i] for i in g))
+
+    return tuple(Monomial(move(m.alpha), move(m.beta)) for m in key)
+
+
 class TestReferenceFree:
     def test_fourth_order_residual_vanishes(self, ctx4, results4):
         residual = residual_through([r.element for r in results4], ctx4)
         for j in (1, 2, 3, 4):
             assert residual.grade_part(j).is_zero(), j
+
+    @pytest.mark.parametrize(
+        "case, lam, n, solved",
+        [
+            ("ii", Fraction(1, 2), 4, 4),
+            ("i", Fraction(1, 3), 4, 4),
+            ("iii", Fraction(1, 2), 3, 2),
+        ],
+        ids=["ii", "i-1/3", "iii"],
+    )
+    def test_solved_orders_are_spatially_symmetric(self, case, lam, n, solved):
+        # the twist treats the spatial axes alike and every ansatz term sums
+        # over its frames and dummy indices, so each r_k is invariant under
+        # permutations of the axes, and even in each axis
+        ctx = TwistContext(order=n, lam=lam)
+        results = expand(n, realization(case, ctx), ctx)
+        elements = [r.element for r in results if r.status != "infeasible"]
+        assert len(elements) == solved
+        for k, r in enumerate(elements, 1):
+            for g in itertools.permutations(SPATIAL):
+                permuted = {_permute_axes(key, g): s for key, s in r.terms.items()}
+                assert permuted == r.terms, (k, g)
+            for ml, mr in r.terms:
+                for i in SPATIAL:
+                    degree = ml.alpha[i] + ml.beta[i] + mr.alpha[i] + mr.beta[i]
+                    assert degree % 2 == 0, (k, ml, mr)
 
 
 # -- the whole-identity solve against the generic-pattern solve -----------

@@ -60,8 +60,9 @@ def test_rexpand_report_header_names_what_was_solved():
         ("--lambda", "one-half"),
         ("--up-to", "7"),
         ("--up-to", "2", "--truncation", "1"),
+        ("--up-to", "2", "--truncation", "0"),
     ],
-    ids=["lambda-1/0", "lambda-word", "order-cap", "truncation-low"],
+    ids=["lambda-1/0", "lambda-word", "order-cap", "truncation-low", "truncation-zero"],
 )
 def test_rexpand_report_usage_errors(args):
     proc = _run_script("rexpand_report.py", *args)
@@ -71,11 +72,13 @@ def test_rexpand_report_usage_errors(args):
 
 
 def test_coproduct_tables_bytes():
-    """Every entry verifies, and the table prints the bytes it printed
-    when the published coproducts were still tabulated in the CLI."""
-    proc = _run_script("coproduct_tables.py", "--order", "2")
-    assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 23
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-        "7fea28eef18f00832adce4d054be5ea39bff2813592da8b883f69304a59a9f31"
-    )
+    """Every entry verifies, at order 2 and at order 6, and the table prints
+    the bytes it printed when the published coproducts were still
+    tabulated in the CLI."""
+    for order in ("2", "6"):
+        proc = _run_script("coproduct_tables.py", "--order", order)
+        assert proc.returncode == 0, (order, proc.stderr)
+        assert len(proc.stdout.splitlines()) == 23
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "7fea28eef18f00832adce4d054be5ea39bff2813592da8b883f69304a59a9f31"
+        ), order
