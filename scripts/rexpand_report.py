@@ -34,9 +34,8 @@ def report(args) -> int:
     lam = rexpand_lambda(args.lam)
     ctx = TwistContext(order=order, lam=lam)
     real = realization(args.case, ctx)
-    print(f"case={args.case} lambda={lam} truncation={order}")
-
     results = expand(args.up_to, real, ctx)
+    print(f"case={args.case} lambda={lam} truncation={order}")
     for r in results:
         line = (
             f"order {r.order}: {r.status:<11} ansatz={len(r.terms):<3}"

@@ -119,7 +119,8 @@ def exchange_rule(tag: str, lam: LambdaPoly, order: int) -> TensorElement:
 
     Their spatial rules, x_i (x) 1 = Z^(lam-1) (x) x_i Z^(-lam) for R and
     Z^lam (x) x_i Z^(1-lam) for Rtilde, are `spatial_shift` at d = 1 times
-    1 (x) x_i, so their exponents are written once.
+    1 (x) x_i, so their exponents are written once.  Its left legs 1 and S
+    add no x0: a round of `canonicalize` leaves each left leg one x0 fewer.
     """
     n = order
     unit = AlgebraElement.one(n)

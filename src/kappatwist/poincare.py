@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, commutator, exp_coeffs, p, power_series, x
+from .algebra import (
+    ZERO_EXP, AlgebraElement, Monomial, _bump, commutator, exp_coeffs, p, power_series, x
+)
 from .hopf import TwistContext
 from .parser import evaluate
 from .scalars import LP_ONE, Scalar, UsageError
@@ -94,11 +96,12 @@ def mhat(i: int, real: LorentzRealization, ctx: TwistContext) -> AlgebraElement:
 
 
 def mij(i: int, j: int, ctx: TwistContext) -> AlgebraElement:
-    """Rotation generator x_i p_j - x_j p_i."""
+    """Rotation generator x_i p_j - x_j p_i, as two monomials (nothing contracts)."""
     if i not in SPATIAL or j not in SPATIAL or i == j:
         raise UsageError("rotation indices must be distinct spatial indices")
-    n = ctx.order
-    return x(i, n) * p(j, n) - x(j, n) * p(i, n)
+    xi_pj = Monomial(_bump(ZERO_EXP, i), _bump(ZERO_EXP, j))
+    one = Scalar.one(ctx.order)
+    return AlgebraElement({xi_pj: one, Monomial(xi_pj.beta, xi_pj.alpha): -one}, ctx.order)
 
 
 def kappa_commutator_check(ctx: TwistContext) -> bool:

@@ -294,7 +294,7 @@ class LambdaPoly:
     ``LambdaPoly``, since equal values must hash equal and its hash covers its terms.
     """
 
-    # hashed once: lam-polynomials key the memos canonicalize reads per rewrite
+    # hashed once: lam-polynomials key the z_power and spatial_shift memos, read per call
     __slots__ = ("terms", "_hash")
 
     def __init__(self, coeffs: Mapping[int, object] | None = None):
@@ -524,10 +524,6 @@ class Scalar:
     @staticmethod
     def i(order: int) -> "Scalar":
         return _build({(0, 0): (0, 1, 1)}, order)
-
-    @staticmethod
-    def lam(order: int) -> "Scalar":
-        return _build({(0, 1): (1, 0, 1)}, order)
 
     @staticmethod
     def a0(order: int, power: int = 1) -> "Scalar":

@@ -9,10 +9,10 @@ canonical exponential, which keeps every power of its series in canonical
 form.  It is purely structural: the relations of the twist family
 (undeformed R0 and the deformed R and Rtilde) are written in `hopf`.  The
 canonical representative of a class has no coordinate generators in the
-left tensor leg.  `canonicalize` rewrites x0 one at a time through the x0
-rule and moves the spatial coordinates x1..x3 of a left leg across in
-closed form, with one tensor product per spatial degree (the `shift` of
-the relation set).
+left tensor leg.  `canonicalize` peels x0 in rounds, one product by the
+x0 rule per round, and moves the spatial coordinates x1..x3 of a left leg
+across in closed form, with one tensor product per spatial degree (the
+`shift` of the relation set).
 
 `TensorElement3`, `_triple_product` and `t3_exp` (the tensor cube) have
 no caller in the engine.  They stay because the benchmark harness hooks
@@ -117,9 +117,9 @@ def t_adjoint(conjugator: TensorElement, target: TensorElement) -> TensorElement
 class RelationSet(NamedTuple):
     """One exchange-relation set (R0, R or Rtilde) at truncation order N.
 
-    `x0_rule()` is the canonical substitute for x0 (x) 1: its left leg is
-    either coordinate-free or carries a strictly higher a0 grade, so
-    left-to-right rewriting terminates under truncation.
+    `x0_rule()` is the canonical substitute for x0 (x) 1.  Its left legs,
+    1 and S = x_k p_k, add no x0, so each round of `canonicalize` leaves
+    every left leg it rewrites with one x0 fewer.
 
     `shift(d)` is the group-like factor Z^(d*u) (x) Z^(d*v) with which a
     left leg of spatial degree d crosses.  The spatial rules are
@@ -143,10 +143,12 @@ def _add_into(acc: dict, key, s: Scalar) -> None:
 def canonicalize(t: TensorElement, rel: RelationSet) -> TensorElement:
     """Rewrite until the left leg of every term is coordinate-free.
 
-    x0 is peeled off a left leg one at a time through the x0 rule, whose
-    terms go back to the work list.  A left leg x^alpha p^beta without x0,
-    of spatial degree d > 0, is moved across in one closed form: the d
-    rewrites through the spatial rules shift(1) * (1 (x) x_i) compose to
+    Each round walks the terms once and peels one x0 off every left leg
+    with one; those terms, times the x0 rule in one product, are the next
+    round's.  The rule's left legs 1 and S add no x0, so there are at most
+    as many rounds as t's largest x0 degree.  A left leg x^alpha p^beta
+    without x0, of spatial degree d > 0, is moved across in one closed
+    form, the d rewrites through shift(1) * (1 (x) x_i) composed:
 
         canon(x^alpha p^beta (x) m) = shift(d) * (p^beta (x) x^alpha m),
 
@@ -161,34 +163,31 @@ def canonicalize(t: TensorElement, rel: RelationSet) -> TensorElement:
         raise UsageError("tensor and relation set truncation orders differ")
     done: dict[TensorKey, Scalar] = {}
     by_degree: dict[int, dict[TensorKey, Scalar]] = {}
-    work = dict(t.terms)
+    work = t.terms
     steps = 0
     while work:
-        key, s = work.popitem()
-        ml, mr = key
-        if s.is_zero():
-            continue
-        d = ml.x_degree()
-        if d == 0:
-            _add_into(done, key, s)
-            continue
-        x0 = ml.alpha[0]
-        steps += 1 if x0 else d
-        if steps > MAX_REWRITE_STEPS:
-            raise DomainError(
-                f"canonicalization exceeded {MAX_REWRITE_STEPS} rewrite steps"
-            )
-        if x0:
-            rest = Monomial(_bump(ml.alpha, 0, -1), ml.beta)
-            produced = rel.x0_rule() * TensorElement({(rest, mr): s}, t.order)
-            for k2, s2 in produced.terms.items():
-                _add_into(work, k2, s2)
-        else:
-            moved = (
-                Monomial(ZERO_EXP, ml.beta),
-                Monomial(tuple(map(add, ml.alpha, mr.alpha)), mr.beta),
-            )
-            _add_into(by_degree.setdefault(d, {}), moved, s)
+        peeled: dict[TensorKey, Scalar] = {}
+        for (ml, mr), s in work.items():
+            d = ml.x_degree()
+            if d == 0:
+                _add_into(done, (ml, mr), s)
+                continue
+            x0 = ml.alpha[0]
+            steps += 1 if x0 else d
+            if steps > MAX_REWRITE_STEPS:
+                raise DomainError(
+                    f"canonicalization exceeded {MAX_REWRITE_STEPS} rewrite steps"
+                )
+            if x0:
+                rest = Monomial(_bump(ml.alpha, 0, -1), ml.beta)
+                _add_into(peeled, (rest, mr), s)
+            else:
+                moved = (
+                    Monomial(ZERO_EXP, ml.beta),
+                    Monomial(tuple(map(add, ml.alpha, mr.alpha)), mr.beta),
+                )
+                _add_into(by_degree.setdefault(d, {}), moved, s)
+        work = (rel.x0_rule() * TensorElement(peeled, t.order)).terms if peeled else {}
     for d, bucket in by_degree.items():
         for k2, s2 in (rel.shift(d) * TensorElement(bucket, t.order)).terms.items():
             _add_into(done, k2, s2)
@@ -200,8 +199,8 @@ def canonical_exp(a: TensorElement, rel: RelationSet) -> TensorElement:
 
     Let rule_mu be the substitute for x_mu (x) 1: x0_rule() for mu = 0
     and shift(1) * (1 (x) x_i) for mu = i.  Each x0 peel in `canonicalize`
-    turns (x0 rest) (x) m into rule_0 * (rest (x) m), so it subtracts an
-    element of the right ideal spanned by (x_mu (x) 1 - rule_mu) * T;
+    turns (x0 rest) (x) m into rule_0 * (rest (x) m), one x0 fewer on the
+    left, so it subtracts an element of the right ideal (x_mu (x) 1 - rule_mu) * T;
     truncation in a0 is a quotient by a central ideal and changes nothing.
     A closed-form move of a spatial degree-d left leg is d such rewrites by
     the spatial rules composed, so it subtracts an element of the same

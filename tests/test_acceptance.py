@@ -26,7 +26,7 @@ from kappatwist.algebra import (
     x,
 )
 from kappatwist.hopf import TwistContext
-from kappatwist.scalars import GaussianRational, LambdaPoly, Scalar
+from kappatwist.scalars import LP_LAM, GaussianRational, LambdaPoly, Scalar
 from kappatwist.tensor import (
     TensorElement,
     canonicalize,
@@ -110,7 +110,7 @@ def test_criterion_02_relation_identities(ctx4):
     n = 4
     one = ctx.one
     lam = LambdaPoly.gen()
-    lam_s = Scalar.lam(n)
+    lam_s = Scalar.from_value(LP_LAM, n)
     a0 = Scalar.a0(n)
     S = ctx.S
     ok = True
@@ -161,7 +161,7 @@ def test_criterion_03_coproducts_by_twist(ctx4):
     n = 4
     one = ctx.one
     lam = LambdaPoly.gen()
-    lam_s = Scalar.lam(n)
+    lam_s = Scalar.from_value(LP_LAM, n)
     a0 = Scalar.a0(n)
     ok = True
     # closed forms of the generator coproducts
@@ -348,7 +348,7 @@ def test_criterion_08_rmatrix(ctx4):
     n = 4
     one = ctx.one
     lam = LambdaPoly.gen()
-    lam_s = Scalar.lam(n)
+    lam_s = Scalar.from_value(LP_LAM, n)
     a0 = Scalar.a0(n)
     ok = tau0(ctx.rmatrix()) == ctx.rmatrix_inverse()
     # conjugation identities for all eight generators, mod the flipped set

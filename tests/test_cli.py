@@ -312,10 +312,12 @@ def test_nilpotent_and_one_term_powers_end(expr, want):
     assert proc.stderr == ""
 
 
-def test_rewrite_bound_exits_2(monkeypatch, capsys):
-    """Exceeding the canonicalization step bound is a clean exit 2."""
+@pytest.mark.parametrize("expr", ["x1 ox 1", "x0 ox 1"], ids=["spatial-move", "x0-peel"])
+def test_rewrite_bound_exits_2(expr, monkeypatch, capsys):
+    """Exceeding the canonicalization step bound is a clean exit 2, for a
+    spatial move and for an x0 peel."""
     monkeypatch.setattr(kappatwist.tensor, "MAX_REWRITE_STEPS", 0)
-    assert run(["eval", "x1 ox 1", "--canonicalize", "R", "--order", "2"]) == 2
+    assert run(["eval", expr, "--canonicalize", "R", "--order", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1

@@ -17,6 +17,7 @@ from kappatwist.rexpand import _term_column, bch_target, expand
 from kappatwist.scalars import (
     GR_ONE,
     GR_ZERO,
+    LP_LAM,
     GaussianRational,
     Scalar,
     UsageError,
@@ -157,7 +158,7 @@ class TestCoefficientRows:
 
     def test_symbolic_coefficient_raises(self):
         n = self.N
-        col = x(1, n).scale(Scalar.lam(n))
+        col = x(1, n).scale(Scalar.from_value(LP_LAM, n))
         with pytest.raises(UsageError, match="symbolic twist parameter leaked"):
             coefficient_rows(x(1, n), [col], (0,))
 

@@ -169,7 +169,7 @@ class TestScalar:
         assert s.a0_limit() == Scalar.one(4)
 
     def test_substitute_lambda(self):
-        s = Scalar.lam(3) * Scalar.lam(3)
+        s = Scalar.from_value(LP_LAM, 3) * Scalar.from_value(LP_LAM, 3)
         v = substitute_lambda(s, Fraction(1, 2))
         assert v == Scalar.from_value(Fraction(1, 4), 3)
 
@@ -199,7 +199,7 @@ class TestScalar:
         a, b, _ = abc
         assert substitute_lambda(a * b, v) == substitute_lambda(a, v) * substitute_lambda(b, v)
         assert substitute_lambda(a + b, v) == substitute_lambda(a, v) + substitute_lambda(b, v)
-        assert substitute_lambda(Scalar.lam(a.order), v) == Scalar.from_value(v, a.order)
+        assert substitute_lambda(Scalar.from_value(LP_LAM, a.order), v) == Scalar.from_value(v, a.order)
 
     @given(scalar_triples())
     @settings(max_examples=60, deadline=None)
@@ -220,7 +220,7 @@ class TestScalar:
         for k in range(n + 1):
             rebuilt = rebuilt + Scalar.graded(numeric.numeric_coefficient(k), k, n)
         assert rebuilt == numeric
-        symbolic = a * Scalar.lam(n)
+        symbolic = a * Scalar.from_value(LP_LAM, n)
         for k in range(n + 1):
             if not symbolic.grade_part(k).is_zero():
                 with pytest.raises(UsageError):

@@ -59,14 +59,20 @@ def test_rexpand_report_header_names_what_was_solved():
         ("--lambda", "1/0"),
         ("--lambda", "one-half"),
         ("--up-to", "7"),
+        ("--up-to", "0"),
         ("--up-to", "2", "--truncation", "1"),
         ("--up-to", "2", "--truncation", "0"),
     ],
-    ids=["lambda-1/0", "lambda-word", "order-cap", "truncation-low", "truncation-zero"],
+    ids=[
+        "lambda-1/0", "lambda-word", "order-cap", "order-zero", "truncation-low",
+        "truncation-zero",
+    ],
 )
 def test_rexpand_report_usage_errors(args):
+    """A rejected order, lambda or truncation prints nothing to stdout."""
     proc = _run_script("rexpand_report.py", *args)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 

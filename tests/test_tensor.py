@@ -3,6 +3,7 @@ canonical forms."""
 
 import inspect
 import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -349,7 +350,8 @@ _LAMS = [None, Fraction(1, 3), Fraction(1, 2), Fraction(-5, 3)]
 @st.composite
 def spatial_tensors(draw):
     """A relation set (R0, R or Rtilde; lam symbolic, 1/3, 1/2 or -5/3;
-    N = 1..6) and a tensor of its order.  Left legs mix x0 with x1..x3;
+    N = 1..6) and a tensor of its order.  Left legs mix x0 (up to x0^3,
+    three rounds of `canonicalize`) with x1..x3;
     right legs carry x0, so that the Z powers of a shift contract with
     them; coefficients spread over a0 grades and, for symbolic lam, over
     powers of lam."""
@@ -360,7 +362,7 @@ def spatial_tensors(draw):
     small = st.integers(0, 2)
     left = st.builds(
         Monomial,
-        st.tuples(st.integers(0, 2), small, st.integers(0, 1), st.integers(0, 1)),
+        st.tuples(st.integers(0, 3), small, st.integers(0, 1), st.integers(0, 1)),
         st.tuples(st.integers(0, 1), st.integers(0, 1), st.just(0), st.just(0)),
     )
     right = st.builds(
@@ -403,3 +405,46 @@ class TestClosedFormCanonicalize:
         monkeypatch.setattr(tensor_module, "MAX_REWRITE_STEPS", 2)
         with pytest.raises(DomainError):
             canonicalize(t, rel)
+
+
+class TestRounds:
+    """`canonicalize` makes one product by the x0 rule per round, at most
+    as many rounds as the largest x0 degree of a left leg, and one product
+    by shift(d) per spatial degree d."""
+
+    # x0^3 x1 p1 (x) p0 + x0^2 x2^2 (x) x0 - 2 x0 x3 p0 (x) 1 + x1 x2 (x) x3
+    # + p1 (x) x1
+    TERMS = [
+        (((3, 1, 0, 0), (0, 1, 0, 0)), ((0, 0, 0, 0), (1, 0, 0, 0)), 1),
+        (((2, 0, 2, 0), (0, 0, 0, 0)), ((1, 0, 0, 0), (0, 0, 0, 0)), 1),
+        (((1, 0, 0, 1), (1, 0, 0, 0)), ((0, 0, 0, 0), (0, 0, 0, 0)), -2),
+        (((0, 1, 1, 0), (0, 0, 0, 0)), ((0, 0, 0, 1), (0, 0, 0, 0)), 1),
+        (((0, 0, 0, 0), (0, 1, 0, 0)), ((0, 1, 0, 0), (0, 0, 0, 0)), 1),
+    ]
+
+    @pytest.mark.parametrize("lam", [None, Fraction(1, 3)], ids=str)
+    @pytest.mark.parametrize("tag", ["R0", "R", "Rtilde"])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_one_rule_product_per_round(self, count, tag, lam):
+        n = 4
+        rel = getattr(TwistContext(order=n, lam=lam), tag)
+        calls = Counter()
+
+        def x0_rule():
+            calls["x0_rule"] += 1
+            return rel.x0_rule()
+
+        def shift(d):
+            calls[d] += 1
+            return rel.shift(d)
+
+        t = TensorElement(
+            {
+                (Monomial(*left), Monomial(*right)): Scalar.from_value(c, n)
+                for left, right, c in self.TERMS[:count]
+            },
+            n,
+        )
+        canonicalize(t, rel._replace(x0_rule=x0_rule, shift=shift))
+        assert calls.pop("x0_rule", 0) <= max(ml.alpha[0] for ml, _mr in t.terms)
+        assert all(k == 1 for k in calls.values()), calls
