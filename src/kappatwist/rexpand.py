@@ -16,7 +16,10 @@ at order k, R's canonical form is built once per context and truncated,
 and only the grade-k parts are lifted back to the context's truncation N.
 The exponential of the earlier r's, like R itself, is formed in canonical
 form (`tensor.canonical_exp`): each of its powers is canonicalized as it is
-built, so the fully expanded series never exists.
+built, so the fully expanded series never exists, and is kept on
+representatives of its orbits under the permutations of the spatial axes,
+which fix every r_k.  The exponential checks that invariance, so every
+run checks the symmetry of the solved r's as it goes.
 The ansatz is built by exponent arithmetic: a candidate gen*p^taken (x)
 p^rest shifts the momentum exponents of the generator's terms, since a
 momentum on the right contracts with nothing.  The column of order k

@@ -6,11 +6,14 @@ monomials, multiplied leg by leg and built by the outer product
 exponentials and adjoint conjugation (through `power_series`),
 canonicalization modulo a `RelationSet` of exchange relations, and the
 canonical exponential, which keeps every power of its series in canonical
-form.  It is purely structural: the relations of the twist family
-(undeformed R0 and the deformed R and Rtilde) are written in `hopf`.  The
-canonical representative of a class has no coordinate generators in the
-left tensor leg.  `canonicalize` peels x0 in rounds, one product by the
-x0 rule per round, and moves the spatial coordinates x1..x3 of a left leg
+form and on orbit representatives: the permutations of the spatial axes
+fix its exponent, so each power is kept folded (`fold`, one key per orbit)
+and the sum is unfolded once at the end (`unfold`).  It is purely
+structural: the relations of the twist family (undeformed R0 and the
+deformed R and Rtilde) are written in `hopf`.  The canonical
+representative of a class has no coordinate generators in the left
+tensor leg.  `canonicalize` peels x0 in rounds, one product by the x0
+rule per round, and moves the spatial coordinates x1..x3 of a left leg
 across in closed form, with one tensor product per spatial degree (the
 `shift` of the relation set).
 
@@ -22,6 +25,9 @@ the cocycle condition is built on them.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 from operator import add
 from typing import Callable, NamedTuple
 
@@ -127,6 +133,13 @@ class RelationSet(NamedTuple):
     shift(d) == shift(1)^d (Z commutes with x1..x3, and each shift(d) is a
     function of p0 on each leg).  The relations themselves belong to the
     twist family and come from `hopf`.
+
+    Every relation set is equivariant under the permutations g of the
+    spatial axes, which act on x and p of both legs at once:
+    canonicalize(g.t) == g.canonicalize(t).  The twist treats the axes
+    alike, so g (x) g fixes the x0 rule and shift(d) and permutes the
+    spatial rules, and normal forms are unique.  `canonical_exp` relies
+    on this.
     """
 
     tag: str
@@ -194,8 +207,58 @@ def canonicalize(t: TensorElement, rel: RelationSet) -> TensorElement:
     return TensorElement(done, t.order)
 
 
+def _columns(key: TensorKey):
+    """The spatial columns (alpha_i, beta_i of the left leg, alpha_i,
+    beta_i of the right leg) of a key, for i = 1, 2, 3."""
+    ml, mr = key
+    return zip(ml.alpha[1:], ml.beta[1:], mr.alpha[1:], mr.beta[1:])
+
+
+def _with_columns(key: TensorKey, cols) -> TensorKey:
+    """key with its spatial columns replaced by cols."""
+    ml, mr = key
+    la, lb, ra, rb = zip(*cols)
+    return (
+        Monomial((ml.alpha[0], *la), (ml.beta[0], *lb)),
+        Monomial((mr.alpha[0], *ra), (mr.beta[0], *rb)),
+    )
+
+
+@lru_cache(maxsize=65536)
+def orbit_representative(key: TensorKey) -> TensorKey:
+    """The fixed representative of key's orbit under the permutations of
+    the spatial axes 1..3, which act on x and p of both legs at once: such
+    a permutation permutes the key's spatial columns, and the
+    representative has them sorted."""
+    return _with_columns(key, sorted(_columns(key)))
+
+
+def fold(t: TensorElement) -> TensorElement:
+    """Each key sent to its orbit representative, coefficients added."""
+    out: dict[TensorKey, Scalar] = {}
+    for key, s in t.terms.items():
+        _add_into(out, orbit_representative(key), s)
+    return TensorElement(out, t.order)
+
+
+def unfold(t: TensorElement) -> TensorElement:
+    """The average of t over the six permutations of the spatial axes:
+    each key of a term's orbit O gets its coefficient times 1/|O|.
+
+    For an invariant P, unfold(fold(P)) == P, and P is invariant exactly
+    when unfold(P) == P."""
+    out: dict[TensorKey, Scalar] = {}
+    for key, s in t.terms.items():
+        orbit = set(permutations(_columns(key)))
+        share = s.scale(Fraction(1, len(orbit)))
+        for cols in orbit:
+            _add_into(out, _with_columns(key, cols), share)
+    return TensorElement(out, t.order)
+
+
 def canonical_exp(a: TensorElement, rel: RelationSet) -> TensorElement:
-    """canonicalize(t_exp(a), rel), with every power a^n kept canonical.
+    """canonicalize(t_exp(a), rel), with every power a^n kept canonical
+    and folded onto spatial-permutation orbits.
 
     Let rule_mu be the substitute for x_mu (x) 1: x0_rule() for mu = 0
     and shift(1) * (1 (x) x_i) for mu = i.  Each x0 peel in `canonicalize`
@@ -210,9 +273,30 @@ def canonical_exp(a: TensorElement, rel: RelationSet) -> TensorElement:
     is canonical.  The argument needs the uncanonical factor on the right:
     it does not carry over to `t_adjoint`, whose nested commutators put
     uncanonical factors on the left.
+
+    The exponent must be invariant under the permutations g of the
+    spatial axes (a `DomainError` otherwise); the R-matrix exponent and
+    every sum of solved r_k are.  g (x) g is an algebra automorphism that
+    permutes the spatial exchange rules and fixes the x0 rule, so
+    canonicalize(g.t) == g.canonicalize(t) (`RelationSet`).  For the
+    invariant a, (g.k) * a == g.(k * a), so fold(canon(u * a)) depends
+    on u only through fold(u), and fold(P_n) == fold(canon(fold(P_(n-1)) * a))
+    for the canonical powers P_n.  The series is therefore built on orbit
+    representatives, with about a fifth of the keys, and the invariant
+    sum is recovered once at the end by `unfold`.  This is the orbit
+    reduction of symmetry-adapted computation (Gatermann and Parrilo,
+    "Symmetry groups, semidefinite programs, and sums of squares",
+    J. Pure Appl. Algebra 192, 2004).
     """
-    return power_series(
-        a, exp_coeffs(a.order), step=lambda t: canonicalize(t * a, rel)
+    if unfold(a) != a:
+        raise DomainError(
+            "canonical exponential needs an exponent invariant under "
+            "permutations of the spatial axes"
+        )
+    return unfold(
+        power_series(
+            a, exp_coeffs(a.order), step=lambda t: fold(canonicalize(t * a, rel))
+        )
     )
 
 

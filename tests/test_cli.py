@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kappatwist.rexpand
 import kappatwist.tensor
 from kappatwist.algebra import AlgebraElement, Monomial, p, x
 from kappatwist.cli import rexpand_lambda, run
@@ -320,6 +321,23 @@ def test_rewrite_bound_exits_2(expr, monkeypatch, capsys):
     assert run(["eval", expr, "--canonicalize", "R", "--order", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_non_invariant_exponent_exits_2(monkeypatch, capsys):
+    """The canonical exponential's symmetry check reaches the command line
+    as a clean exit 2: one error line and nothing on stdout."""
+    residual_at = kappatwist.rexpand._residual_at
+
+    def with_asymmetric_r(prior, ctx, n):
+        r = tensor(x(0, ctx.order), x(1, ctx.order)).scale(Scalar.a0(ctx.order))
+        return residual_at([*prior, r], ctx, n)
+
+    monkeypatch.setattr(kappatwist.rexpand, "_residual_at", with_asymmetric_r)
+    assert run(["rexpand", "--order", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "spatial axes" in err
     assert err.count("\n") == 1
 
 

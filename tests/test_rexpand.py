@@ -331,10 +331,11 @@ class TestReferenceFree:
         "case, lam, n, solved",
         [
             ("ii", Fraction(1, 2), 4, 4),
+            ("ii", Fraction(1, 2), 5, 5),
             ("i", Fraction(1, 3), 4, 4),
             ("iii", Fraction(1, 2), 3, 2),
         ],
-        ids=["ii", "i-1/3", "iii"],
+        ids=["ii", "ii-5", "i-1/3", "iii"],
     )
     def test_solved_orders_are_spatially_symmetric(self, case, lam, n, solved):
         # the twist treats the spatial axes alike and every ansatz term sums

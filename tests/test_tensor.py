@@ -2,6 +2,7 @@
 canonical forms."""
 
 import inspect
+import itertools
 import operator
 from collections import Counter
 from fractions import Fraction
@@ -19,7 +20,9 @@ from kappatwist.algebra import (
     Polynomial,
     commutator,
     dilatation,
+    exp_coeffs,
     p,
+    power_series,
     time_translation,
     x,
 )
@@ -31,11 +34,14 @@ from kappatwist.tensor import (
     canonical_exp,
     canonicalize,
     equal_mod,
+    fold,
+    orbit_representative,
     t3_exp,
     t_adjoint,
     t_exp,
     tau0,
     tensor,
+    unfold,
 )
 from paper_reference import embed, tensor3
 
@@ -79,11 +85,14 @@ def graded_tensors():
 
 
 @st.composite
-def relation_and_tensors(draw, count, min_grade):
-    """A relation set (R0, R or Rtilde; lam symbolic, 1/2 or 1/3; N <= 4)
-    and `count` tensors of its order whose terms carry a0-grade >= min_grade."""
-    n = draw(st.integers(max(1, min_grade), 4))
-    lam = draw(st.sampled_from([None, Fraction(1, 2), Fraction(1, 3)]))
+def relation_and_tensors(
+    draw, count, min_grade, max_order=4, lams=(None, Fraction(1, 2), Fraction(1, 3))
+):
+    """A relation set (R0, R or Rtilde; lam drawn from `lams`, symbolic for
+    None; N <= max_order) and `count` tensors of its order whose terms carry
+    a0-grade >= min_grade."""
+    n = draw(st.integers(max(1, min_grade), max_order))
+    lam = draw(st.sampled_from(lams))
     ctx = TwistContext(order=n, lam=lam)
     rel = draw(st.sampled_from([ctx.R0, ctx.R, ctx.Rtilde]))
     gens = st.sampled_from(["x0", "x1", "x2", "p0", "p1", "S", "A"])
@@ -192,12 +201,46 @@ class TestExponentials:
         )
 
 
+def canonical_exp_unfolded(a, rel):
+    """The canonical exponential that the orbit fold replaced: every power
+    kept canonical on all of its keys, for any exponent."""
+    return power_series(
+        a, exp_coeffs(a.order), step=lambda t: canonicalize(t * a, rel)
+    )
+
+
+SPATIAL_PERMUTATIONS = list(itertools.permutations((1, 2, 3)))
+
+
+def permute_key(key, g):
+    """The key with the spatial axes permuted by g, on x and p of both legs."""
+
+    def move(e):
+        return (e[0], *(e[i] for i in g))
+
+    return tuple(Monomial(move(m.alpha), move(m.beta)) for m in key)
+
+
+def permuted(t, g):
+    """g.t, the permutation g applied to every key."""
+    return TensorElement({permute_key(k, g): s for k, s in t.terms.items()}, t.order)
+
+
+def symmetrized(t):
+    """The sum of g.t over the six permutations g, which is invariant."""
+    out = TensorElement.zero(t.order)
+    for g in SPATIAL_PERMUTATIONS:
+        out = out + permuted(t, g)
+    return out
+
+
 class TestCanonicalExp:
     @given(relation_and_tensors(1, min_grade=1))
     @settings(max_examples=40, deadline=None)
     def test_matches_canonicalized_exp(self, drawn):
+        # the right-ideal argument, on exponents of any symmetry
         rel, a = drawn
-        assert canonical_exp(a, rel) == canonicalize(t_exp(a), rel)
+        assert canonical_exp_unfolded(a, rel) == canonicalize(t_exp(a), rel)
 
     @given(relation_and_tensors(2, min_grade=0))
     @settings(max_examples=40, deadline=None)
@@ -218,6 +261,52 @@ class TestCanonicalExp:
         rel = getattr(ctx, tag)
         for a in (ctx.r_exponent, ctx.twist_exponent, -ctx.twist_exponent):
             assert canonical_exp(a, rel) == canonicalize(t_exp(a), rel)
+
+
+LAMS_WITH_NEGATIVE = (None, Fraction(1, 3), Fraction(1, 2), Fraction(-5, 3))
+
+
+class TestOrbitFold:
+    @given(relation_and_tensors(1, min_grade=1, max_order=5, lams=LAMS_WITH_NEGATIVE))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unfolded_series(self, drawn):
+        rel, a = drawn
+        a = symmetrized(a)
+        assert canonical_exp(a, rel) == canonical_exp_unfolded(a, rel)
+
+    @given(relation_and_tensors(1, min_grade=0, lams=LAMS_WITH_NEGATIVE))
+    @settings(max_examples=30, deadline=None)
+    def test_canonicalize_is_equivariant(self, drawn):
+        # the contract of every RelationSet that the fold relies on
+        rel, t = drawn
+        canon = canonicalize(t, rel)
+        for g in SPATIAL_PERMUTATIONS:
+            assert canonicalize(permuted(t, g), rel) == permuted(canon, g), g
+
+    @given(relation_and_tensors(1, min_grade=0))
+    @settings(max_examples=40, deadline=None)
+    def test_representative_names_the_orbit(self, drawn):
+        _rel, t = drawn
+        for key in t.terms:
+            images = {permute_key(key, g) for g in SPATIAL_PERMUTATIONS}
+            assert orbit_representative(key) in images
+            assert {orbit_representative(k) for k in images} == {orbit_representative(key)}
+
+    @given(relation_and_tensors(1, min_grade=0))
+    @settings(max_examples=40, deadline=None)
+    def test_unfold_inverts_fold_on_invariants(self, drawn):
+        _rel, t = drawn
+        sym = symmetrized(t)
+        folded = fold(sym)
+        assert unfold(folded) == sym
+        assert all(orbit_representative(key) == key for key in folded.terms)
+
+    def test_rejects_non_invariant_exponent(self):
+        ctx = TwistContext(order=3)
+        a = tensor(x(0, 3), x(1, 3)).scale(Scalar.a0(3))
+        assert unfold(a) != a
+        with pytest.raises(DomainError, match="permutations of the spatial axes"):
+            canonical_exp(a, ctx.Rtilde)
 
 
 class TestRelations:
