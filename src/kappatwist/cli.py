@@ -90,7 +90,8 @@ def _cmd_coproduct(args) -> int:
     ctx = TwistContext(order=args.order, lam=lam)
     closed_text = closed_form_string(node, case)
     closed = closed_form_coproduct(closed_text, ctx, case)
-    computed = ctx.coproduct_by(elaborate(node, ctx, case), args.method)
+    coproduct = ctx.coproduct if args.method == "twist" else ctx.coproduct_hom
+    computed = coproduct(elaborate(node, ctx, case))
     verified = computed == closed
     payload = {
         "subcommand": "coproduct",
@@ -286,7 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     rx.add_argument("--case", choices=("i", "ii", "iii"), default="ii")
     rx.add_argument("--lambda", dest="lam", default="sym")
     rx.add_argument(
-        "--truncation", type=int, default=None, help="a0-truncation order (default max(k,2))"
+        "--truncation",
+        type=int,
+        default=None,
+        help="a0-truncation order, at least k (default max(k,2)); it changes the "
+        "echoed truncation and the run time, never the answer",
     )
     rx.add_argument("--format", choices=("text", "json"), default="json")
     rx.set_defaults(func=_cmd_rexpand)

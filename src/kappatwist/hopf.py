@@ -138,12 +138,12 @@ def exchange_rule(tag: str, lam: LambdaPoly, order: int) -> TensorElement:
 
 def relation_set(tag: str, lam: LambdaPoly, order: int) -> RelationSet:
     """The relation set `tag` ("R0", "R" or "Rtilde") of the twist with
-    parameter `lam`, at truncation `order`."""
+    parameter `lam`, at truncation `order`; its rules' reprs name the tag."""
     # the rules hold values only, not a context: a reference back would keep
     # every context alive until a garbage-collection pass
     rule = (tag, lam, order)
     return RelationSet(
-        tag, order, partial(exchange_rule, *rule), partial(spatial_shift, *rule)
+        order, partial(exchange_rule, *rule), partial(spatial_shift, *rule)
     )
 
 
@@ -210,15 +210,14 @@ class TwistContext:
         self.lam = None if lam is None else GaussianRational(lam).re
         self.lam_poly = LP_LAM if self.lam is None else LambdaPoly.const(self.lam)
         n = order
-        self.lam_s = Scalar.from_value(self.lam_poly, n)
         self.one = AlgebraElement.one(n)
         self.S = dilatation(n)
         self.A = time_translation(n)
         i = Scalar.i(n)
         # twist exponent f = i(lam S (x) A - (1-lam) A (x) S)
-        self.twist_exponent = tensor(self.S, self.A).scale(i * self.lam_s) - tensor(
+        self.twist_exponent = tensor(self.S, self.A).scale(i * self.lam_poly) - tensor(
             self.A, self.S
-        ).scale(i * (Scalar.one(n) - self.lam_s))
+        ).scale(i * (LP_ONE - self.lam_poly))
         # R-matrix exponent rho = i(A (x) S - S (x) A)
         self.r_exponent = (
             tensor(self.A, self.S) - tensor(self.S, self.A)
@@ -265,9 +264,6 @@ class TwistContext:
 
     def twist_inverse(self) -> TensorElement:
         return self._cached("Finv", lambda: t_exp(-self.twist_exponent))
-
-    def twist_opposite(self) -> TensorElement:
-        return self._cached("Ft", lambda: tau0(self.twist()))
 
     def twist_opposite_inverse(self) -> TensorElement:
         return self._cached("Ftinv", lambda: tau0(self.twist_inverse()))
@@ -341,15 +337,6 @@ class TwistContext:
         """
         return canonicalize(self._extend(h, self.generator_coproduct), self.R)
 
-    def coproduct_by(self, h: AlgebraElement, method: str) -> TensorElement:
-        """Deformed coproduct by twist conjugation ("twist") or from the
-        generator coproducts ("hom")."""
-        if method == "twist":
-            return self.coproduct(h)
-        if method == "hom":
-            return self.coproduct_hom(h)
-        raise UsageError("method must be 'twist' or 'hom'")
-
     def rmatrix_conjugate(self, h: AlgebraElement) -> TensorElement:
         """R (Delta h) R^-1, canonical mod Rtilde; equals the opposite coproduct."""
         return canonicalize(t_adjoint(self.r_exponent, self._twisted(h)), self.Rtilde)
@@ -418,7 +405,7 @@ class TwistContext:
         """Closed-form noncommutative coordinates of the twist family."""
         n = self.order
         if mu == 0:
-            return x(0, n) - self.S.scale(Scalar.a0(n) * (Scalar.one(n) - self.lam_s))
+            return x(0, n) - self.S.scale(Scalar.a0(n) * (LP_ONE - self.lam_poly))
         return x(mu, n) * self.z(-self.lam_poly)
 
     def star_product(self, f: Polynomial, g: Polynomial, which: str = "F") -> Polynomial:

@@ -50,7 +50,6 @@ class SolutionSpace:
     particular: list[GaussianRational] | None
     nullspace: list[list[GaussianRational]] = field(default_factory=list)
     rank: int = 0
-    free_columns: list[int] = field(default_factory=list)
 
     @property
     def dimension(self) -> int:
@@ -113,7 +112,7 @@ def solve(matrix, rhs) -> SolutionSpace:
         nullspace.append(vec)
 
     status = "unique" if not free_cols else "parametric"
-    return SolutionSpace(status, particular, nullspace, rank, free_cols)
+    return SolutionSpace(status, particular, nullspace, rank)
 
 
 def coefficient_rows(target, columns, grades) -> dict:

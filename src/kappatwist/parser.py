@@ -80,7 +80,6 @@ def tokenize(src: str):
 
 class Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = tokenize(src)
         self.i = 0
         self.depth = 0
@@ -284,7 +283,7 @@ def elaborate(node, ctx: TwistContext, realization_case: str | None = None):
     if kind == "a0":
         return AlgebraElement.one(n).scale(Scalar.a0(n))
     if kind == "lam":
-        return AlgebraElement.one(n).scale(ctx.lam_s)
+        return AlgebraElement.one(n).scale(ctx.lam_poly)
     if kind == "gen":
         return ctx.generator(node[1])
     if kind == "Z":

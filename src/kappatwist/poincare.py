@@ -61,7 +61,7 @@ def realization(case: str, ctx: TwistContext) -> LorentzRealization:
         lam = ctx.lam_poly
         zlam = ctx.z(lam)
         f1 = ctx.z(LP_ONE - lam) * _sinh_over_a(ctx)
-        f3 = zlam.scale(Scalar.one(n) - ctx.lam_s)
+        f3 = zlam.scale(LP_ONE - lam)
         return LorentzRealization("i", f1, zlam, f3, zlam.scale(Fraction(-1, 2)))
     if case == "ii":
         if ctx.lam != Fraction(1, 2):
@@ -104,10 +104,12 @@ def mij(i: int, j: int, ctx: TwistContext) -> AlgebraElement:
     return AlgebraElement({xi_pj: one, Monomial(xi_pj.beta, xi_pj.alpha): -one}, ctx.order)
 
 
-def kappa_commutator_check(ctx: TwistContext) -> bool:
-    """[xhat_mu, xhat_nu] = i(a_mu xhat_nu - a_nu xhat_mu), a = (a0,0,0,0)."""
+def kappa_commutator_check(ctx: TwistContext) -> list[str]:
+    """[xhat_mu, xhat_nu] = i(a_mu xhat_nu - a_nu xhat_mu), a = (a0,0,0,0);
+    the names of the failing pairs, empty when all hold."""
     n = ctx.order
     i_a0 = Scalar.i(n) * Scalar.a0(n)
+    failed = []
     for mu in range(4):
         for nu in range(4):
             lhs = commutator(ctx.xhat(mu), ctx.xhat(nu))
@@ -117,8 +119,8 @@ def kappa_commutator_check(ctx: TwistContext) -> bool:
             if nu == 0:
                 rhs = rhs - ctx.xhat(mu).scale(i_a0)
             if lhs != rhs:
-                return False
-    return True
+                failed.append(f"[xhat{mu},xhat{nu}]")
+    return failed
 
 
 def lorentz_coproduct(i: int, real: LorentzRealization, ctx: TwistContext) -> TensorElement:
@@ -204,18 +206,13 @@ def boost_coproduct_closed_form(
 # -- algebra sector ------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-
-
 def _delta(i: int, j: int) -> int:
     return 1 if i == j else 0
 
 
-def lorentz_algebra_check(real: LorentzRealization, ctx: TwistContext) -> list[CheckResult]:
-    """Commutator structure of the boost/rotation sector.
+def lorentz_algebra_check(real: LorentzRealization, ctx: TwistContext) -> list[str]:
+    """Commutator structure of the boost/rotation sector: the names of the
+    failing commutators, empty when all hold.
 
     Cases (i) and (iii) must reproduce the undeformed structure constants;
     case (ii) deforms only [B_i, B_j] into -i M_ij cosh A.
@@ -235,10 +232,11 @@ def lorentz_algebra_check(real: LorentzRealization, ctx: TwistContext) -> list[C
     else:
         cosh_a = ctx.one
 
-    results = []
+    failed = []
 
     def check(name: str, lhs: AlgebraElement, rhs: AlgebraElement) -> None:
-        results.append(CheckResult(name, lhs == rhs))
+        if lhs != rhs:
+            failed.append(name)
 
     for i in SPATIAL:
         for j in SPATIAL:
@@ -270,13 +268,14 @@ def lorentz_algebra_check(real: LorentzRealization, ctx: TwistContext) -> list[C
                     - rot(j, l).scale(i_s * _delta(i, k))
                 ),
             )
-    return results
+    return failed
 
 
 def momentum_sector_closed_forms(
     real: LorentzRealization, ctx: TwistContext
-) -> list[CheckResult]:
-    """[B_i, p_mu] closed forms; every right-hand side is momentum-only.
+) -> list[str]:
+    """[B_i, p_mu] closed forms, every right-hand side momentum-only: the
+    names of the failing ones, empty when all hold.
 
     [B_i, p0] = i p_i F2(A);
     [B_i, p_j] = i delta_ij (p0 F1(A) + a0 p^2 F4(A)) + i a0 p_i p_j F3(A).
@@ -285,12 +284,13 @@ def momentum_sector_closed_forms(
     i_s = Scalar.i(n)
     a0 = Scalar.a0(n)
     psq = momentum_square(ctx)
-    results = []
+    failed = []
     for i in SPATIAL:
         b = mhat(i, real, ctx)
         lhs = commutator(b, p(0, n))
         rhs = (p(i, n) * real.f2).scale(i_s)
-        results.append(CheckResult(f"[B{i},p0]", lhs == rhs))
+        if lhs != rhs:
+            failed.append(f"[B{i},p0]")
         for j in SPATIAL:
             lhs = commutator(b, p(j, n))
             rhs = AlgebraElement.zero(n)
@@ -300,5 +300,6 @@ def momentum_sector_closed_forms(
                     rhs = rhs + (psq * real.f4).scale(i_s * a0)
             if not real.f3.is_zero():
                 rhs = rhs + (p(i, n) * p(j, n) * real.f3).scale(i_s * a0)
-            results.append(CheckResult(f"[B{i},p{j}]", lhs == rhs))
-    return results
+            if lhs != rhs:
+                failed.append(f"[B{i},p{j}]")
+    return failed

@@ -36,7 +36,7 @@ coefficients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 
 from .algebra import DIM, ZERO_EXP, Monomial
@@ -60,7 +60,6 @@ class AnsatzTerm:
 
     name: str
     element: TensorElement
-    kind: str = "boost"  # boost | rotation
 
 
 @dataclass
@@ -70,7 +69,6 @@ class ExpansionResult:
     terms: list[AnsatzTerm]
     solution: SolutionSpace
     equations: int
-    coefficients: dict[str, GaussianRational] = field(default_factory=dict)
     element: TensorElement | None = None
 
     @property
@@ -215,7 +213,7 @@ def generate_ansatz(
                         if side == "left"
                         else f"{otext} ox {gtext}"
                     )
-                    push(AnsatzTerm(name, element, kind))
+                    push(AnsatzTerm(name, element))
     return out
 
 
@@ -302,7 +300,6 @@ def solve_order(
     sol = fit(target, columns, (k,))
     result = ExpansionResult(k, sol.status, terms, sol, equations)
     if sol.status != "infeasible":
-        result.coefficients = {t.name: c for t, c in zip(terms, sol.particular)}
         result.element = assemble(terms, sol.particular, k, ctx)
     return result
 
@@ -370,7 +367,8 @@ def named_parameters(result: ExpansionResult) -> dict[str, GaussianRational]:
     """Read (alpha1, beta1, alpha2) off a k=3 solution's coefficients."""
     if result.order != 3:
         raise UsageError("named parameters exist at order 3 only")
+    coeffs = {t.name: c for t, c in zip(result.terms, result.solution.particular)}
     out = {}
     for pname, (tname, factor) in zip(PARAM_NAMES, _PARAM_POSITIONS):
-        out[pname] = result.coefficients[tname] * factor
+        out[pname] = coeffs[tname] * factor
     return out

@@ -142,7 +142,6 @@ class RelationSet(NamedTuple):
     on this.
     """
 
-    tag: str
     order: int
     x0_rule: Callable[[], TensorElement]
     shift: Callable[[int], TensorElement]

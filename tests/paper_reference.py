@@ -65,6 +65,11 @@ from kappatwist.scalars import (
 from kappatwist.tensor import TensorElement, TensorElement3, canonicalize, tensor
 
 
+def particular_coefficients(result: ExpansionResult) -> dict[str, GaussianRational]:
+    """Term name -> coefficient in the particular solution of a solved order."""
+    return {t.name: c for t, c in zip(result.terms, result.solution.particular)}
+
+
 def specialize_coefficients(
     result: ExpansionResult, alpha1, beta1, alpha2
 ) -> dict[str, GaussianRational]:

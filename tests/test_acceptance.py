@@ -276,12 +276,12 @@ def test_criterion_06_poincare_coproducts(ctx4, half4):
         real = realization(case, ctx)
         for i in (1, 2, 3):
             d_twist = lorentz_coproduct(i, real, ctx)
-            d_hom = ctx.coproduct_by(mhat(i, real, ctx), "hom")
+            d_hom = ctx.coproduct_hom(mhat(i, real, ctx))
             closed = boost_coproduct_closed_form(i, real, ctx)
             ok &= d_twist == d_hom == closed
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        d = ctx4.coproduct_by(mij(i, j, ctx4), "twist")
-        ok &= d == ctx4.coproduct_by(mij(i, j, ctx4), "hom")
+        d = ctx4.coproduct(mij(i, j, ctx4))
+        ok &= d == ctx4.coproduct_hom(mij(i, j, ctx4))
         ok &= d == rotation_coproduct_closed_form(i, j, ctx4)
     _report(6, "poincare-coproducts", ok)
 
@@ -312,8 +312,7 @@ def test_criterion_07_algebra_closure(ctx4, half4):
     # cases i and iii close with a0-independent structure constants
     for case in ("i", "iii"):
         real = realization(case, ctx4)
-        checks = lorentz_algebra_check(real, ctx4)
-        ok &= all(c.passed for c in checks)
+        ok &= not lorentz_algebra_check(real, ctx4)
         bb = {i: mhat(i, real, ctx4) for i in SPATIAL}
         for i, j in ((1, 2), (1, 3), (2, 3)):
             # boost-boost and rotation-rotation brackets carry no a0 at
@@ -418,6 +417,7 @@ def test_criterion_11_perturbative_expansion():
     )
     from paper_reference import (
         coefficient_wedge_check,
+        particular_coefficients,
         reference_third_order,
         specialize,
         specialize_coefficients,
@@ -432,7 +432,7 @@ def test_criterion_11_perturbative_expansion():
     ok &= [r.equations for r in results] == [7, 16, 35]
     r1, r2, r3 = results
     ok &= r1.status == "unique"
-    ok &= {k: v for k, v in r1.coefficients.items() if v} == {
+    ok &= {k: v for k, v in particular_coefficients(r1).items() if v} == {
         "Mh_i0 ox p_i": GaussianRational(-1),
         "p_i ox Mh_i0": GaussianRational(1),
     }

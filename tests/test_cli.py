@@ -216,6 +216,7 @@ class TestCLI:
     def test_usage_error_exit_code(self, capsys):
         assert run(["eval", "Mhat[1,0]"]) == 2
         assert run(["coproduct", "--gen", "q7"]) == 2
+        assert run(["coproduct", "--gen", "p1", "--method", "bogus"]) == 2
         assert run(["bogus"]) == 2
         capsys.readouterr()
 

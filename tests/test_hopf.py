@@ -81,13 +81,13 @@ class TestExchangeRelations:
     @pytest.mark.parametrize("order", range(1, 7))
     def test_rules_match_published_relations(self, order, lam):
         ctx = TwistContext(order=order, lam=lam)
-        for rel in (ctx.R0, ctx.R, ctx.Rtilde):
-            time_rule, space_rule = _PUBLISHED_RULES[rel.tag]
-            assert rel.x0_rule() == evaluate(time_rule, ctx), rel.tag
+        for tag, (time_rule, space_rule) in _PUBLISHED_RULES.items():
+            rel = getattr(ctx, tag)
+            assert rel.x0_rule() == evaluate(time_rule, ctx), tag
             for i in (1, 2, 3):
                 want = evaluate(space_rule.format(i=i), ctx)
                 got = rel.shift(1) * tensor(ctx.one, x(i, order))
-                assert got == want, (rel.tag, i)
+                assert got == want, (tag, i)
 
     def test_context_freed_without_cycle_collection(self):
         # the relation sets must not refer back to their context, or every

@@ -121,9 +121,11 @@ SCANNED = [
     *sorted(PERFBENCH.rglob("*.py")),
 ]
 
-# Definitions that nothing in src/, scripts/ or perfbench/ names, kept on purpose
+# Definitions and fields that nothing in src/, scripts/ or perfbench/
+# names, kept on purpose
 UNREFERENCED_ALLOWED = {
     "cli._ArgumentParser.error": "argparse calls it",
+    "parser.ParseError.position": "the public offset of a parse error for library callers",
 }
 
 
@@ -182,5 +184,77 @@ def unreferenced_definitions() -> list[str]:
     return out
 
 
+def examined(walk) -> set[str]:
+    """The qualified names that `definitions` or `fields` walks."""
+    return {f"{path.stem}.{qualname}" for path in MODULES for qualname, _ in walk(path)}
+
+
+def allowed(walk) -> list[str]:
+    return sorted(examined(walk) & UNREFERENCED_ALLOWED.keys())
+
+
 def test_every_definition_is_referenced_outside_the_tests():
-    assert sorted(unreferenced_definitions()) == sorted(UNREFERENCED_ALLOWED)
+    assert sorted(unreferenced_definitions()) == allowed(definitions)
+
+
+# -- every stored field is read outside the tests ---------------------------
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple, whose annotated body lines are fields."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    names = {getattr(node, "id", None) for node in decorators + cls.bases}
+    return bool(names & {"dataclass", "NamedTuple"})
+
+
+def fields(path: Path):
+    """(qualified name, field): the fields of every dataclass and NamedTuple
+    and every attribute a method stores as `self.x = ...`."""
+    for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        found = set()
+        if _is_record(cls):
+            found |= {
+                node.target.id
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            }
+        for func in cls.body:
+            if isinstance(func, ast.FunctionDef):
+                found |= {
+                    node.attr
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self"
+                }
+        for name in sorted(found):
+            yield f"{cls.name}.{name}", name
+
+
+def attribute_reads(path: Path) -> set[str]:
+    """Every attribute name the file reads (an Attribute in Load context)."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_fields() -> list[str]:
+    read = set().union(*(attribute_reads(path) for path in SCANNED))
+    return [
+        f"{path.stem}.{qualname}"
+        for path in MODULES
+        for qualname, name in fields(path)
+        if name not in read
+    ]
+
+
+def test_every_field_is_read_outside_the_tests():
+    assert sorted(unread_fields()) == allowed(fields)
+
+
+def test_every_allowed_name_is_a_definition_or_a_field():
+    assert UNREFERENCED_ALLOWED.keys() <= examined(definitions) | examined(fields)

@@ -65,7 +65,10 @@ class TestVerdicts:
         sol = solve([[1, 1, 0]], [1])
         assert sol.status == "parametric"
         assert sol.dimension == 2
-        assert sol.free_columns == [1, 2]
+        assert sol.nullspace == [
+            [GaussianRational(-1), GR_ONE, GR_ZERO],
+            [GR_ZERO, GR_ZERO, GR_ONE],
+        ]
 
     def test_infeasible(self):
         sol = solve([[1, 1], [2, 2]], [1, 3])
@@ -184,7 +187,7 @@ class TestFit:
         assert sol.status == "parametric"
         assert sol.particular == [GR_ZERO, GR_ZERO]
         assert sol.nullspace == [[GR_ONE, GR_ZERO], [GR_ZERO, GR_ONE]]
-        assert (sol.rank, sol.free_columns) == (0, [0, 1])
+        assert sol.rank == 0
         assert sol == solve([[0, 0]], [0])
 
     def test_zero_target_with_a_nonzero_column(self):
@@ -193,7 +196,7 @@ class TestFit:
         assert sol.status == "parametric"
         assert sol.particular == [GR_ZERO, GR_ZERO]
         assert sol.nullspace == [[GR_ZERO, GR_ONE]]
-        assert (sol.rank, sol.free_columns) == (1, [1])
+        assert sol.rank == 1
 
 
 # -- support-only elimination and one-pass rows against the dense forms ----
@@ -241,7 +244,7 @@ def _dense_solve(matrix, rhs) -> linsolve.SolutionSpace:
             vec[col] = -rows[row_i][fc]
         nullspace.append(vec)
     status = "unique" if not free_cols else "parametric"
-    return linsolve.SolutionSpace(status, particular, nullspace, rank, free_cols)
+    return linsolve.SolutionSpace(status, particular, nullspace, rank)
 
 
 def _dense_coefficient_rows(target, columns, grades) -> dict:
@@ -291,7 +294,7 @@ def sparse_systems(draw):
 
 
 def _fields(sol):
-    return sol.status, sol.particular, sol.nullspace, sol.rank, sol.free_columns
+    return sol.status, sol.particular, sol.nullspace, sol.rank
 
 
 class TestAgainstDenseOracles:

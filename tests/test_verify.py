@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kappatwist.hopf import TwistContext
 from kappatwist.scalars import UsageError
 from kappatwist.verify import SUITE_NAMES, run_suite
 
@@ -37,3 +38,20 @@ def test_text_rendering_mentions_result():
     text = report.render_text()
     assert "result: PASS" in text
     assert all(c.name in text for c in report.checks)
+
+
+def test_kappa_residual_names_the_failing_pairs(monkeypatch):
+    # xhat1 + 1 breaks exactly [xhat0, xhat1] and [xhat1, xhat0]
+    xhat = TwistContext.xhat
+
+    def broken(ctx, mu):
+        return xhat(ctx, mu) + ctx.one if mu == 1 else xhat(ctx, mu)
+
+    monkeypatch.setattr(TwistContext, "xhat", broken)
+    report = run_suite("poincare", order=2, quick=True)
+    failed = {c.name: c.residual for c in report.checks if not c.passed}
+    assert failed == {
+        "kappa-coordinate-commutators": (
+            "[xhat,xhat] structure failed: [xhat0,xhat1], [xhat1,xhat0]"
+        )
+    }
