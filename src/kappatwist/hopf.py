@@ -22,6 +22,47 @@ Z^((1-lam)e) (x) Z^(-lam d) -- also under truncation, where exp(X + Y) =
 exp(X) exp(Y) still holds for commuting X and Y.  Ftilde^-1 = tau0(F^-1)
 acts as Z^(-lam e) (x) Z^((1-lam)d).
 
+The deformed coproducts use the same two actions, in closed form and
+written straight into canonical form (`TwistContext._deformed`).  The
+coproduct Delta h = F (Delta0 h) F^-1 is conjugation by exp(f) with
+f = i(sigma S (x) A + tau A (x) S): (sigma, tau) = (lam, lam-1) with the
+relation set R; its flip tau0(Delta h) is conjugation by tau0(F), with
+(lam-1, lam) and Rtilde (`_twist_pair`).
+
+* Notation.  w(m) is the spatial x-degree of a monomial m minus its
+  spatial p-degree; then S m = m (S - i w(m)).  A acts as a derivative,
+  [A, m] = i a0 dm/dx0.  S (x) A and A (x) S commute.
+* Undeformed coproduct mod R0: pure exponent arithmetic,
+  canon_R0(Delta0(x^alpha p^beta)) =
+  sum_(beta' <= beta) C(beta, beta') p^beta' (x) x^alpha p^(beta-beta').
+* The two conjugations.  Ad(p^beta' (x) 1) = p^beta' (x) Z^(sigma w')
+  with w' = w(p^beta'), and
+  Ad(1 (x) v) = sum_n (-sigma a0)^n / n! S^n Z^(tau w(v)) (x) d^n v/dx0^n.
+* Why the output is canonical.  Ad sends each R0 generator
+  x_mu (x) 1 - 1 (x) x_mu into the right ideal of the R generators
+  x_mu (x) 1 - rule_mu (to x0 (x) 1 - rule_0, and to
+  (x_i (x) 1 - rule_i)(1 (x) Z^sigma)), so canon_rel o Ad depends only on
+  the class mod R0.  Tensors whose left legs are coordinate-free are
+  closed under products, and normal forms are unique, so
+  canon(u v) = canon(u) v whenever v has coordinate-free left legs.  Hence
+
+      Delta(x^alpha p^beta) = sum_(beta' <= beta, n <= alpha0)
+          C(beta, beta') C(alpha0, n) (-sigma a0)^n C_n
+          (Z^(tau w(v)) p^beta' (x) x^(alpha - n e0) p^(beta-beta') Z^(sigma w')),
+
+  with v = x^alpha p^(beta-beta') and C_n = canon_rel(S^n (x) 1).
+* Cost.  Every right-hand factor is an exponent shift of the terms of
+  Z^u (x) Z^v (`z_pair`).  Grouped by n into Q_n, the result is
+  sum_n C_n Q_n: no tensor product at all for an x0-free h, and at most
+  deg_x0(h) products otherwise.  C_n is held process-wide
+  (`dilatation_power`), as the exchange rules are, because coproduct
+  requests each build a fresh context.
+
+`coproduct0`, `coproduct_hom` and `rmatrix_conjugate` keep routes of their
+own (`rmatrix_conjugate` the commutator series `_twisted`), so the checks
+that compare them with `coproduct` and `coproduct_opposite` compare
+independent computations.
+
 The twist is Abelian, so F, (Delta0 (x) id)F and (id (x) Delta0)F lie in
 the commutative algebra C[S, A]^(x)n, where a product adds exponents.
 `verify_cocycle` checks the cocycle condition there, in `CommutingTriple`.
@@ -34,6 +75,9 @@ and its exponential expand to `twist_exponent` and to the cached `twist()`.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import product
+from math import comb, prod
+from operator import itemgetter, sub
 
 from .algebra import (
     AlgebraElement,
@@ -43,6 +87,7 @@ from .algebra import (
     SparseElement,
     UNIT_MONOMIAL,
     ZERO_EXP,
+    _bump,
     _exponent_sum,
     act,
     dilatation,
@@ -65,6 +110,8 @@ from .scalars import (
 from .tensor import (
     RelationSet,
     TensorElement,
+    TensorKey,
+    _add_into,
     canonical_exp,
     canonicalize,
     t_adjoint,
@@ -80,30 +127,34 @@ GENERATORS = ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "A", "S", "Z")
 COORDINATES, MOMENTA = GENERATORS[:DIM], GENERATORS[DIM : 2 * DIM]
 
 
-def _twist_sign(tag: str, lam: LambdaPoly) -> tuple[int, LambdaPoly]:
-    """(sign, lt) of the deformed set `tag`: Rtilde is R with lam -> 1 - lam
-    and a0 -> -a0 (so Z^c -> Z^-c)."""
+def _twist_pair(tag: str, lam: LambdaPoly) -> tuple[LambdaPoly, LambdaPoly]:
+    """(sigma, tau) of the deformed set `tag`, which holds for conjugation
+    by exp(i(sigma S (x) A + tau A (x) S)): (lam, lam-1) for R, the twist
+    F, and (lam-1, lam) for Rtilde, its flip tau0(F)."""
     if tag == "R":
-        return 1, lam
+        return lam, lam - LP_ONE
     if tag == "Rtilde":
-        return -1, LP_ONE - lam
+        return lam - LP_ONE, lam
     raise UsageError(f"unknown relation set {tag!r}")
 
 
-# Process-wide, like z_power: a fresh context reuses the shifts of earlier ones.
+# Process-wide, like z_power: a fresh context reuses the pairs of earlier ones.
+@lru_cache(maxsize=1024)
+def z_pair(u: LambdaPoly, v: LambdaPoly, order: int) -> TensorElement:
+    """Z^u (x) Z^v."""
+    return tensor(z_power(u, order), z_power(v, order))
+
+
 @lru_cache(maxsize=256)
 def spatial_shift(tag: str, lam: LambdaPoly, order: int, d: int) -> TensorElement:
-    """Z^(d*u) (x) Z^(d*v), with which a left leg of spatial degree d crosses
-    in the relation set `tag`: x_i (x) 1 = (Z^u (x) Z^v)(1 (x) x_i), where
-    (u, v) is (0, 0) for R0, (lam-1, -lam) for R and (lam, 1-lam) for
-    Rtilde.  Z commutes with x1..x3, so d crossings multiply to this."""
-    n = order
+    """Z^(d*tau) (x) Z^(-d*sigma) (`_twist_pair`), with which a left leg of
+    spatial degree d crosses in the relation set `tag`: x_i (x) 1 =
+    (Z^tau (x) Z^-sigma)(1 (x) x_i), and the unit for R0.  Z commutes with
+    x1..x3, so d crossings multiply to this."""
     if tag == "R0":
-        return TensorElement.one(n)
-    sign, lt = _twist_sign(tag, lam)
-    return tensor(
-        z_power((lt - LP_ONE).scale(sign * d), n), z_power(lt.scale(-sign * d), n)
-    )
+        return TensorElement.one(order)
+    sigma, tau = _twist_pair(tag, lam)
+    return z_pair(tau.scale(d), sigma.scale(-d), order)
 
 
 @lru_cache(maxsize=1024)
@@ -112,8 +163,9 @@ def exchange_rule(tag: str, lam: LambdaPoly, order: int) -> TensorElement:
 
     R0 (x_mu (x) 1 = 1 (x) x_mu) is the undeformed set; R and Rtilde hold
     for the coproduct and the opposite coproduct of the twist with
-    parameter `lam` (`_twist_sign` relates them):
+    parameter `lam`, with (sigma, tau) from `_twist_pair`:
 
+        x_0 (x) 1 = 1 (x) x_0 + a0(tau 1 (x) S - sigma S (x) 1), that is
         R:      x_0 (x) 1 = 1 (x) x_0 - a0((1-lam) 1 (x) S + lam S (x) 1)
         Rtilde: x_0 (x) 1 = 1 (x) x_0 + a0(lam 1 (x) S + (1-lam) S (x) 1)
 
@@ -126,13 +178,13 @@ def exchange_rule(tag: str, lam: LambdaPoly, order: int) -> TensorElement:
     unit = AlgebraElement.one(n)
     if tag == "R0":
         return tensor(unit, x(0, n))
-    sign, lt = _twist_sign(tag, lam)
+    sigma, tau = _twist_pair(tag, lam)
     S = dilatation(n)
-    a0 = Scalar.a0(n).scale(sign)
+    a0 = Scalar.a0(n)
     return (
         tensor(unit, x(0, n))
-        - tensor(unit, S).scale(a0 * (LP_ONE - lt))
-        - tensor(S, unit).scale(a0 * lt)
+        + tensor(unit, S).scale(a0 * tau)
+        - tensor(S, unit).scale(a0 * sigma)
     )
 
 
@@ -144,6 +196,17 @@ def relation_set(tag: str, lam: LambdaPoly, order: int) -> RelationSet:
     rule = (tag, lam, order)
     return RelationSet(
         order, partial(exchange_rule, *rule), partial(spatial_shift, *rule)
+    )
+
+
+# Process-wide, like spatial_shift: coproduct requests each build a fresh context.
+@lru_cache(maxsize=256)
+def dilatation_power(tag: str, lam: LambdaPoly, order: int, k: int) -> TensorElement:
+    """C_k = canon(S^k (x) 1) in the relation set `tag`, the left factor of
+    the coproduct terms with k x0-derivatives (`TwistContext._deformed`)."""
+    unit = AlgebraElement.one(order)
+    return canonicalize(
+        tensor(dilatation(order) ** k, unit), relation_set(tag, lam, order)
     )
 
 
@@ -285,19 +348,38 @@ class TwistContext:
     def _extend(self, h: AlgebraElement, image) -> TensorElement:
         """Extend a map on the generators multiplicatively over h: each
         monomial x^alpha p^beta goes to the ordered product of the images
-        `image(name)` of its generators (COORDINATES, then MOMENTA)."""
-        n = self.order
-        out = TensorElement.zero(n)
-        for mono, s in h.terms.items():
-            acc = TensorElement.one(n)
-            for names, exps in ((COORDINATES, mono.alpha), (MOMENTA, mono.beta)):
-                for name, e in zip(names, exps):
-                    if e:
-                        g = image(name)
-                        for _ in range(e):
-                            acc = acc * g
-            out = out + acc.scale(s)
-        return out
+        `image(name)` of its generators (COORDINATES, then MOMENTA).
+
+        The monomials' words of generators are walked in sorted order, a
+        depth-first walk of their prefix tree, and the images of the
+        current word's prefixes are kept: each prefix is formed once, as
+        the prefix one generator shorter times that generator's image
+        (x_i p0^k is (x_i p0^(k-1)) * image("p0")).  Only one chain of
+        prefixes is held at a time: a memo of every prefix of a boost's
+        words raised the peak memory of a coproduct request by a fifth."""
+        words = sorted(
+            ((_word(mono), s) for mono, s in h.terms.items()), key=itemgetter(0)
+        )
+        chain: list[TensorElement] = []  # images of the current word's prefixes
+        previous: tuple[int, ...] = ()
+        out: dict[TensorKey, Scalar] = {}
+        for word, s in words:
+            shared = 0
+            for a, b in zip(previous, word):
+                if a != b:
+                    break
+                shared += 1
+            del chain[shared:]
+            for j in word[shared:]:
+                g = image(GENERATORS[j])
+                chain.append(chain[-1] * g if chain else g)
+            previous = word
+            if not chain:
+                _add_into(out, TensorElement.UNIT_KEY, s)
+                continue
+            for key, c in chain[-1].terms.items():
+                _add_into(out, key, c * s)
+        return TensorElement(out, self.order)
 
     def _primitive(self, name: str) -> TensorElement:
         """Undeformed coproduct of a generator: x (x) 1 for a coordinate
@@ -312,16 +394,63 @@ class TwistContext:
         return canonicalize(self._extend(h, self._primitive), self.R0)
 
     def _twisted(self, h: AlgebraElement) -> TensorElement:
-        """F (Delta0 h) F^-1 = exp(ad f)(Delta0 h), not yet canonical."""
+        """F (Delta0 h) F^-1 = exp(ad f)(Delta0 h), not yet canonical, by
+        the commutator series.  Only `rmatrix_conjugate` takes this route,
+        so that the check that it equals `coproduct_opposite` compares two
+        independent computations."""
         return t_adjoint(self.twist_exponent, self._extend(h, self._primitive))
 
+    def _deformed(self, h: AlgebraElement, tag: str) -> TensorElement:
+        """canon(exp(ad f)(Delta0 h)) in the relation set `tag`, for its
+        conjugation f = i(sigma S (x) A + tau A (x) S) (`_twist_pair`), in
+        closed form (module docstring): every term is written canonical by
+        exponent arithmetic, and the terms with k x0-derivatives, Q_k, are
+        multiplied by C_k = canon(S^k (x) 1) in one product per k >= 1."""
+        n = self.order
+        sigma, tau = _twist_pair(tag, self.lam_poly)
+        step = Scalar.a0(n) * Scalar.from_value(-sigma, n)
+        powers = [Scalar.one(n)]  # (-sigma*a0)^k
+        parts: dict[int, dict[TensorKey, Scalar]] = {}
+        for (alpha, beta), s in h.terms.items():
+            spatial_x = sum(alpha[1:])
+            for k in range(alpha[0] + 1):
+                if k == len(powers):
+                    powers.append(powers[-1] * step)
+                s_k = (s * powers[k]).scale(comb(alpha[0], k))
+                if s_k.is_zero():
+                    break
+                room = n - s_k.min_grade()
+                alpha_k = _bump(alpha, 0, -k)
+                q = parts.setdefault(k, {})
+                for left in product(*(range(b + 1) for b in beta)):
+                    right = tuple(map(sub, beta, left))
+                    c = s_k.scale(prod(map(comb, beta, left)))
+                    w_left = -sum(left[1:])
+                    w_right = spatial_x - sum(right[1:])
+                    shifts = z_pair(tau.scale(w_right), sigma.scale(w_left), n)
+                    for (zl, zr), z in shifts.terms.items():
+                        j, m = zl.beta[0], zr.beta[0]
+                        if j + m <= room:
+                            key = (
+                                Monomial(ZERO_EXP, _bump(left, 0, j)),
+                                Monomial(alpha_k, _bump(right, 0, m)),
+                            )
+                            _add_into(q, key, c * z)
+        out = parts.pop(0, {})
+        for k, q in parts.items():
+            c_k = dilatation_power(tag, self.lam_poly, n, k)
+            for key, c in (c_k * TensorElement(q, n)).terms.items():
+                _add_into(out, key, c)
+        return TensorElement(out, n)
+
     def coproduct(self, h: AlgebraElement) -> TensorElement:
-        """Deformed coproduct F Delta0 F^-1, canonical mod R."""
-        return canonicalize(self._twisted(h), self.R)
+        """Deformed coproduct F (Delta0 h) F^-1, canonical mod R."""
+        return self._deformed(h, "R")
 
     def coproduct_opposite(self, h: AlgebraElement) -> TensorElement:
-        """Opposite coproduct tau0 Delta tau0, canonical mod Rtilde."""
-        return canonicalize(tau0(self._twisted(h)), self.Rtilde)
+        """Opposite coproduct tau0(Delta h), canonical mod Rtilde: the
+        conjugation of Delta0 h by tau0(F)."""
+        return self._deformed(h, "Rtilde")
 
     def generator_coproduct(self, name: str) -> TensorElement:
         """Cached canonical deformed coproduct of a single generator."""
@@ -426,6 +555,11 @@ class TwistContext:
                     left, right = lam.scale(-e), rest.scale(d)
                 out = out + act(self.z(left), f_d) * act(self.z(right), g_e)
         return out
+
+
+def _word(mono: Monomial) -> tuple[int, ...]:
+    """The indices into GENERATORS of the ordered generators of mono."""
+    return tuple(j for j, e in enumerate(mono.alpha + mono.beta) for _ in range(e))
 
 
 def _spatial_parts(f: Polynomial) -> list[tuple[int, Polynomial]]:

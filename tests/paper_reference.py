@@ -9,8 +9,11 @@ support, not engine code: nothing in `kappatwist` calls them.
 
 The last helpers are the engine paths that only the tests use: the
 three-leg route for the cocycle condition (the outer product `tensor3`,
-`embed`, the split exponents and their image in the tensor cube) and the
-specialisation of a symbolic lambda to a rational value.
+`embed`, the split exponents and their image in the tensor cube), the
+specialisation of a symbolic lambda to a rational value, and the generic
+routes that the engine's closed forms replaced: the deformed coproducts as
+a commutator series canonicalized afterwards, and the multiplicative
+extension one monomial at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from kappatwist.algebra import (
 )
 from kappatwist.hopf import (
     COORDINATES,
+    MOMENTA,
     CommutingTriple,
     TwistContext,
     _split_exponent,
@@ -62,7 +66,13 @@ from kappatwist.scalars import (
     _build,
     _substitute,
 )
-from kappatwist.tensor import TensorElement, TensorElement3, canonicalize, tensor
+from kappatwist.tensor import (
+    TensorElement,
+    TensorElement3,
+    canonicalize,
+    tau0,
+    tensor,
+)
 
 
 def particular_coefficients(result: ExpansionResult) -> dict[str, GaussianRational]:
@@ -398,3 +408,34 @@ def substitute_lambda(value, lam):
     return value.__class__(
         {k: substitute_lambda(s, lam) for k, s in value.terms.items()}, value.order
     )
+
+
+def coproduct_by_commutators(ctx: TwistContext, h: AlgebraElement) -> TensorElement:
+    """F (Delta0 h) F^-1 as the commutator series exp(ad f)(Delta0 h),
+    canonical mod R afterwards: the oracle for `TwistContext.coproduct`."""
+    return canonicalize(ctx._twisted(h), ctx.R)
+
+
+def coproduct_opposite_by_commutators(
+    ctx: TwistContext, h: AlgebraElement
+) -> TensorElement:
+    """tau0 of the commutator series, canonical mod Rtilde: the oracle for
+    `TwistContext.coproduct_opposite`."""
+    return canonicalize(tau0(ctx._twisted(h)), ctx.Rtilde)
+
+
+def extend_per_monomial(ctx: TwistContext, h: AlgebraElement, image) -> TensorElement:
+    """`TwistContext._extend` one monomial at a time, each word multiplied
+    out from the unit: the oracle for its shared prefixes."""
+    n = ctx.order
+    out = TensorElement.zero(n)
+    for mono, s in h.terms.items():
+        acc = TensorElement.one(n)
+        for names, exps in ((COORDINATES, mono.alpha), (MOMENTA, mono.beta)):
+            for name, e in zip(names, exps):
+                if e:
+                    g = image(name)
+                    for _ in range(e):
+                        acc = acc * g
+        out = out + acc.scale(s)
+    return out

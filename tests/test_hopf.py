@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from kappatwist.algebra import (
     AlgebraElement,
+    Monomial,
     Polynomial,
     act,
     commutator,
@@ -31,6 +32,7 @@ from kappatwist.hopf import (
     TwistContext,
 )
 from kappatwist.parser import elaborate, evaluate, parse
+from kappatwist.poincare import mhat, mij, realization
 from kappatwist.scalars import (
     DomainError,
     GaussianRational,
@@ -48,8 +50,11 @@ from kappatwist.tensor import (
 )
 from paper_reference import (
     cocycle_exponents,
+    coproduct_by_commutators,
+    coproduct_opposite_by_commutators,
     embed,
     expand_triple,
+    extend_per_monomial,
     substitute_lambda,
     tensor3,
 )
@@ -539,3 +544,121 @@ class TestRationalLambda:
             TwistContext(order=0)
         with pytest.raises(UsageError):
             TwistContext(order=7)
+
+
+_KERNEL_LAMBDAS = [None, Fraction(1, 3), Fraction(1, 2), Fraction(-5, 3)]
+_KERNEL_LAMBDA_IDS = ["sym", "1/3", "1/2", "-5/3"]
+
+
+@st.composite
+def _element(draw):
+    """A context at order 1..5 and lam in _KERNEL_LAMBDAS, and an element
+    whose monomials carry x0^0..x0^3, with coefficients spread over a0
+    grades and, for symbolic lam, powers of lam."""
+    order = draw(st.integers(1, 5))
+    lam = draw(st.sampled_from(_KERNEL_LAMBDAS))
+    mono = st.builds(
+        Monomial,
+        st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1), st.just(0)),
+        st.tuples(st.integers(0, 2), st.integers(0, 1), st.just(0), st.integers(0, 1)),
+    )
+    term = st.tuples(
+        mono,
+        st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
+        st.integers(0, 1),
+        st.integers(0, 1 if lam is None else 0),
+    )
+    terms = {
+        m: Scalar.graded(LambdaPoly({j: c}), k, order)
+        for m, c, k, j in draw(st.lists(term, min_size=1, max_size=3))
+    }
+    return _context(order, lam), AlgebraElement(terms, order)
+
+
+def _x0_degree(h):
+    return max((m.alpha[0] for m in h.terms), default=0)
+
+
+def _named_elements(ctx):
+    """Generators, rotations, and the boosts of each case the context
+    allows; x0^2 x1 p0 for a second x0-derivative."""
+    out = [ctx.generator(name) for name in GENERATORS]
+    out += [mij(1, 2, ctx), mij(3, 1, ctx)]
+    cases = ("i", "ii", "iii") if ctx.lam == Fraction(1, 2) else ("i", "iii")
+    out += [mhat(i, realization(case, ctx), ctx) for case in cases for i in (1, 3)]
+    out.append(x(0, ctx.order) ** 2 * x(1, ctx.order) * p(0, ctx.order))
+    return out
+
+
+class TestClosedFormCoproduct:
+    """`coproduct` and `coproduct_opposite` in closed form against the
+    commutator series canonicalized afterwards."""
+
+    @given(_element())
+    @settings(max_examples=60, deadline=None)
+    def test_random_elements_match_commutator_series(self, drawn):
+        ctx, h = drawn
+        assert ctx.coproduct(h) == coproduct_by_commutators(ctx, h)
+        assert ctx.coproduct_opposite(h) == coproduct_opposite_by_commutators(ctx, h)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("lam", _KERNEL_LAMBDAS, ids=_KERNEL_LAMBDA_IDS)
+    def test_generators_rotations_and_boosts(self, order, lam):
+        ctx = _context(order, lam)
+        for h in _named_elements(ctx):
+            assert ctx.coproduct(h) == coproduct_by_commutators(ctx, h), h
+            got = ctx.coproduct_opposite(h)
+            assert got == coproduct_opposite_by_commutators(ctx, h), h
+
+    @pytest.mark.parametrize("lam", [None, Fraction(1, 2)], ids=["sym", "1/2"])
+    @pytest.mark.parametrize("opposite", [False, True], ids=["R", "Rtilde"])
+    def test_one_product_per_x0_derivative(self, monkeypatch, opposite, lam):
+        ctx = _context(4, lam)
+        coproduct = ctx.coproduct_opposite if opposite else ctx.coproduct
+        elements = _named_elements(ctx)
+        elements.append(x(0, 4) ** 3 * p(2, 4) + x(0, 4) * x(3, 4))
+        for h in elements:  # fills the process-wide memos
+            coproduct(h)
+        calls = []
+        real_mul = TensorElement.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return real_mul(a, b)
+
+        def no_series(*args):
+            raise AssertionError("the commutator series was taken")
+
+        monkeypatch.setattr(TensorElement, "__mul__", counting_mul)
+        monkeypatch.setattr(hopf, "t_adjoint", no_series)
+        for h in elements:
+            calls.clear()
+            coproduct(h)
+            assert len(calls) <= _x0_degree(h), h
+
+    @given(_element())
+    @settings(max_examples=40, deadline=None)
+    def test_extend_matches_per_monomial_products(self, drawn):
+        ctx, h = drawn
+        for image in (ctx._primitive, ctx.generator_coproduct):
+            assert ctx._extend(h, image) == extend_per_monomial(ctx, h, image)
+
+    def test_extend_forms_each_prefix_once(self, monkeypatch):
+        # x1 + x1 p0 + x1 p0^2 + x1 p0^3 - 2 x1 p0^2 p1 + 4
+        n = 3
+        ctx = _context(n, None)
+        x1, p0, p1 = x(1, n), p(0, n), p(1, n)
+        h = x1 + x1 * p0 + x1 * p0**2 + x1 * p0**3 - (x1 * p0**2 * p1).scale(2)
+        h = h + AlgebraElement.one(n).scale(4)
+        want = extend_per_monomial(ctx, h, ctx._primitive)
+        calls = []
+        real_mul = TensorElement.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return real_mul(a, b)
+
+        monkeypatch.setattr(TensorElement, "__mul__", counting_mul)
+        assert ctx._extend(h, ctx._primitive) == want
+        # x1*p0, (x1 p0)*p0, (x1 p0^2)*p0 and (x1 p0^2)*p1
+        assert len(calls) == 4
