@@ -68,6 +68,8 @@ class Monomial(NamedTuple):
 UNIT_MONOMIAL = Monomial(ZERO_EXP, ZERO_EXP)
 
 
+# Process-wide: a few hundred distinct monomials make up nearly every rendering.
+@lru_cache(maxsize=4096)
 def monomial_str(m: Monomial) -> str:
     factors = []
     for letter, exps in (("x", m.alpha), ("p", m.beta)):

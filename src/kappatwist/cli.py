@@ -101,10 +101,11 @@ def _cmd_coproduct(args) -> int:
         "order": args.order,
         "method": args.method,
         "closed_form": closed_text,
-        "canonical": str(computed),
         "verified": verified,
     }
     if args.format == "json":
+        # rendered only here: text mode never prints the computed tensor
+        payload["canonical"] = str(computed)
         _emit_json(payload)
     else:
         _emit(closed_text)

@@ -304,7 +304,11 @@ def elaborate(node, ctx: TwistContext, realization_case: str | None = None):
 
         if realization_case is None:
             raise UsageError("Mhat[i,0] needs a realization case")
-        return mhat(node[1], realization(realization_case, ctx), ctx)
+        # once per context: a boost's published coproduct names it twice
+        return ctx._cached(
+            ("Mhat", node[1], realization_case),
+            lambda: mhat(node[1], realization(realization_case, ctx), ctx),
+        )
     raise UsageError(f"unhandled node {kind!r}")
 
 

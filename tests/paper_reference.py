@@ -426,7 +426,9 @@ def coproduct_opposite_by_commutators(
 
 def extend_per_monomial(ctx: TwistContext, h: AlgebraElement, image) -> TensorElement:
     """`TwistContext._extend` one monomial at a time, each word multiplied
-    out from the unit: the oracle for its shared prefixes."""
+    out from the unit in the order COORDINATES, then MOMENTA (p0 first):
+    the oracle for its shared prefixes and for its letter order, which
+    puts p0 last."""
     n = ctx.order
     out = TensorElement.zero(n)
     for mono, s in h.terms.items():
@@ -439,3 +441,15 @@ def extend_per_monomial(ctx: TwistContext, h: AlgebraElement, image) -> TensorEl
                         acc = acc * g
         out = out + acc.scale(s)
     return out
+
+
+def exponents_eager(ctx: TwistContext) -> tuple[TensorElement, TensorElement]:
+    """The twist exponent f = i(lam S (x) A - (1-lam) A (x) S) and the
+    R-matrix exponent rho = i(A (x) S - S (x) A), as `TwistContext.__init__`
+    built them before they became cached properties: the oracle for
+    `TwistContext.twist_exponent` and `TwistContext.r_exponent`."""
+    i = Scalar.i(ctx.order)
+    S, A, lam = ctx.S, ctx.A, ctx.lam_poly
+    f = tensor(S, A).scale(i * lam) - tensor(A, S).scale(i * (LP_ONE - lam))
+    rho = (tensor(A, S) - tensor(S, A)).scale(i)
+    return f, rho

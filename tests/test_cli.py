@@ -155,6 +155,37 @@ class TestCLI:
             assert run(args) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("method", ["twist", "hom"])
+    def test_text_mode_renders_no_tensor(self, method, monkeypatch, capsys):
+        args = ["coproduct", "--gen", "Mhat[1,0]", "--case", "i", "--order", "3"]
+        args += ["--method", method]
+        assert run(args) == 0
+        want = capsys.readouterr().out
+
+        def no_rendering(self):
+            raise AssertionError("a tensor was rendered")
+
+        monkeypatch.setattr(TensorElement, "__str__", no_rendering)
+        assert run(args) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("method", ["twist", "hom"])
+    def test_boost_built_once_per_request(self, method, monkeypatch, capsys):
+        import kappatwist.poincare as poincare
+
+        calls = []
+        real_mhat = poincare.mhat
+
+        def counting_mhat(*args):
+            calls.append(args[0])
+            return real_mhat(*args)
+
+        monkeypatch.setattr(poincare, "mhat", counting_mhat)
+        args = ["coproduct", "--gen", "Mhat[1,0]", "--case", "i", "--order", "3"]
+        assert run(args + ["--method", method]) == 0
+        capsys.readouterr()
+        assert calls == [1]
+
     def test_rexpand_first_order_json(self, capsys):
         code = run(["rexpand", "--order", "1", "--case", "ii", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)

@@ -54,6 +54,7 @@ from paper_reference import (
     coproduct_opposite_by_commutators,
     embed,
     expand_triple,
+    exponents_eager,
     extend_per_monomial,
     substitute_lambda,
     tensor3,
@@ -151,6 +152,47 @@ class TestElaboration:
         # the parser never nests a tensor in a plain sum; a built tree may
         with pytest.raises(UsageError, match="cannot be nested"):
             elaborate(("sum", [(1, x1), (1, term)]), ctx)
+
+
+class TestLazyExponents:
+    @pytest.mark.parametrize("lam", [None, Fraction(1, 3)], ids=["sym", "1/3"])
+    def test_built_on_first_read(self, lam):
+        ctx = TwistContext(order=N, lam=lam)
+        h = mhat(1, realization("i", ctx), ctx)
+        ctx.coproduct(h)
+        ctx.coproduct_hom(h)
+        assert not {"twist_exponent", "r_exponent"} & vars(ctx).keys()
+        f, rho = exponents_eager(ctx)
+        assert ctx.twist_exponent == f
+        assert "r_exponent" not in vars(ctx)
+        assert ctx.r_exponent == rho
+        assert ctx.twist_exponent is ctx.twist_exponent
+
+
+class TestBoostPerContext:
+    def test_built_once_per_context(self, monkeypatch):
+        from kappatwist import poincare
+
+        calls = []
+
+        def counting_mhat(*args):
+            calls.append(args[0])
+            return mhat(*args)
+
+        monkeypatch.setattr(poincare, "mhat", counting_mhat)
+        node = parse("Mhat[1,0] ox 1 + Z ox Mhat[1,0]")
+        first = TwistContext(order=N)
+        value = elaborate(node, first, "i")
+        assert calls == [1]
+        assert elaborate(parse("Mhat[1,0]"), first, "i") == mhat(
+            1, realization("i", first), first
+        )
+        assert calls == [1]
+        elaborate(parse("Mhat[1,0]"), first, "iii")
+        assert calls == [1, 1]
+        second = TwistContext(order=N)
+        assert elaborate(node, second, "i") == value
+        assert calls == [1, 1, 1]
 
 
 class TestGeneratorCoproducts:
@@ -660,5 +702,33 @@ class TestClosedFormCoproduct:
 
         monkeypatch.setattr(TensorElement, "__mul__", counting_mul)
         assert ctx._extend(h, ctx._primitive) == want
-        # x1*p0, (x1 p0)*p0, (x1 p0^2)*p0 and (x1 p0^2)*p1
-        assert len(calls) == 4
+        # one product per multi-letter prefix of the words, p0 last: x1*p0,
+        # (x1 p0)*p0, (x1 p0^2)*p0, x1*p1, (x1 p1)*p0 and (x1 p1 p0)*p0
+        words = [hopf._word(mono) for mono in h.terms]
+        prefixes = {w[:k] for w in words for k in range(2, len(w) + 1)}
+        assert len(calls) == len(prefixes) == 6
+
+    @pytest.mark.parametrize("lam", [None, Fraction(1, 3)], ids=["sym", "1/3"])
+    def test_hom_route_boost_takes_p0_last(self, monkeypatch, lam):
+        # the case-(i) boost at N = 3: 45 products with p0 first, 28 with p0
+        # last, where x2 p1 p1 is formed once and extended by the two-term
+        # Delta p0
+        ctx = TwistContext(order=3, lam=lam)
+        h = mhat(2, realization("i", ctx), ctx)
+        for name in COORDINATES + MOMENTA:
+            ctx.generator_coproduct(name)
+        calls = []
+        real_mul = TensorElement.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return real_mul(a, b)
+
+        monkeypatch.setattr(TensorElement, "__mul__", counting_mul)
+        got = ctx.coproduct_hom(h)
+        monkeypatch.undo()
+        assert len(calls) <= 28
+        assert got == canonicalize(
+            extend_per_monomial(ctx, h, ctx.generator_coproduct), ctx.R
+        )
+        assert got == ctx.coproduct(h)
