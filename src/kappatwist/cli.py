@@ -80,13 +80,13 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_coproduct(args) -> int:
-    from .poincare import closed_form_coproduct, closed_form_string
+    from .poincare import case_lambda, closed_form_coproduct, closed_form_string
 
     lam = parse_lambda(args.lam)
     case = args.case
     node = parse(args.gen)
-    if node[0] == "Mhat" and case == "ii" and lam is None:
-        lam = Fraction(1, 2)
+    if node[0] == "Mhat" and lam is None:
+        lam = case_lambda(case, lam)
     ctx = TwistContext(order=args.order, lam=lam)
     closed_text = closed_form_string(node, case)
     closed = closed_form_coproduct(closed_text, ctx, case)
@@ -143,9 +143,8 @@ def _coefficient_strings(result) -> dict[str, str]:
     return out
 
 
-def _linear_combination_string(result) -> str:
+def _linear_combination_string(result, coeffs: dict[str, str]) -> str:
     """LaTeX-like rendering of r_k as -i a0^k ( sum of coeff * term )."""
-    coeffs = _coefficient_strings(result)
     pieces = []
     for t in result.terms:
         c = coeffs[t.name]
@@ -169,6 +168,8 @@ def _cmd_rexpand(args) -> int:
     result = results[-1]
     at_order = result.order == args.order
     reached = at_order and result.status != "infeasible"
+    coefficients = _coefficient_strings(result) if reached else {}
+    combination = _linear_combination_string(result, coefficients) if reached else ""
     payload = {
         "subcommand": "rexpand",
         "case": args.case,
@@ -179,17 +180,12 @@ def _cmd_rexpand(args) -> int:
         "ansatz_size": len(result.terms),
         "equations": result.equations,
         "dimension": result.dimension,
-        "coefficients": _coefficient_strings(result) if reached else {},
-        "linear_combination": _linear_combination_string(result) if reached else "",
+        "coefficients": coefficients,
+        "linear_combination": combination,
         "verified_order": args.order <= 3,
     }
     if reached and args.order == 1:
-        payload.update(
-            {
-                _K1_LABELS[name]: value
-                for name, value in payload["coefficients"].items()
-            }
-        )
+        payload.update({_K1_LABELS[name]: c for name, c in coefficients.items()})
     if reached and result.order == 3 and result.status == "parametric":
         payload["parameters"] = {
             k: str(v) for k, v in named_parameters(result).items()
@@ -203,7 +199,7 @@ def _cmd_rexpand(args) -> int:
             f" dimension {result.dimension})"
         )
         if reached:
-            _emit("r_%d = %s" % (result.order, _linear_combination_string(result)))
+            _emit("r_%d = %s" % (result.order, combination))
         if not payload["verified_order"]:
             _emit("note: no reference data at this order; result unverified")
     return EXIT_OK

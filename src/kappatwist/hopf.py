@@ -1,33 +1,29 @@
 """Twist family, deformed coproducts, universal R-matrix and star products.
 
 A `TwistContext` fixes the truncation order and the twist parameter (symbolic
-or a rational value).  The twist exponent is
-
-    f = i*(lam * S (x) A - (1 - lam) * A (x) S),
-
-with S = x_k p_k and A = a0*p0; its exponential deforms the undeformed
-coproducts by conjugation.  The R-matrix exponent is rho = i*(A (x) S -
-S (x) A).  This module is the one place that knows the twist family: the
-exchange relations R0, R and Rtilde that `tensor.canonicalize` rewrites
-with (`exchange_rule` for x0, and `spatial_shift` for the spatial
-coordinates, d of them at once), the twist exponent, and the powers Z^c.
+or a rational value).  The twist family is conjugation by exp(f), with
+f = i(sigma S (x) A + tau A (x) S), S = x_k p_k and A = a0*p0.  This module
+is the one place that knows it, and `_twist_pair` its one parameterization:
+(sigma, tau) is (lam, lam-1) for the relation set R of the twist
+F = exp(i(lam S (x) A - (1-lam) A (x) S)), (lam-1, lam) for Rtilde of its
+flip tau0(F), and (0, 0) for the undeformed R0.  The exchange relations
+(`exchange_rule` for x0, `spatial_shift` for d spatial coordinates at
+once), the twist exponent, xhat_mu and the star products read the pair.
+The R-matrix exponent is rho = i(A (x) S - S (x) A).
 
 Star products act with F^-1 or Ftilde^-1 in closed form; the realization
 of xhat_mu on f is the star product of x_mu with f.  On a polynomial of
 spatial degree d (its degree in x1, x2, x3), S acts as -i*d and A as
-i*a0 d/dx0, and [S, A] = 0.  So on
-f_d (x) g_e the exponent of F^-1 is (1-lam)*e A (x) 1 - lam*d 1 (x) A, a
-sum of two commuting terms that each carry a0, and F^-1 acts there as
-Z^((1-lam)e) (x) Z^(-lam d) -- also under truncation, where exp(X + Y) =
-exp(X) exp(Y) still holds for commuting X and Y.  Ftilde^-1 = tau0(F^-1)
-acts as Z^(-lam e) (x) Z^((1-lam)d).
+i*a0 d/dx0, and [S, A] = 0.  So on f_d (x) g_e the exponent -f is
+-tau*e A (x) 1 - sigma*d 1 (x) A, a sum of two commuting terms that each
+carry a0, and exp(-f) acts there as Z^(-tau e) (x) Z^(-sigma d) -- also
+under truncation, where exp(X + Y) = exp(X) exp(Y) still holds for
+commuting X and Y: F^-1 with R's pair, Ftilde^-1 with Rtilde's.
 
 The deformed coproducts use the same two actions, in closed form and
 written straight into canonical form (`TwistContext._deformed`).  The
-coproduct Delta h = F (Delta0 h) F^-1 is conjugation by exp(f) with
-f = i(sigma S (x) A + tau A (x) S): (sigma, tau) = (lam, lam-1) with the
-relation set R; its flip tau0(Delta h) is conjugation by tau0(F), with
-(lam-1, lam) and Rtilde (`_twist_pair`).
+coproduct Delta h = F (Delta0 h) F^-1 is conjugation by exp(f) with R's
+pair; its flip tau0(Delta h) is conjugation by tau0(F), with Rtilde's.
 
 * Notation.  w(m) is the spatial x-degree of a monomial m minus its
   spatial p-degree; then S m = m (S - i w(m)).  A acts as a derivative,
@@ -111,6 +107,7 @@ from .algebra import (
 from .scalars import (
     LP_LAM,
     LP_ONE,
+    LP_ZERO,
     GaussianRational,
     LambdaPoly,
     Scalar,
@@ -138,13 +135,15 @@ COORDINATES, MOMENTA = GENERATORS[:DIM], GENERATORS[DIM : 2 * DIM]
 
 
 def _twist_pair(tag: str, lam: LambdaPoly) -> tuple[LambdaPoly, LambdaPoly]:
-    """(sigma, tau) of the deformed set `tag`, which holds for conjugation
+    """(sigma, tau) of the relation set `tag`, which holds for conjugation
     by exp(i(sigma S (x) A + tau A (x) S)): (lam, lam-1) for R, the twist
-    F, and (lam-1, lam) for Rtilde, its flip tau0(F)."""
+    F; (lam-1, lam) for Rtilde, its flip tau0(F); (0, 0) for R0."""
     if tag == "R":
         return lam, lam - LP_ONE
     if tag == "Rtilde":
         return lam - LP_ONE, lam
+    if tag == "R0":
+        return LP_ZERO, LP_ZERO
     raise UsageError(f"unknown relation set {tag!r}")
 
 
@@ -159,10 +158,8 @@ def z_pair(u: LambdaPoly, v: LambdaPoly, order: int) -> TensorElement:
 def spatial_shift(tag: str, lam: LambdaPoly, order: int, d: int) -> TensorElement:
     """Z^(d*tau) (x) Z^(-d*sigma) (`_twist_pair`), with which a left leg of
     spatial degree d crosses in the relation set `tag`: x_i (x) 1 =
-    (Z^tau (x) Z^-sigma)(1 (x) x_i), and the unit for R0.  Z commutes with
+    (Z^tau (x) Z^-sigma)(1 (x) x_i), the unit for R0.  Z commutes with
     x1..x3, so d crossings multiply to this."""
-    if tag == "R0":
-        return TensorElement.one(order)
     sigma, tau = _twist_pair(tag, lam)
     return z_pair(tau.scale(d), sigma.scale(-d), order)
 
@@ -186,8 +183,6 @@ def exchange_rule(tag: str, lam: LambdaPoly, order: int) -> TensorElement:
     """
     n = order
     unit = AlgebraElement.one(n)
-    if tag == "R0":
-        return tensor(unit, x(0, n))
     sigma, tau = _twist_pair(tag, lam)
     S = dilatation(n)
     a0 = Scalar.a0(n)
@@ -296,11 +291,12 @@ class TwistContext:
 
     @cached_property
     def twist_exponent(self) -> TensorElement:
-        """f = i(lam S (x) A - (1-lam) A (x) S)."""
+        """f = i(sigma S (x) A + tau A (x) S) with R's pair (`_twist_pair`)."""
         i = Scalar.i(self.order)
-        return tensor(self.S, self.A).scale(i * self.lam_poly) - tensor(
+        sigma, tau = _twist_pair("R", self.lam_poly)
+        return tensor(self.S, self.A).scale(i * sigma) + tensor(
             self.A, self.S
-        ).scale(i * (LP_ONE - self.lam_poly))
+        ).scale(i * tau)
 
     @cached_property
     def r_exponent(self) -> TensorElement:
@@ -559,29 +555,28 @@ class TwistContext:
     # -- coordinates and star products -----------------------------------
 
     def xhat(self, mu: int) -> AlgebraElement:
-        """Closed-form noncommutative coordinates of the twist family."""
+        """Closed-form coordinates, with R's pair: x0 + tau a0 S, x_i Z^-sigma."""
         n = self.order
+        sigma, tau = _twist_pair("R", self.lam_poly)
         if mu == 0:
-            return x(0, n) - self.S.scale(Scalar.a0(n) * (LP_ONE - self.lam_poly))
-        return x(mu, n) * self.z(-self.lam_poly)
+            return x(0, n) + self.S.scale(Scalar.a0(n) * tau)
+        return x(mu, n) * self.z(-sigma)
 
     def star_product(self, f: Polynomial, g: Polynomial, which: str = "F") -> Polynomial:
         """m0(op |> (f (x) g)) for op = F^-1 ("F") or Ftilde^-1 ("Ftilde"):
         two Z-power shifts per pair of spatial degrees (module docstring)."""
-        if which not in ("F", "Ftilde"):
+        tag = {"F": "R", "Ftilde": "Rtilde"}.get(which)
+        if tag is None:
             raise UsageError("star product flavor must be 'F' or 'Ftilde'")
         if f.order != self.order or g.order != self.order:
             raise UsageError("argument and context truncation orders differ")
-        lam, rest = self.lam_poly, LP_ONE - self.lam_poly
+        sigma, tau = _twist_pair(tag, self.lam_poly)
         out = Polynomial.zero(self.order)
         g_parts = _spatial_parts(g)
         for d, f_d in _spatial_parts(f):
             for e, g_e in g_parts:
-                if which == "F":
-                    left, right = rest.scale(e), lam.scale(-d)
-                else:
-                    left, right = lam.scale(-e), rest.scale(d)
-                out = out + act(self.z(left), f_d) * act(self.z(right), g_e)
+                left, right = self.z(tau.scale(-e)), self.z(sigma.scale(-d))
+                out = out + act(left, f_d) * act(right, g_e)
         return out
 
 

@@ -52,6 +52,14 @@ def _sinh_over_a(ctx: TwistContext) -> AlgebraElement:
     return power_series(ctx.A, [c if k % 2 == 0 else 0 for k, c in enumerate(coeffs)])
 
 
+CASE_II_LAM = Fraction(1, 2)  # the one lam of case (ii), the standard basis
+
+
+def case_lambda(case: str | None, lam):
+    """The lam the realization `case` is read at, in a context at `lam`."""
+    return CASE_II_LAM if case == "ii" else lam
+
+
 def realization(case: str, ctx: TwistContext) -> LorentzRealization:
     n = ctx.order
     zero = AlgebraElement.zero(n)
@@ -64,8 +72,8 @@ def realization(case: str, ctx: TwistContext) -> LorentzRealization:
         f3 = zlam.scale(LP_ONE - lam)
         return LorentzRealization("i", f1, zlam, f3, zlam.scale(Fraction(-1, 2)))
     if case == "ii":
-        if ctx.lam != Fraction(1, 2):
-            raise UsageError("case (ii) requires the lam = 1/2 context")
+        if ctx.lam != CASE_II_LAM:
+            raise UsageError(f"case (ii) requires the lam = {CASE_II_LAM} context")
         return LorentzRealization("ii", _sinh_over_a(ctx), ctx.one, zero, zero)
     if case == "iii":
         return LorentzRealization("iii", ctx.one, ctx.one, zero, zero)

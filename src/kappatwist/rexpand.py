@@ -78,12 +78,18 @@ class ExpansionResult:
 
 # -- ansatz enumeration --------------------------------------------------
 
-# Momentum content per order: 'i' (and 'j' for rotations) contract the
-# generator indices, further dummies come in contracted pairs, '0' is a
-# time-like momentum.  The total momentum degree equals the order.
+# The ansatz's momentum labels in written order: a generator's frame
+# indices (1 for the boost, 2 for M_ij) take the first ones, its dummy
+# indices (each one contracted pair) the rest before '0', a time-like
+# momentum.  Widening the ansatz is one letter more here.
+_LABELS = ("i", "j", "k", "0")
+_FRAME_SIZE = {"boost": 1, "rotation": 2}
+
+
+# Momentum content per order; its total degree equals the order.
 def _content(kind: str, k: int) -> list[tuple[str, ...]]:
-    base = ("i",) if kind == "boost" else ("i", "j")
-    dummies = ("j", "k") if kind == "boost" else ("k",)
+    f = _FRAME_SIZE[kind]
+    base, dummies = _LABELS[:f], _LABELS[f:-1]
     remaining = k - len(base)
     out: list[tuple[str, ...]] = []
     if remaining < 0:
@@ -98,9 +104,6 @@ def _content(kind: str, k: int) -> list[tuple[str, ...]]:
             + ("0",) * zeros
         )
     return out
-
-
-_LABEL_ORDER = {"i": 0, "j": 1, "k": 2, "0": 3}
 
 
 def _sub_multisets(labels):
@@ -128,7 +131,7 @@ def _momentum_exponents(labels, idx) -> tuple[int, ...]:
 
 
 def _label_str(gname, labels):
-    ordered = sorted(labels, key=_LABEL_ORDER.get)
+    ordered = sorted(labels, key=_LABELS.index)
     factors = [gname] if gname else []
     pos = 0
     while pos < len(ordered):
@@ -152,18 +155,12 @@ def _expand_term(
     every term is an exponent shift of a generator term."""
     out: dict = {}
     labels = set(taken) | set(rest)
-    if kind == "boost":
-        dummies = tuple(d for d in ("j", "k") if d in labels)
-        frames = [(i,) for i in SPATIAL]
-    else:
-        dummies = ("k",) if "k" in labels else ()
-        frames = list(itertools.permutations(SPATIAL, 2))
-    for frame in frames:
+    f = _FRAME_SIZE[kind]
+    dummies = tuple(d for d in _LABELS[f:-1] if d in labels)
+    for frame in itertools.permutations(SPATIAL, f):
         gen = gens[frame]
         for assign in itertools.product(SPATIAL, repeat=len(dummies)):
-            idx = {"i": frame[0], "0": 0, **dict(zip(dummies, assign))}
-            if kind == "rotation":
-                idx["j"] = frame[1]
+            idx = {"0": 0, **dict(zip(_LABELS, frame)), **dict(zip(dummies, assign))}
             shift = _momentum_exponents(taken, idx)
             other = Monomial(ZERO_EXP, _momentum_exponents(rest, idx))
             for (alpha, gamma), s in gen.terms.items():

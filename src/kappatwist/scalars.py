@@ -382,6 +382,7 @@ def _lp(terms: Terms) -> LambdaPoly:
     return poly
 
 
+LP_ZERO = LambdaPoly()
 LP_ONE = LambdaPoly.const(1)
 LP_LAM = LambdaPoly.gen()
 

@@ -266,6 +266,7 @@ def _suite_rmatrix(report: VerificationReport, ctx: TwistContext, rng: random.Ra
 def _suite_poincare(report: VerificationReport, ctx: TwistContext, rng: random.Random, quick: bool):
     from .poincare import (
         boost_coproduct_closed_form,
+        case_lambda,
         kappa_commutator_check,
         lorentz_algebra_check,
         lorentz_coproduct,
@@ -281,9 +282,10 @@ def _suite_poincare(report: VerificationReport, ctx: TwistContext, rng: random.R
 
     cases = ("i",) if quick else ("i", "ii", "iii")
     for case in cases:
-        if case == "ii" and ctx.lam not in (None, Fraction(1, 2)):
+        lam = case_lambda(case, ctx.lam)
+        if ctx.lam not in (None, lam):
             continue
-        case_ctx = ctx if case != "ii" else TwistContext(ctx.order, Fraction(1, 2))
+        case_ctx = ctx if lam == ctx.lam else TwistContext(ctx.order, lam)
         real = realization(case, case_ctx)
 
         def algebra_closure(real=real, case_ctx=case_ctx):

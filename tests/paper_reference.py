@@ -13,7 +13,9 @@ three-leg route for the cocycle condition (the outer product `tensor3`,
 specialisation of a symbolic lambda to a rational value, and the generic
 routes that the engine's closed forms replaced: the deformed coproducts as
 a commutator series canonicalized afterwards, and the multiplicative
-extension one monomial at a time.
+extension one monomial at a time.  Last come the members of the twist
+family written out per relation set, with lam and 1-lam by hand, as the
+engine wrote them before it read every one off its (sigma, tau) pair.
 """
 
 from __future__ import annotations
@@ -25,17 +27,23 @@ from kappatwist.algebra import (
     Monomial,
     UNIT_MONOMIAL,
     ZERO_EXP,
+    Polynomial,
     _bump,
+    act,
     commutator,
+    dilatation,
     exp_coeffs,
     p,
     power_series,
+    x,
+    z_power,
 )
 from kappatwist.hopf import (
     COORDINATES,
     MOMENTA,
     CommutingTriple,
     TwistContext,
+    _spatial_parts,
     _split_exponent,
 )
 from kappatwist.linsolve import SolutionSpace, fit, solve
@@ -453,3 +461,67 @@ def exponents_eager(ctx: TwistContext) -> tuple[TensorElement, TensorElement]:
     f = tensor(S, A).scale(i * lam) - tensor(A, S).scale(i * (LP_ONE - lam))
     rho = (tensor(A, S) - tensor(S, A)).scale(i)
     return f, rho
+
+
+# -- the twist family, one relation set at a time ----------------------------
+
+
+def exchange_rule_by_hand(tag: str, lam, order: int) -> TensorElement:
+    """x0 (x) 1 in the relation set `tag`, with lam written out: the oracle
+    for `hopf.exchange_rule`.
+
+        R0:     x_0 (x) 1 = 1 (x) x_0
+        R:      x_0 (x) 1 = 1 (x) x_0 - a0((1-lam) 1 (x) S + lam S (x) 1)
+        Rtilde: x_0 (x) 1 = 1 (x) x_0 + a0(lam 1 (x) S + (1-lam) S (x) 1)
+    """
+    unit, S, a0 = AlgebraElement.one(order), dilatation(order), Scalar.a0(order)
+    rule = tensor(unit, x(0, order))
+    if tag == "R0":
+        return rule
+    if tag == "R":
+        return (
+            rule
+            - tensor(unit, S).scale(a0 * (LP_ONE - lam))
+            - tensor(S, unit).scale(a0 * lam)
+        )
+    return rule + tensor(unit, S).scale(a0 * lam) + tensor(S, unit).scale(
+        a0 * (LP_ONE - lam)
+    )
+
+
+def spatial_shift_by_hand(tag: str, lam, order: int, d: int) -> TensorElement:
+    """The factor with which a left leg of spatial degree d crosses in the
+    relation set `tag`, with lam written out: the unit for R0, and the d-th
+    power of the published spatial rules' Z^(lam-1) (x) Z^(-lam) for R and
+    Z^lam (x) Z^(1-lam) for Rtilde.  The oracle for `hopf.spatial_shift`."""
+    if tag == "R0":
+        return TensorElement.one(order)
+    u, v = (lam - LP_ONE, -lam) if tag == "R" else (lam, LP_ONE - lam)
+    return tensor(z_power(u.scale(d), order), z_power(v.scale(d), order))
+
+
+def xhat_by_hand(ctx: TwistContext, mu: int) -> AlgebraElement:
+    """xhat_0 = x0 - (1-lam) a0 S and xhat_i = x_i Z^(-lam): the oracle for
+    `TwistContext.xhat`."""
+    n = ctx.order
+    if mu == 0:
+        return x(0, n) - ctx.S.scale(Scalar.a0(n) * (LP_ONE - ctx.lam_poly))
+    return x(mu, n) * ctx.z(-ctx.lam_poly)
+
+
+def star_product_by_flavor(
+    ctx: TwistContext, f: Polynomial, g: Polynomial, which: str
+) -> Polynomial:
+    """m0(op |> (f (x) g)) with op = F^-1 acting on f_d (x) g_e as
+    Z^((1-lam)e) (x) Z^(-lam d), and Ftilde^-1 = tau0(F^-1) as
+    Z^(-lam e) (x) Z^((1-lam)d): the oracle for `TwistContext.star_product`."""
+    lam, rest = ctx.lam_poly, LP_ONE - ctx.lam_poly
+    out = Polynomial.zero(ctx.order)
+    for d, f_d in _spatial_parts(f):
+        for e, g_e in _spatial_parts(g):
+            if which == "F":
+                left, right = rest.scale(e), lam.scale(-d)
+            else:
+                left, right = lam.scale(-e), rest.scale(d)
+            out = out + act(ctx.z(left), f_d) * act(ctx.z(right), g_e)
+    return out

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 import kappatwist.rexpand
 import kappatwist.tensor
+from kappatwist import cli
 from kappatwist.algebra import AlgebraElement, Monomial, p, x
 from kappatwist.cli import rexpand_lambda, run
 from kappatwist.hopf import TwistContext
 from kappatwist.parser import MAX_NESTING, ParseError, evaluate, parse
+from kappatwist.poincare import CASE_II_LAM
 from kappatwist.scalars import LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import TensorElement, tensor
 from paper_reference import substitute_lambda
@@ -401,3 +403,34 @@ def test_rexpand_lambda_solves_sym_at_one_half():
     assert rexpand_lambda("1/3") == Fraction(1, 3)
     with pytest.raises(UsageError):
         rexpand_lambda("1/0")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_rexpand_renders_its_coefficients_once(fmt, monkeypatch, capsys):
+    calls = {"coefficients": 0, "combination": 0}
+    coefficients, combination = cli._coefficient_strings, cli._linear_combination_string
+
+    def counted_coefficients(result):
+        calls["coefficients"] += 1
+        return coefficients(result)
+
+    def counted_combination(result, coeffs):
+        calls["combination"] += 1
+        return combination(result, coeffs)
+
+    monkeypatch.setattr(cli, "_coefficient_strings", counted_coefficients)
+    monkeypatch.setattr(cli, "_linear_combination_string", counted_combination)
+    assert run(["rexpand", "--order", "1", "--format", fmt]) == 0
+    capsys.readouterr()
+    assert calls == {"coefficients": 1, "combination": 1}
+
+
+@pytest.mark.parametrize("lam", ["sym", "1/2"])
+def test_case_ii_boost_reads_its_lambda_from_poincare(lam, capsys):
+    """A case-(ii) boost is read at poincare.CASE_II_LAM whether lambda is
+    symbolic or given at that value, and refused at any other value."""
+    args = ["coproduct", "--gen", "Mhat[1,0]", "--case", "ii", "--order", "2"]
+    assert run([*args, "--lambda", lam, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda"] == str(CASE_II_LAM)
+    assert run([*args, "--lambda", "1/3"]) == 2
+    assert "requires the lam = 1/2 context" in capsys.readouterr().err

@@ -54,10 +54,14 @@ from paper_reference import (
     coproduct_opposite_by_commutators,
     embed,
     expand_triple,
+    exchange_rule_by_hand,
     exponents_eager,
     extend_per_monomial,
+    spatial_shift_by_hand,
+    star_product_by_flavor,
     substitute_lambda,
     tensor3,
+    xhat_by_hand,
 )
 
 N = 3
@@ -732,3 +736,52 @@ class TestClosedFormCoproduct:
             extend_per_monomial(ctx, h, ctx.generator_coproduct), ctx.R
         )
         assert got == ctx.coproduct(h)
+
+
+_FAMILY_SETTINGS = [(n, lam) for n in range(1, 7) for lam in _KERNEL_LAMBDAS]
+_FAMILY_IDS = [f"N{n}-{lam}" for n in range(1, 7) for lam in _KERNEL_LAMBDA_IDS]
+
+
+def _same(got, want):
+    return got == want and str(got) == str(want)
+
+
+class TestTwistPair:
+    """Every member of the twist family read off its (sigma, tau) pair
+    (`hopf._twist_pair`, R0 = (0, 0)) against the same member written out
+    per relation set with lam and 1-lam by hand."""
+
+    @pytest.mark.parametrize("order, lam", _FAMILY_SETTINGS, ids=_FAMILY_IDS)
+    def test_relations_exponent_and_coordinates(self, order, lam):
+        ctx = _context(order, lam)
+        lam_poly = ctx.lam_poly
+        for tag in ("R0", "R", "Rtilde"):
+            rel = getattr(ctx, tag)
+            assert _same(rel.x0_rule(), exchange_rule_by_hand(tag, lam_poly, order)), tag
+            for d in range(order + 1):
+                want = spatial_shift_by_hand(tag, lam_poly, order, d)
+                assert _same(rel.shift(d), want), (tag, d)
+        assert _same(ctx.twist_exponent, exponents_eager(ctx)[0])
+        for mu in range(4):
+            assert _same(ctx.xhat(mu), xhat_by_hand(ctx, mu)), mu
+
+    def test_r0_is_the_zero_pair(self):
+        zero = LambdaPoly()
+        for lam in (LambdaPoly.gen(), LambdaPoly.const(Fraction(1, 3))):
+            assert hopf._twist_pair("R0", lam) == (zero, zero)
+        with pytest.raises(UsageError):
+            hopf._twist_pair("R1", LambdaPoly.gen())
+
+    @given(
+        st.sampled_from(_FAMILY_SETTINGS).flatmap(
+            lambda s: st.tuples(
+                st.just(_context(*s)), _polynomials(s[0]), _polynomials(s[0])
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_star_products(self, drawn):
+        ctx, f, g = drawn
+        for which in ("F", "Ftilde"):
+            want = star_product_by_flavor(ctx, f, g, which)
+            assert _same(ctx.star_product(f, g, which), want), which

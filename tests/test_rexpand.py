@@ -536,3 +536,21 @@ class TestAnsatzAgainstProducts:
             assert assemble(terms, coeffs, k, ctx) == _oracle_assemble(
                 oracle, coeffs, k, ctx
             ), (n, k)
+
+
+def test_widening_the_alphabet_is_one_letter(monkeypatch):
+    """A letter added to `_LABELS` is a dummy index for both generator kinds:
+    the content gains its pair, it is written before '0', and the ansatz
+    sums it over the spatial axes as it does 'k'."""
+    monkeypatch.setattr(rexpand, "_LABELS", ("i", "j", "k", "l", "0"))
+    assert ("i", "j", "k", "k", "l", "l") in _content("rotation", 6)
+    assert ("i", "j", "j", "k", "k", "l", "l") in _content("boost", 7)
+    assert _label_str("M_ij", ("0", "l", "k", "l")) == "M_ij*p_k*p_l^2*p_0"
+    ctx = TwistContext(order=2, lam=Fraction(1, 2))
+    real = realization("ii", ctx)
+    gens = {(i,): mhat(i, real, ctx) for i in SPATIAL}
+    gens.update({(i, j): mij(i, j, ctx) for i, j in itertools.permutations(SPATIAL, 2)})
+    for kind in ("boost", "rotation"):
+        with_l = rexpand._expand_term(kind, ("i",), ("l", "l"), "left", gens, 2)
+        with_k = rexpand._expand_term(kind, ("i",), ("k", "k"), "left", gens, 2)
+        assert with_l == with_k and with_l, kind

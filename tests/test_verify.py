@@ -1,10 +1,13 @@
 """Verification suite runner: reports, determinism, and suite coverage."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from kappatwist import verify
 from kappatwist.hopf import TwistContext
+from kappatwist.poincare import CASE_II_LAM
 from kappatwist.scalars import UsageError
 from kappatwist.verify import SUITE_NAMES, run_suite
 
@@ -55,3 +58,29 @@ def test_kappa_residual_names_the_failing_pairs(monkeypatch):
             "[xhat,xhat] structure failed: [xhat0,xhat1], [xhat1,xhat0]"
         )
     }
+
+
+@pytest.mark.parametrize(
+    "lam, extra, case_ii",
+    [(None, 1, True), (Fraction(1, 2), 0, True), (Fraction(1, 3), 0, False)],
+    ids=["sym", "1/2", "1/3"],
+)
+def test_poincare_suite_builds_a_case_ii_context_only_when_needed(
+    monkeypatch, lam, extra, case_ii
+):
+    """Case (ii) is checked at lam = 1/2 in a context of its own only when
+    the suite's is symbolic; at 1/2 the suite's context serves, and at any
+    other rational lam case (ii) is left out."""
+    built = []
+
+    class Counted(TwistContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.lam)
+
+    monkeypatch.setattr(verify, "TwistContext", Counted)
+    report = run_suite("poincare", order=2, lam=lam)
+    assert report.passed
+    assert built == [lam] + [CASE_II_LAM] * extra
+    names = {c.name for c in report.checks}
+    assert ("boost-coproduct-case-ii" in names) is case_ii
