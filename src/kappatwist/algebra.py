@@ -8,7 +8,8 @@ as the module the full algebra operates on via `act`.  Products and `act`
 both apply the commutator through `_reorder_1d`, and monomial products
 give their coefficients as packed `scalars` triples.
 
-`commutator(a, b)` walks the pairs of terms once instead of forming both
+`commutator(a, b)` is the product's walk over the pairs of terms with
+`key_commutator` in place of the key product, instead of forming both
 products.  For two keys, k1*k2 and k2*k1 share their contraction-free
 term (x^(a1+a2) p^(b1+b2) in each leg, coefficient 1); the coefficients
 are central, so that term cancels exactly in a*b - b*a.  The commutator
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -205,7 +206,8 @@ class SparseElement:
 
     def _product(self, other, key_product: Callable):
         """self * other; `key_product(k1, k2)` gives the (key, coefficient)
-        pairs of the product of two basis keys."""
+        pairs of the product of two basis keys.  A pair of keys whose list
+        is empty costs no coefficient product (see `commutator`)."""
         if other.__class__ is not self.__class__:
             return self.__rmul__(other)
         self._check(other)
@@ -223,8 +225,11 @@ class SparseElement:
             for g2, k2, s2 in right:
                 if g2 > room:
                     break
+                terms = key_product(k1, k2)
+                if not terms:
+                    continue
                 s = s1 * s2
-                for k, c in key_product(k1, k2):
+                for k, c in terms:
                     contrib = s.scale(c)
                     cur = out.get(k)
                     out[k] = contrib if cur is None else cur + contrib
@@ -360,8 +365,9 @@ def key_commutator(key_product: Callable, k1, k2) -> list:
 
 
 def commutator(a: SparseElement, b: SparseElement) -> SparseElement:
-    """a * b - b * a, for two elements of one container type, in one walk
-    over the pairs of terms.
+    """a * b - b * a, for two elements of one container type: the
+    product's walk over the pairs of terms, with `key_commutator` for the
+    key product.
 
     Coefficients are central, so a pair of terms s1*k1 and s2*k2
     contributes s1*s2 * (k1*k2 - k2*k1), and the contraction-free term of
@@ -372,28 +378,7 @@ def commutator(a: SparseElement, b: SparseElement) -> SparseElement:
         raise UsageError(
             f"commutator of a {type(a).__name__} and a {type(b).__name__}"
         )
-    a._check(b)
-    key_product = a.key_product
-    order = a.order
-    # walked by grade, as in `SparseElement._product`
-    right = sorted(
-        ((s.min_grade(), k, s) for k, s in b.terms.items()), key=itemgetter(0)
-    )
-    out: dict = {}
-    for k1, s1 in a.terms.items():
-        room = order - s1.min_grade()
-        for g2, k2, s2 in right:
-            if g2 > room:
-                break
-            terms = key_commutator(key_product, k1, k2)
-            if not terms:
-                continue
-            s = s1 * s2
-            for k, c in terms:
-                contrib = s.scale(c)
-                cur = out.get(k)
-                out[k] = contrib if cur is None else cur + contrib
-    return a.__class__(out, order)
+    return a._product(b, partial(key_commutator, a.key_product))
 
 
 def power_series(a: SparseElement, coeffs, start=None, step=None):

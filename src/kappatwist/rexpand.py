@@ -78,32 +78,32 @@ class ExpansionResult:
 
 # -- ansatz enumeration --------------------------------------------------
 
-# The ansatz's momentum labels in written order: a generator's frame
-# indices (1 for the boost, 2 for M_ij) take the first ones, its dummy
-# indices (each one contracted pair) the rest before '0', a time-like
-# momentum.  Widening the ansatz is one letter more here.
-_LABELS = ("i", "j", "k", "0")
+# The ansatz's momentum labels are letters from 'i' on: a generator's
+# frame indices (1 for the boost, 2 for M_ij) take the first ones, its
+# dummy indices (each one contracted pair) the letters after them, and
+# '0' names a time-like momentum.  They are written in alphabetical
+# order, '0' last.
 _FRAME_SIZE = {"boost": 1, "rotation": 2}
 
 
-# Momentum content per order; its total degree equals the order.
+def _letters(start: int, stop: int) -> tuple[str, ...]:
+    return tuple(chr(ord("i") + n) for n in range(start, stop))
+
+
+# Momentum content per order; its total degree equals the order.  Every
+# content with up to floor((k - frame)/2) contracted dummy pairs is listed,
+# which spans the parity-even rotation invariants (the first fundamental
+# theorem for O(3)); epsilon-contractions are parity-odd and left out.
 def _content(kind: str, k: int) -> list[tuple[str, ...]]:
     f = _FRAME_SIZE[kind]
-    base, dummies = _LABELS[:f], _LABELS[f:-1]
-    remaining = k - len(base)
-    out: list[tuple[str, ...]] = []
-    if remaining < 0:
-        return out
-    for pairs in range(remaining // 2 + 1):
-        if pairs > len(dummies):
-            break
-        zeros = remaining - 2 * pairs
-        out.append(
-            base
-            + tuple(d for d in dummies[:pairs] for _ in range(2))
-            + ("0",) * zeros
-        )
-    return out
+    base = _letters(0, f)
+    remaining = k - f
+    return [
+        base
+        + tuple(d for d in _letters(f, f + pairs) for _ in range(2))
+        + ("0",) * (remaining - 2 * pairs)
+        for pairs in range(remaining // 2 + 1)
+    ]
 
 
 def _sub_multisets(labels):
@@ -131,7 +131,7 @@ def _momentum_exponents(labels, idx) -> tuple[int, ...]:
 
 
 def _label_str(gname, labels):
-    ordered = sorted(labels, key=_LABELS.index)
+    ordered = sorted(labels, key=lambda lab: (lab == "0", lab))
     factors = [gname] if gname else []
     pos = 0
     while pos < len(ordered):
@@ -154,13 +154,12 @@ def _expand_term(
     its coefficient unchanged, and the other leg p^rest has coefficient 1:
     every term is an exponent shift of a generator term."""
     out: dict = {}
-    labels = set(taken) | set(rest)
-    f = _FRAME_SIZE[kind]
-    dummies = tuple(d for d in _LABELS[f:-1] if d in labels)
-    for frame in itertools.permutations(SPATIAL, f):
+    base = _letters(0, _FRAME_SIZE[kind])
+    dummies = sorted((set(taken) | set(rest)) - set(base) - {"0"})
+    for frame in itertools.permutations(SPATIAL, len(base)):
         gen = gens[frame]
         for assign in itertools.product(SPATIAL, repeat=len(dummies)):
-            idx = {"0": 0, **dict(zip(_LABELS, frame)), **dict(zip(dummies, assign))}
+            idx = {"0": 0, **dict(zip(base, frame)), **dict(zip(dummies, assign))}
             shift = _momentum_exponents(taken, idx)
             other = Monomial(ZERO_EXP, _momentum_exponents(rest, idx))
             for (alpha, gamma), s in gen.terms.items():

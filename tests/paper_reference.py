@@ -15,16 +15,20 @@ routes that the engine's closed forms replaced: the deformed coproducts as
 a commutator series canonicalized afterwards, and the multiplicative
 extension one monomial at a time.  Last come the members of the twist
 family written out per relation set, with lam and 1-lam by hand, as the
-engine wrote them before it read every one off its (sigma, tau) pair.
+engine wrote them before it read every one off its (sigma, tau) pair, and
+the commutator's own walk over the pairs of terms, as it was before the
+commutator became the product's walk over `key_commutator` pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from kappatwist.algebra import (
     AlgebraElement,
     Monomial,
+    SparseElement,
     UNIT_MONOMIAL,
     ZERO_EXP,
     Polynomial,
@@ -33,6 +37,7 @@ from kappatwist.algebra import (
     commutator,
     dilatation,
     exp_coeffs,
+    key_commutator,
     p,
     power_series,
     x,
@@ -525,3 +530,38 @@ def star_product_by_flavor(
                 left, right = lam.scale(-e), rest.scale(d)
             out = out + act(ctx.z(left), f_d) * act(ctx.z(right), g_e)
     return out
+
+
+# -- the commutator's own pair walk ------------------------------------------
+
+
+def commutator_by_pair_walk(a: SparseElement, b: SparseElement) -> SparseElement:
+    """a * b - b * a in a walk of its own over the pairs of terms, by grade
+    as in `SparseElement._product`, skipping a pair whose `key_commutator`
+    list is empty before any coefficient product: the oracle for
+    `algebra.commutator`."""
+    if b.__class__ is not a.__class__:
+        raise UsageError(
+            f"commutator of a {type(a).__name__} and a {type(b).__name__}"
+        )
+    a._check(b)
+    key_product = a.key_product
+    order = a.order
+    right = sorted(
+        ((s.min_grade(), k, s) for k, s in b.terms.items()), key=itemgetter(0)
+    )
+    out: dict = {}
+    for k1, s1 in a.terms.items():
+        room = order - s1.min_grade()
+        for g2, k2, s2 in right:
+            if g2 > room:
+                break
+            terms = key_commutator(key_product, k1, k2)
+            if not terms:
+                continue
+            s = s1 * s2
+            for k, c in terms:
+                contrib = s.scale(c)
+                cur = out.get(k)
+                out[k] = contrib if cur is None else cur + contrib
+    return a.__class__(out, order)

@@ -1,6 +1,8 @@
-"""The one-pass commutator against the two products it replaces, the
-adjoint series built on it, the key-product invariant it relies on, and
-powers by repeated squaring against the linear loop."""
+"""The commutator, the product's walk over `key_commutator` pairs, against
+the two products it replaces and against its former walk of its own; the
+coefficient products it saves, the adjoint series built on it, the
+key-product invariant it relies on, and powers by repeated squaring
+against the linear loop."""
 
 import math
 from fractions import Fraction
@@ -16,11 +18,14 @@ from kappatwist.algebra import (
     Polynomial,
     commutator,
     key_commutator,
+    p,
+    x,
 )
 from kappatwist.hopf import GENERATORS, CommutingPair, CommutingTriple, TwistContext
 from kappatwist.poincare import mhat, realization
 from kappatwist.scalars import LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import TensorElement, TensorElement3, t_adjoint
+from paper_reference import commutator_by_pair_walk
 
 LAMBDAS = [None, Fraction(1, 2), Fraction(1, 3)]
 
@@ -91,7 +96,45 @@ def _pair_of_elements(draw):
 def test_commutator_equals_the_difference_of_the_two_products(pair):
     a, b = pair
     assert commutator(a, b) == a * b - b * a
+    assert commutator(a, b) == commutator_by_pair_walk(a, b)
     assert commutator(a, a).is_zero()
+
+
+def _polynomial(order):
+    one = Scalar.one(order)
+    return Polynomial(
+        {(1, 0, 0, 0): one, (0, 2, 1, 0): one.scale(3), (0, 0, 0, 1): Scalar.i(order)},
+        order,
+    )
+
+
+def _commuting_pair(order):
+    one = Scalar.one(order)
+    return CommutingPair({(1, 0, 0, 1): one, (0, 1, 2, 0): one.scale(-2)}, order)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (_polynomial(3), _polynomial(3).scale(2) + Polynomial.one(3)),
+        (_commuting_pair(3), _commuting_pair(3) + CommutingPair.one(3)),
+        (p(1, 3), x(2, 3)),
+    ],
+    ids=["Polynomial", "CommutingPair", "p1-x2"],
+)
+def test_a_pair_that_contracts_in_neither_order_costs_no_coefficient_product(
+    monkeypatch, a, b
+):
+    calls = []
+    mul = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    assert commutator(a, b).is_zero()
+    assert calls == []
 
 
 def test_commutator_rejects_mixed_containers():

@@ -538,13 +538,23 @@ class TestAnsatzAgainstProducts:
             ), (n, k)
 
 
-def test_widening_the_alphabet_is_one_letter(monkeypatch):
-    """A letter added to `_LABELS` is a dummy index for both generator kinds:
-    the content gains its pair, it is written before '0', and the ansatz
-    sums it over the spatial axes as it does 'k'."""
-    monkeypatch.setattr(rexpand, "_LABELS", ("i", "j", "k", "l", "0"))
-    assert ("i", "j", "k", "k", "l", "l") in _content("rotation", 6)
-    assert ("i", "j", "j", "k", "k", "l", "l") in _content("boost", 7)
+def test_dummy_pairs_are_derived_from_the_order():
+    """Order k lists every content with 0..floor((k - frame)/2) contracted
+    dummy pairs, lettered after the frame ('j', 'k', ... for a boost, 'k',
+    'l', ... for a rotation) and written before '0'; the ansatz sums a
+    new letter over the spatial axes as it does 'k'."""
+    for kind, f in (("boost", 1), ("rotation", 2)):
+        for k in range(1, 9):
+            contents = _content(kind, k)
+            assert len(contents) == max(k - f + 2, 0) // 2, (kind, k)
+            assert all(len(c) == k for c in contents), (kind, k)
+    assert _content("rotation", 8)[-1] == ("i", "j", "k", "k", "l", "l", "m", "m")
+    assert _content("rotation", 6) == [
+        ("i", "j", "0", "0", "0", "0"),
+        ("i", "j", "k", "k", "0", "0"),
+        ("i", "j", "k", "k", "l", "l"),
+    ]
+    assert _content("boost", 7)[-1] == ("i", "j", "j", "k", "k", "l", "l")
     assert _label_str("M_ij", ("0", "l", "k", "l")) == "M_ij*p_k*p_l^2*p_0"
     ctx = TwistContext(order=2, lam=Fraction(1, 2))
     real = realization("ii", ctx)
