@@ -228,7 +228,7 @@ def _cmd_eval(args) -> int:
     ctx = TwistContext(order=args.order, lam=lam)
     value = evaluate(args.expr, ctx, args.case)
     if args.canonicalize:
-        rel = {"R0": ctx.R0, "R": ctx.R, "Rtilde": ctx.Rtilde}[args.canonicalize]
+        rel = getattr(ctx, args.canonicalize)
         if not isinstance(value, TensorElement):
             value = tensor(value, ctx.one)
         value = canonicalize(value, rel)

@@ -3,11 +3,11 @@
 A `TwistContext` fixes the truncation order and the twist parameter (symbolic
 or a rational value).  The twist family is conjugation by exp(f), with
 f = i(sigma S (x) A + tau A (x) S), S = x_k p_k and A = a0*p0.  This module
-is the one place that knows it, and `_twist_pair` its one parameterization:
-(sigma, tau) is (lam, lam-1) for the relation set R of the twist
-F = exp(i(lam S (x) A - (1-lam) A (x) S)), (lam-1, lam) for Rtilde of its
-flip tau0(F), and (0, 0) for the undeformed R0.  The exchange relations
-(`exchange_rule` for x0, `spatial_shift` for d spatial coordinates at
+is the one place that knows it.  A relation set is the value
+`RelationSet(sigma, tau, N)`: R = (lam, lam-1, N) for the twist
+F = exp(i(lam S (x) A - (1-lam) A (x) S)), Rtilde = (lam-1, lam, N) for its
+flip tau0(F), and R0 = (0, 0, N) for the undeformed relations.  The
+exchange relations (`x0_rule`, and `shift` for d spatial coordinates at
 once), the twist exponent, xhat_mu and the star products read the pair.
 The R-matrix exponent is rho = i(A (x) S - S (x) A).
 
@@ -51,8 +51,8 @@ pair; its flip tau0(Delta h) is conjugation by tau0(F), with Rtilde's.
   Z^u (x) Z^v (`z_pair`).  Grouped by n into Q_n, the result is
   sum_n C_n Q_n: no tensor product at all for an x0-free h, and at most
   deg_x0(h) products otherwise.  C_n is held process-wide
-  (`dilatation_power`), as the exchange rules are, because coproduct
-  requests each build a fresh context.
+  (`RelationSet.dilatation_power`), as the exchange rules are, because
+  coproduct requests each build a fresh context.
 
 `coproduct0`, `coproduct_hom` and `rmatrix_conjugate` keep routes of their
 own (`rmatrix_conjugate` the commutator series `_twisted`), so the checks
@@ -80,10 +80,11 @@ and its exponential expand to `twist_exponent` and to the cached `twist()`.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb, prod
 from operator import itemgetter, sub
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraElement,
@@ -115,7 +116,6 @@ from .scalars import (
     as_lambda_poly,
 )
 from .tensor import (
-    RelationSet,
     TensorElement,
     TensorKey,
     _add_into,
@@ -134,19 +134,6 @@ GENERATORS = ("x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3", "A", "S", "Z")
 COORDINATES, MOMENTA = GENERATORS[:DIM], GENERATORS[DIM : 2 * DIM]
 
 
-def _twist_pair(tag: str, lam: LambdaPoly) -> tuple[LambdaPoly, LambdaPoly]:
-    """(sigma, tau) of the relation set `tag`, which holds for conjugation
-    by exp(i(sigma S (x) A + tau A (x) S)): (lam, lam-1) for R, the twist
-    F; (lam-1, lam) for Rtilde, its flip tau0(F); (0, 0) for R0."""
-    if tag == "R":
-        return lam, lam - LP_ONE
-    if tag == "Rtilde":
-        return lam - LP_ONE, lam
-    if tag == "R0":
-        return LP_ZERO, LP_ZERO
-    raise UsageError(f"unknown relation set {tag!r}")
-
-
 # Process-wide, like z_power: a fresh context reuses the pairs of earlier ones.
 @lru_cache(maxsize=1024)
 def z_pair(u: LambdaPoly, v: LambdaPoly, order: int) -> TensorElement:
@@ -154,65 +141,55 @@ def z_pair(u: LambdaPoly, v: LambdaPoly, order: int) -> TensorElement:
     return tensor(z_power(u, order), z_power(v, order))
 
 
-@lru_cache(maxsize=256)
-def spatial_shift(tag: str, lam: LambdaPoly, order: int, d: int) -> TensorElement:
-    """Z^(d*tau) (x) Z^(-d*sigma) (`_twist_pair`), with which a left leg of
-    spatial degree d crosses in the relation set `tag`: x_i (x) 1 =
-    (Z^tau (x) Z^-sigma)(1 (x) x_i), the unit for R0.  Z commutes with
-    x1..x3, so d crossings multiply to this."""
-    sigma, tau = _twist_pair(tag, lam)
-    return z_pair(tau.scale(d), sigma.scale(-d), order)
+class RelationSet(NamedTuple):
+    """The exchange relations of conjugation by exp(i(sigma S (x) A +
+    tau A (x) S)) at truncation `order` (module docstring).  A relation set
+    is this value and nothing else: its rules are memoized process-wide,
+    keyed by the value, because coproduct requests each build a fresh
+    context, and they hold no reference back to a context."""
 
+    sigma: LambdaPoly
+    tau: LambdaPoly
+    order: int
 
-@lru_cache(maxsize=1024)
-def exchange_rule(tag: str, lam: LambdaPoly, order: int) -> TensorElement:
-    """Canonical substitute for x0 (x) 1 in the relation set `tag`.
+    @lru_cache(maxsize=1024)
+    def x0_rule(self) -> TensorElement:
+        """Canonical substitute for x0 (x) 1:
 
-    R0 (x_mu (x) 1 = 1 (x) x_mu) is the undeformed set; R and Rtilde hold
-    for the coproduct and the opposite coproduct of the twist with
-    parameter `lam`, with (sigma, tau) from `_twist_pair`:
+            x_0 (x) 1 = 1 (x) x_0 + a0(tau 1 (x) S - sigma S (x) 1), that is
+            R:      x_0 (x) 1 = 1 (x) x_0 - a0((1-lam) 1 (x) S + lam S (x) 1)
+            Rtilde: x_0 (x) 1 = 1 (x) x_0 + a0(lam 1 (x) S + (1-lam) S (x) 1)
 
-        x_0 (x) 1 = 1 (x) x_0 + a0(tau 1 (x) S - sigma S (x) 1), that is
-        R:      x_0 (x) 1 = 1 (x) x_0 - a0((1-lam) 1 (x) S + lam S (x) 1)
-        Rtilde: x_0 (x) 1 = 1 (x) x_0 + a0(lam 1 (x) S + (1-lam) S (x) 1)
+        The spatial rules, x_i (x) 1 = Z^(lam-1) (x) x_i Z^(-lam) for R and
+        Z^lam (x) x_i Z^(1-lam) for Rtilde, are `shift(1)` times
+        1 (x) x_i, so their exponents are written once.  Its left legs 1 and
+        S add no x0: a round of `canonicalize` leaves each left leg one x0
+        fewer.
+        """
+        n = self.order
+        unit = AlgebraElement.one(n)
+        S = dilatation(n)
+        a0 = Scalar.a0(n)
+        return (
+            tensor(unit, x(0, n))
+            + tensor(unit, S).scale(a0 * self.tau)
+            - tensor(S, unit).scale(a0 * self.sigma)
+        )
 
-    Their spatial rules, x_i (x) 1 = Z^(lam-1) (x) x_i Z^(-lam) for R and
-    Z^lam (x) x_i Z^(1-lam) for Rtilde, are `spatial_shift` at d = 1 times
-    1 (x) x_i, so their exponents are written once.  Its left legs 1 and S
-    add no x0: a round of `canonicalize` leaves each left leg one x0 fewer.
-    """
-    n = order
-    unit = AlgebraElement.one(n)
-    sigma, tau = _twist_pair(tag, lam)
-    S = dilatation(n)
-    a0 = Scalar.a0(n)
-    return (
-        tensor(unit, x(0, n))
-        + tensor(unit, S).scale(a0 * tau)
-        - tensor(S, unit).scale(a0 * sigma)
-    )
+    @lru_cache(maxsize=256)
+    def shift(self, d: int) -> TensorElement:
+        """Z^(d*tau) (x) Z^(-d*sigma), with which a left leg of spatial
+        degree d crosses: x_i (x) 1 = (Z^tau (x) Z^-sigma)(1 (x) x_i), the
+        unit for R0.  Z commutes with x1..x3, so d crossings multiply to
+        this."""
+        return z_pair(self.tau.scale(d), self.sigma.scale(-d), self.order)
 
-
-def relation_set(tag: str, lam: LambdaPoly, order: int) -> RelationSet:
-    """The relation set `tag` ("R0", "R" or "Rtilde") of the twist with
-    parameter `lam`, at truncation `order`; its rules' reprs name the tag."""
-    # the rules hold values only, not a context: a reference back would keep
-    # every context alive until a garbage-collection pass
-    rule = (tag, lam, order)
-    return RelationSet(
-        order, partial(exchange_rule, *rule), partial(spatial_shift, *rule)
-    )
-
-
-# Process-wide, like spatial_shift: coproduct requests each build a fresh context.
-@lru_cache(maxsize=256)
-def dilatation_power(tag: str, lam: LambdaPoly, order: int, k: int) -> TensorElement:
-    """C_k = canon(S^k (x) 1) in the relation set `tag`, the left factor of
-    the coproduct terms with k x0-derivatives (`TwistContext._deformed`)."""
-    unit = AlgebraElement.one(order)
-    return canonicalize(
-        tensor(dilatation(order) ** k, unit), relation_set(tag, lam, order)
-    )
+    @lru_cache(maxsize=256)
+    def dilatation_power(self, k: int) -> TensorElement:
+        """C_k = canon(S^k (x) 1), the left factor of the coproduct terms
+        with k x0-derivatives (`TwistContext._deformed`)."""
+        unit = AlgebraElement.one(self.order)
+        return canonicalize(tensor(dilatation(self.order) ** k, unit), self)
 
 
 def _commuting_legs_str(key: tuple[int, ...]) -> str:
@@ -271,6 +248,10 @@ class TwistContext:
     """Shared state for one (lam, N) deformation setting."""
 
     def __init__(self, order: int = 4, lam=None):
+        # a float order fails deep in the first coproduct, and would share
+        # its integer's entries in the relation sets' memos (3.0 == 3)
+        if type(order) is not int:
+            raise UsageError("truncation order must be an integer")
         if not 1 <= order <= 6:
             raise UsageError("truncation order must be in 1..6")
         self.order = order
@@ -281,9 +262,10 @@ class TwistContext:
         self.one = AlgebraElement.one(n)
         self.S = dilatation(n)
         self.A = time_translation(n)
-        self.R0, self.R, self.Rtilde = (
-            relation_set(tag, self.lam_poly, n) for tag in ("R0", "R", "Rtilde")
-        )
+        lam_less_1 = self.lam_poly - LP_ONE
+        self.R0 = RelationSet(LP_ZERO, LP_ZERO, n)
+        self.R = RelationSet(self.lam_poly, lam_less_1, n)
+        self.Rtilde = RelationSet(lam_less_1, self.lam_poly, n)
         self._cache: dict[object, object] = {}
 
     # The two exponents are built on first read: coproduct and eval
@@ -291,9 +273,9 @@ class TwistContext:
 
     @cached_property
     def twist_exponent(self) -> TensorElement:
-        """f = i(sigma S (x) A + tau A (x) S) with R's pair (`_twist_pair`)."""
+        """f = i(sigma S (x) A + tau A (x) S) with R's pair."""
         i = Scalar.i(self.order)
-        sigma, tau = _twist_pair("R", self.lam_poly)
+        sigma, tau, _ = self.R
         return tensor(self.S, self.A).scale(i * sigma) + tensor(
             self.A, self.S
         ).scale(i * tau)
@@ -424,14 +406,14 @@ class TwistContext:
         independent computations."""
         return t_adjoint(self.twist_exponent, self._extend(h, self._primitive))
 
-    def _deformed(self, h: AlgebraElement, tag: str) -> TensorElement:
-        """canon(exp(ad f)(Delta0 h)) in the relation set `tag`, for its
-        conjugation f = i(sigma S (x) A + tau A (x) S) (`_twist_pair`), in
-        closed form (module docstring): every term is written canonical by
-        exponent arithmetic, and the terms with k x0-derivatives, Q_k, are
+    def _deformed(self, h: AlgebraElement, rel: RelationSet) -> TensorElement:
+        """canon(exp(ad f)(Delta0 h)) in the relation set `rel`, for its
+        conjugation f = i(sigma S (x) A + tau A (x) S), in closed form
+        (module docstring): every term is written canonical by exponent
+        arithmetic, and the terms with k x0-derivatives, Q_k, are
         multiplied by C_k = canon(S^k (x) 1) in one product per k >= 1."""
         n = self.order
-        sigma, tau = _twist_pair(tag, self.lam_poly)
+        sigma, tau, _ = rel
         step = Scalar.a0(n) * Scalar.from_value(-sigma, n)
         powers = [Scalar.one(n)]  # (-sigma*a0)^k
         parts: dict[int, dict[TensorKey, Scalar]] = {}
@@ -462,19 +444,18 @@ class TwistContext:
                             _add_into(q, key, c * z)
         out = parts.pop(0, {})
         for k, q in parts.items():
-            c_k = dilatation_power(tag, self.lam_poly, n, k)
-            for key, c in (c_k * TensorElement(q, n)).terms.items():
+            for key, c in (rel.dilatation_power(k) * TensorElement(q, n)).terms.items():
                 _add_into(out, key, c)
         return TensorElement(out, n)
 
     def coproduct(self, h: AlgebraElement) -> TensorElement:
         """Deformed coproduct F (Delta0 h) F^-1, canonical mod R."""
-        return self._deformed(h, "R")
+        return self._deformed(h, self.R)
 
     def coproduct_opposite(self, h: AlgebraElement) -> TensorElement:
         """Opposite coproduct tau0(Delta h), canonical mod Rtilde: the
         conjugation of Delta0 h by tau0(F)."""
-        return self._deformed(h, "Rtilde")
+        return self._deformed(h, self.Rtilde)
 
     def generator_coproduct(self, name: str) -> TensorElement:
         """Cached canonical deformed coproduct of a single generator."""
@@ -557,7 +538,7 @@ class TwistContext:
     def xhat(self, mu: int) -> AlgebraElement:
         """Closed-form coordinates, with R's pair: x0 + tau a0 S, x_i Z^-sigma."""
         n = self.order
-        sigma, tau = _twist_pair("R", self.lam_poly)
+        sigma, tau, _ = self.R
         if mu == 0:
             return x(0, n) + self.S.scale(Scalar.a0(n) * tau)
         return x(mu, n) * self.z(-sigma)
@@ -565,12 +546,12 @@ class TwistContext:
     def star_product(self, f: Polynomial, g: Polynomial, which: str = "F") -> Polynomial:
         """m0(op |> (f (x) g)) for op = F^-1 ("F") or Ftilde^-1 ("Ftilde"):
         two Z-power shifts per pair of spatial degrees (module docstring)."""
-        tag = {"F": "R", "Ftilde": "Rtilde"}.get(which)
-        if tag is None:
+        rel = {"F": self.R, "Ftilde": self.Rtilde}.get(which)
+        if rel is None:
             raise UsageError("star product flavor must be 'F' or 'Ftilde'")
         if f.order != self.order or g.order != self.order:
             raise UsageError("argument and context truncation orders differ")
-        sigma, tau = _twist_pair(tag, self.lam_poly)
+        sigma, tau, _ = rel
         out = Polynomial.zero(self.order)
         g_parts = _spatial_parts(g)
         for d, f_d in _spatial_parts(f):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .algebra import DIM, ZERO_EXP, Monomial
-from .hopf import TwistContext, relation_set
+from .hopf import TwistContext
 from .linsolve import SolutionSpace, fit
 from .poincare import SPATIAL, LorentzRealization, mhat, mij
 from .scalars import GaussianRational, Scalar, UsageError
@@ -221,7 +221,7 @@ def _residual_at(prior: list[TensorElement], ctx: TwistContext, n: int) -> Tenso
     acc = TensorElement.zero(n)
     for r in prior:
         acc = acc + r.at_order(n)
-    rtilde = relation_set("Rtilde", ctx.lam_poly, n)
+    rtilde = ctx.Rtilde._replace(order=n)
     return ctx.rmatrix_canonical().at_order(n) - canonical_exp(acc, rtilde)
 
 
@@ -237,7 +237,7 @@ def bch_target(k: int, prior: list[TensorElement], ctx: TwistContext) -> TensorE
 def _term_column(term: AnsatzTerm, k: int, ctx: TwistContext) -> TensorElement:
     """Canonical -i a0^k * term; at truncation k it is all of grade k."""
     scaled = term.element.at_order(k).scale(Scalar.graded(I_NEG, k, k))
-    rtilde = relation_set("Rtilde", ctx.lam_poly, k)
+    rtilde = ctx.Rtilde._replace(order=k)
     return canonicalize(scaled, rtilde).at_order(ctx.order)
 
 

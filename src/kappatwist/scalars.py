@@ -294,7 +294,7 @@ class LambdaPoly:
     ``LambdaPoly``, since equal values must hash equal and its hash covers its terms.
     """
 
-    # hashed once: lam-polynomials key the z_power and spatial_shift memos, read per call
+    # hashed once: lam-polynomials key the z_power and relation-set memos, read per call
     __slots__ = ("terms", "_hash")
 
     def __init__(self, coeffs: Mapping[int, object] | None = None):

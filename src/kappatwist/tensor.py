@@ -4,18 +4,36 @@
 monomials, multiplied leg by leg and built by the outer product
 `tensor(a, b)`.  This module also provides the leg flip tau0, graded
 exponentials and adjoint conjugation (through `power_series`),
-canonicalization modulo a `RelationSet` of exchange relations, and the
-canonical exponential, which keeps every power of its series in canonical
-form and on orbit representatives: the permutations of the spatial axes
-fix its exponent, so each power is kept folded (`fold`, one key per orbit)
-and the sum is unfolded once at the end (`unfold`).  It is purely
-structural: the relations of the twist family (undeformed R0 and the
-deformed R and Rtilde) are written in `hopf`.  The canonical
+canonicalization modulo a set of exchange relations, and the canonical
+exponential, which keeps every power of its series in canonical form and
+on orbit representatives: the permutations of the spatial axes fix its
+exponent, so each power is kept folded (`fold`, one key per orbit) and the
+sum is unfolded once at the end (`unfold`).  It is purely structural: the
+relations of the twist family (undeformed R0 and the deformed R and
+Rtilde) are the `RelationSet` values of `hopf`.  The canonical
 representative of a class has no coordinate generators in the left
 tensor leg.  `canonicalize` peels x0 in rounds, one product by the x0
 rule per round, and moves the spatial coordinates x1..x3 of a left leg
-across in closed form, with one tensor product per spatial degree (the
-`shift` of the relation set).
+across in closed form, with one tensor product per spatial degree.
+
+A relation set `rel`, as `canonicalize`, `canonical_exp` and `equal_mod`
+read it, has three parts:
+
+* `rel.order`, its truncation order N.
+* `rel.x0_rule()`, the canonical substitute for x0 (x) 1.  Its left legs,
+  1 and S = x_k p_k, add no x0, so each round of `canonicalize` leaves
+  every left leg it rewrites with one x0 fewer.
+* `rel.shift(d)`, the group-like factor Z^(d*u) (x) Z^(d*v) with which a
+  left leg of spatial degree d crosses.  The spatial rules are
+  x_i (x) 1 = shift(1) * (1 (x) x_i) for i = 1, 2, 3, and
+  shift(d) == shift(1)^d (Z commutes with x1..x3, and each shift(d) is a
+  function of p0 on each leg).
+
+Every relation set is equivariant under the permutations g of the spatial
+axes, which act on x and p of both legs at once:
+canonicalize(g.t) == g.canonicalize(t).  The twist treats the axes alike,
+so g (x) g fixes the x0 rule and shift(d) and permutes the spatial rules,
+and normal forms are unique.  `canonical_exp` relies on this.
 
 `TensorElement3`, `_triple_product` and `t3_exp` (the tensor cube) have
 no caller in the engine.  They stay because the benchmark harness hooks
@@ -29,7 +47,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from operator import add
-from typing import Callable, NamedTuple
 
 from .algebra import (
     AlgebraElement,
@@ -120,39 +137,12 @@ def t_adjoint(conjugator: TensorElement, target: TensorElement) -> TensorElement
     )
 
 
-class RelationSet(NamedTuple):
-    """One exchange-relation set (R0, R or Rtilde) at truncation order N.
-
-    `x0_rule()` is the canonical substitute for x0 (x) 1.  Its left legs,
-    1 and S = x_k p_k, add no x0, so each round of `canonicalize` leaves
-    every left leg it rewrites with one x0 fewer.
-
-    `shift(d)` is the group-like factor Z^(d*u) (x) Z^(d*v) with which a
-    left leg of spatial degree d crosses.  The spatial rules are
-    x_i (x) 1 = shift(1) * (1 (x) x_i) for i = 1, 2, 3, and
-    shift(d) == shift(1)^d (Z commutes with x1..x3, and each shift(d) is a
-    function of p0 on each leg).  The relations themselves belong to the
-    twist family and come from `hopf`.
-
-    Every relation set is equivariant under the permutations g of the
-    spatial axes, which act on x and p of both legs at once:
-    canonicalize(g.t) == g.canonicalize(t).  The twist treats the axes
-    alike, so g (x) g fixes the x0 rule and shift(d) and permutes the
-    spatial rules, and normal forms are unique.  `canonical_exp` relies
-    on this.
-    """
-
-    order: int
-    x0_rule: Callable[[], TensorElement]
-    shift: Callable[[int], TensorElement]
-
-
 def _add_into(acc: dict, key, s: Scalar) -> None:
     cur = acc.get(key)
     acc[key] = s if cur is None else cur + s
 
 
-def canonicalize(t: TensorElement, rel: RelationSet) -> TensorElement:
+def canonicalize(t: TensorElement, rel) -> TensorElement:
     """Rewrite until the left leg of every term is coordinate-free.
 
     Each round walks the terms once and peels one x0 off every left leg
@@ -255,7 +245,7 @@ def unfold(t: TensorElement) -> TensorElement:
     return TensorElement(out, t.order)
 
 
-def canonical_exp(a: TensorElement, rel: RelationSet) -> TensorElement:
+def canonical_exp(a: TensorElement, rel) -> TensorElement:
     """canonicalize(t_exp(a), rel), with every power a^n kept canonical
     and folded onto spatial-permutation orbits.
 
@@ -277,7 +267,7 @@ def canonical_exp(a: TensorElement, rel: RelationSet) -> TensorElement:
     spatial axes (a `DomainError` otherwise); the R-matrix exponent and
     every sum of solved r_k are.  g (x) g is an algebra automorphism that
     permutes the spatial exchange rules and fixes the x0 rule, so
-    canonicalize(g.t) == g.canonicalize(t) (`RelationSet`).  For the
+    canonicalize(g.t) == g.canonicalize(t) (module docstring).  For the
     invariant a, (g.k) * a == g.(k * a), so fold(canon(u * a)) depends
     on u only through fold(u), and fold(P_n) == fold(canon(fold(P_(n-1)) * a))
     for the canonical powers P_n.  The series is therefore built on orbit
@@ -299,7 +289,7 @@ def canonical_exp(a: TensorElement, rel: RelationSet) -> TensorElement:
     )
 
 
-def equal_mod(a: TensorElement, b: TensorElement, rel: RelationSet) -> bool:
+def equal_mod(a: TensorElement, b: TensorElement, rel) -> bool:
     return canonicalize(a - b, rel).is_zero()
 
 

@@ -473,7 +473,7 @@ def exponents_eager(ctx: TwistContext) -> tuple[TensorElement, TensorElement]:
 
 def exchange_rule_by_hand(tag: str, lam, order: int) -> TensorElement:
     """x0 (x) 1 in the relation set `tag`, with lam written out: the oracle
-    for `hopf.exchange_rule`.
+    for `hopf.RelationSet.x0_rule`.
 
         R0:     x_0 (x) 1 = 1 (x) x_0
         R:      x_0 (x) 1 = 1 (x) x_0 - a0((1-lam) 1 (x) S + lam S (x) 1)
@@ -498,7 +498,7 @@ def spatial_shift_by_hand(tag: str, lam, order: int, d: int) -> TensorElement:
     """The factor with which a left leg of spatial degree d crosses in the
     relation set `tag`, with lam written out: the unit for R0, and the d-th
     power of the published spatial rules' Z^(lam-1) (x) Z^(-lam) for R and
-    Z^lam (x) Z^(1-lam) for Rtilde.  The oracle for `hopf.spatial_shift`."""
+    Z^lam (x) Z^(1-lam) for Rtilde.  The oracle for `hopf.RelationSet.shift`."""
     if tag == "R0":
         return TensorElement.one(order)
     u, v = (lam - LP_ONE, -lam) if tag == "R" else (lam, LP_ONE - lam)

@@ -591,6 +591,13 @@ class TestRationalLambda:
         with pytest.raises(UsageError):
             TwistContext(order=7)
 
+    @pytest.mark.parametrize("order", [2.5, 3.0, Fraction(3), True], ids=repr)
+    def test_order_must_be_an_integer(self, order):
+        # 2.5 and 3.0 pass the range check, and a float order used to fail
+        # with a TypeError in the first coproduct
+        with pytest.raises(UsageError, match="integer"):
+            TwistContext(order=order)
+
 
 _KERNEL_LAMBDAS = [None, Fraction(1, 3), Fraction(1, 2), Fraction(-5, 3)]
 _KERNEL_LAMBDA_IDS = ["sym", "1/3", "1/2", "-5/3"]
@@ -747,9 +754,9 @@ def _same(got, want):
 
 
 class TestTwistPair:
-    """Every member of the twist family read off its (sigma, tau) pair
-    (`hopf._twist_pair`, R0 = (0, 0)) against the same member written out
-    per relation set with lam and 1-lam by hand."""
+    """Every member of the twist family read off its relation set's
+    (sigma, tau) pair (`hopf.RelationSet`, R0 = (0, 0)) against the same
+    member written out per relation set with lam and 1-lam by hand."""
 
     @pytest.mark.parametrize("order, lam", _FAMILY_SETTINGS, ids=_FAMILY_IDS)
     def test_relations_exponent_and_coordinates(self, order, lam):
@@ -767,10 +774,13 @@ class TestTwistPair:
 
     def test_r0_is_the_zero_pair(self):
         zero = LambdaPoly()
-        for lam in (LambdaPoly.gen(), LambdaPoly.const(Fraction(1, 3))):
-            assert hopf._twist_pair("R0", lam) == (zero, zero)
-        with pytest.raises(UsageError):
-            hopf._twist_pair("R1", LambdaPoly.gen())
+        for lam in (None, Fraction(1, 3)):
+            ctx = TwistContext(order=N, lam=lam)
+            lam_poly = ctx.lam_poly
+            lam_less_1 = lam_poly - LambdaPoly.const(1)
+            assert ctx.R0 == (zero, zero, N)
+            assert ctx.R == (lam_poly, lam_less_1, N)
+            assert ctx.Rtilde == (lam_less_1, lam_poly, N)
 
     @given(
         st.sampled_from(_FAMILY_SETTINGS).flatmap(
@@ -785,3 +795,31 @@ class TestTwistPair:
         for which in ("F", "Ftilde"):
             want = star_product_by_flavor(ctx, f, g, which)
             assert _same(ctx.star_product(f, g, which), want), which
+
+
+class TestRelationSetValue:
+    """A relation set is its (sigma, tau, N) value: equal settings give
+    equal relation sets, and their rules are one process-wide memo entry."""
+
+    @pytest.mark.parametrize("lam", [None, Fraction(1, 3)], ids=["sym", "1/3"])
+    def test_equal_settings_share_the_memos(self, lam):
+        a, b = TwistContext(order=4, lam=lam), TwistContext(order=4, lam=lam)
+        for tag in ("R0", "R", "Rtilde"):
+            rel_a, rel_b = getattr(a, tag), getattr(b, tag)
+            assert rel_a == rel_b, tag
+            assert rel_a.x0_rule() is rel_b.x0_rule(), tag
+            for d in range(5):
+                assert rel_a.shift(d) is rel_b.shift(d), (tag, d)
+            for k in range(1, 5):
+                assert rel_a.dilatation_power(k) is rel_b.dilatation_power(k), (tag, k)
+
+    @pytest.mark.parametrize("lam", [None, Fraction(1, 3)], ids=["sym", "1/3"])
+    def test_lower_order_is_a_replaced_order(self, lam):
+        # what `rexpand` relies on when it canonicalizes at truncation k < N
+        rtilde = TwistContext(order=6, lam=lam).Rtilde
+        for k in range(1, 7):
+            assert rtilde._replace(order=k) == TwistContext(order=k, lam=lam).Rtilde, k
+
+    def test_r_and_rtilde_differ(self):
+        ctx = TwistContext(order=3, lam=Fraction(1, 2))
+        assert ctx.R != ctx.Rtilde

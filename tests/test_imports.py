@@ -141,14 +141,19 @@ def definitions(path: Path):
                     yield f"{node.name}.{item.name}", item
 
 
-def references(path: Path) -> list[tuple[str, int]]:
-    """(name, line) of every Name and Attribute in the file."""
+def references(path: Path) -> list[tuple[str, int, str]]:
+    """(name, line, kind) of every Name and Attribute in the file; kind is
+    "name", "called" for an Attribute that is the function of a call, or
+    "attribute"."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     out = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, "name"))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            kind = "called" if id(node) in called else "attribute"
+            out.append((node.attr, node.lineno, kind))
     return out
 
 
@@ -166,18 +171,36 @@ def hook_names() -> set[str]:
     }
 
 
-def unreferenced_definitions() -> list[str]:
-    refs = {path: references(path) for path in SCANNED}
+def _is_property(node: ast.AST) -> bool:
+    decorators = getattr(node, "decorator_list", [])
+    return any(getattr(d, "id", None) in ("property", "cached_property") for d in decorators)
+
+
+def unreferenced_definitions(modules=MODULES, scanned=SCANNED, strict=True) -> list[str]:
+    """The definitions in `modules` that nothing in `scanned` names outside
+    their own body.  A method is named only by an attribute: a bare name is
+    a variable or a function.  An uncalled attribute whose name some class
+    in `modules` stores as a field (`fields`) reads that field, so it names
+    a property of that name but no other method: `ctx.lam` does not keep a
+    method `lam` alive.  `strict=False` counts every name and attribute."""
+    refs = {path: references(path) for path in scanned}
+    stored = {name for path in modules for _, name in fields(path)}
     hooked = hook_names()
     out = []
-    for path in MODULES:
+    for path in modules:
         for qualname, node in definitions(path):
             name = qualname.rsplit(".", 1)[-1]
+            if not strict or "." not in qualname:
+                kinds = {"name", "called", "attribute"}
+            elif name in stored and not _is_property(node):
+                kinds = {"called"}
+            else:
+                kinds = {"called", "attribute"}
             own = range(node.lineno, node.end_lineno + 1)
             if name in hooked or any(
-                n == name and (where != path or line not in own)
+                n == name and kind in kinds and (where != path or line not in own)
                 for where, found in refs.items()
-                for n, line in found
+                for n, line, kind in found
             ):
                 continue
             out.append(f"{path.stem}.{qualname}")
@@ -195,6 +218,32 @@ def allowed(walk) -> list[str]:
 
 def test_every_definition_is_referenced_outside_the_tests():
     assert sorted(unreferenced_definitions()) == allowed(definitions)
+
+
+def test_a_field_read_does_not_reference_a_method(tmp_path):
+    module = tmp_path / "ring.py"
+    module.write_text(
+        "class Scalar:\n"
+        "    def lam(self):\n"
+        "        return 0\n"
+        "    @property\n"
+        "    def order(self):\n"
+        "        return 1\n"
+        "class Context:\n"
+        "    def __init__(self):\n"
+        "        self.lam = Scalar()\n"
+        "        self.order = self.lam.order\n"
+        "def lam_of(ctx):\n"
+        "    lam = ctx.lam\n"
+        "    return lam\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("from ring import Context, lam_of\nlam_of(Context())\n")
+    scanned = [module, user]
+    assert unreferenced_definitions([module], scanned) == ["ring.Scalar.lam"]
+    assert unreferenced_definitions([module], scanned, strict=False) == []
+    user.write_text(user.read_text() + "Context().lam.lam()\n")
+    assert unreferenced_definitions([module], scanned) == []
 
 
 # -- every stored field is read outside the tests ---------------------------

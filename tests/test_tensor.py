@@ -6,6 +6,7 @@ import itertools
 import operator
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -535,6 +536,6 @@ class TestRounds:
             },
             n,
         )
-        canonicalize(t, rel._replace(x0_rule=x0_rule, shift=shift))
+        canonicalize(t, SimpleNamespace(order=n, x0_rule=x0_rule, shift=shift))
         assert calls.pop("x0_rule", 0) <= max(ml.alpha[0] for ml, _mr in t.terms)
         assert all(k == 1 for k in calls.values()), calls

@@ -30,6 +30,11 @@ def test_unknown_suite():
         run_suite("bogus")
 
 
+def test_non_integer_order():
+    with pytest.raises(UsageError, match="integer"):
+        run_suite("all", order=2.5)
+
+
 def test_json_deterministic_given_seed():
     a = json.dumps(run_suite("algebra", order=2, seed=3, quick=True).to_dict(), sort_keys=True)
     b = json.dumps(run_suite("algebra", order=2, seed=3, quick=True).to_dict(), sort_keys=True)
