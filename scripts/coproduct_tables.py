@@ -12,6 +12,7 @@ import sys
 
 from kappatwist.cli import run
 from kappatwist.hopf import GENERATORS
+from kappatwist.poincare import CASES
 
 
 def main() -> int:
@@ -23,7 +24,7 @@ def main() -> int:
     for gen in (*GENERATORS, "M[1,2]", "M[1,3]", "M[2,3]"):
         print(f"Delta {gen:<8} = ", end="")
         worst = max(worst, run(["coproduct", "--gen", gen, "--order", order]))
-    for case in ("i", "ii", "iii"):
+    for case in CASES:
         for i in (1, 2, 3):
             print(f"Delta Mhat[{i},0] (case {case:<3}) = ", end="")
             cmd = [

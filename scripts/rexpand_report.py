@@ -19,7 +19,7 @@ import sys
 
 from kappatwist.cli import EXIT_USAGE, rexpand_lambda, rexpand_truncation
 from kappatwist.hopf import TwistContext
-from kappatwist.poincare import realization
+from kappatwist.poincare import CASES, realization
 from kappatwist.rexpand import (
     expand,
     named_parameters,
@@ -68,7 +68,7 @@ def report(args) -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--case", choices=("i", "ii", "iii"), default="ii")
+    ap.add_argument("--case", choices=CASES, default="ii")
     ap.add_argument("--up-to", type=int, default=3)
     ap.add_argument("--lambda", dest="lam", default="1/2")
     ap.add_argument("--truncation", type=int, default=None)

@@ -82,6 +82,13 @@ def monomial_str(m: Monomial) -> str:
     return "*".join(factors) if factors else "1"
 
 
+def _check_exponents(*exps) -> None:
+    """The monomial constructors' check; the products assume it holds."""
+    for e in exps:
+        if type(e) is not tuple or len(e) != DIM or any(type(n) is not int or n < 0 for n in e):
+            raise UsageError(f"exponents must be {DIM} non-negative integers, not {e!r}")
+
+
 def _bump(exp: Exponents, mu: int, delta: int = 1) -> Exponents:
     lst = list(exp)
     lst[mu] += delta
@@ -323,6 +330,7 @@ class AlgebraElement(SparseElement):
 
     @staticmethod
     def monomial(m: Monomial, order: int, coeff=None) -> "AlgebraElement":
+        _check_exponents(*m)
         unit = AlgebraElement({m: Scalar.one(order)}, order)
         return unit if coeff is None else unit.scale(coeff)
 
@@ -446,6 +454,7 @@ class Polynomial(SparseElement):
 
     @staticmethod
     def x_monomial(exps: Exponents, order: int, coeff=None) -> "Polynomial":
+        _check_exponents(exps)
         unit = Polynomial({exps: Scalar.one(order)}, order)
         return unit if coeff is None else unit.scale(coeff)
 

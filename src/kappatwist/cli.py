@@ -6,7 +6,8 @@ Subcommands:
                   verifying it against the computed one (twist or
                   homomorphism route)
     rexpand    -- solve the perturbative R-matrix expansion at one order
-    verify     -- run a named verification suite
+    verify     -- run a named verification suite (`run_suite` checks the
+                  name); only this subcommand imports `verify`
     eval       -- parse, elaborate and print an expression, optionally
                   canonicalized against a relation set
 
@@ -27,9 +28,9 @@ from functools import lru_cache
 
 from .hopf import TwistContext
 from .parser import ParseError, elaborate, evaluate, parse
+from .poincare import CASES, case_lambda, closed_form_coproduct, closed_form_string, realization
 from .scalars import DomainError, UsageError, sum_str, term_str
 from .tensor import TensorElement, canonicalize, tensor
-from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -80,8 +81,6 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_coproduct(args) -> int:
-    from .poincare import case_lambda, closed_form_coproduct, closed_form_string
-
     lam = parse_lambda(args.lam)
     case = args.case
     node = parse(args.gen)
@@ -157,7 +156,6 @@ def _linear_combination_string(result, coeffs: dict[str, str]) -> str:
 
 
 def _cmd_rexpand(args) -> int:
-    from .poincare import realization
     from .rexpand import expand, named_parameters
 
     lam = rexpand_lambda(args.lam)
@@ -209,6 +207,8 @@ def _cmd_rexpand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     lam = parse_lambda(args.lam)
     report = run_suite(
         args.suite, order=args.order, lam=lam, seed=args.seed, quick=args.quick
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("coproduct", help="closed-form generator coproducts")
     cp.add_argument("--gen", required=True, help="generator name, e.g. p1 or Mhat[1,0]")
-    cp.add_argument("--case", choices=("i", "ii", "iii"), default=None)
+    cp.add_argument("--case", choices=CASES, default=None)
     cp.add_argument("--lambda", dest="lam", default="sym", help="'sym' or a rational")
     cp.add_argument("--order", type=int, default=4)
     cp.add_argument("--method", choices=("twist", "hom"), default="twist")
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rx = sub.add_parser("rexpand", help="perturbative R-matrix expansion")
     rx.add_argument("--order", type=int, required=True, help="expansion order k")
-    rx.add_argument("--case", choices=("i", "ii", "iii"), default="ii")
+    rx.add_argument("--case", choices=CASES, default="ii")
     rx.add_argument("--lambda", dest="lam", default="sym")
     rx.add_argument(
         "--truncation",
@@ -294,11 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     rx.set_defaults(func=_cmd_rexpand)
 
     vf = sub.add_parser("verify", help="run a verification suite")
-    vf.add_argument(
-        "--suite",
-        choices=(*SUITE_NAMES, "all"),
-        default="all",
-    )
+    vf.add_argument("--suite", default="all")
     vf.add_argument("--lambda", dest="lam", default="sym")
     vf.add_argument("--order", type=int, default=3)
     vf.add_argument("--seed", type=int, default=0)
@@ -311,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--canonicalize", choices=("R0", "R", "Rtilde"), default=None)
     ev.add_argument("--lambda", dest="lam", default="sym")
     ev.add_argument("--order", type=int, default=4)
-    ev.add_argument("--case", choices=("i", "ii", "iii"), default=None)
+    ev.add_argument("--case", choices=CASES, default=None)
     ev.add_argument("--format", choices=("text", "json"), default="text")
     ev.set_defaults(func=_cmd_eval)
 

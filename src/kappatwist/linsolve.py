@@ -1,18 +1,18 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Gaussian elimination with deterministic pivoting (first nonzero entry in
-column order), returning either a unique solution, a particular solution
-plus a nullspace basis, or an infeasibility verdict.  The rows are dense
-lists, but each elimination step touches only the columns where its
-pivot row is nonzero.  `coefficient_rows` reads the rows of an exact fit
-of sparse elements off their coefficients in one pass over each
+column order), returning a `SolutionSpace`: a unique solution, a particular
+solution plus a nullspace basis, or an infeasibility verdict.  The rows
+are dense lists, but each elimination step touches only the columns where
+its pivot row is nonzero.  `coefficient_rows` reads the rows of an exact
+fit of sparse elements off their coefficients in one pass over each
 element's terms, and `fit` solves that fit on its distinct rows.  Entries
 must be exact numbers (`scalars.as_gaussian`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, UsageError, as_gaussian
 
@@ -37,8 +37,7 @@ class ExactMatrix:
         return len(self.rows[0]) if self.rows else 0
 
 
-@dataclass
-class SolutionSpace:
+class SolutionSpace(NamedTuple):
     """Solution set of A x = b.
 
     status is one of 'unique', 'parametric', 'infeasible'.  For solvable
@@ -48,7 +47,7 @@ class SolutionSpace:
 
     status: str
     particular: list[GaussianRational] | None
-    nullspace: list[list[GaussianRational]] = field(default_factory=list)
+    nullspace: Sequence[list[GaussianRational]] = ()
     rank: int = 0
 
     @property

@@ -20,8 +20,8 @@ verify suites run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     ZERO_EXP, AlgebraElement, Monomial, _bump, commutator, exp_coeffs, p, power_series, x
@@ -34,10 +34,9 @@ from .tensor import TensorElement, canonicalize
 SPATIAL = (1, 2, 3)
 
 
-@dataclass(frozen=True)
-class LorentzRealization:
+class LorentzRealization(NamedTuple):
     """The four profile functions F1..F4 of the boost ansatz, as elements
-    of the algebra (functions of A), plus the case ("i", "ii" or "iii")."""
+    of the algebra (functions of A), plus the case (one of CASES)."""
 
     label: str
     f1: AlgebraElement
@@ -166,6 +165,7 @@ BOOST_CLOSED_FORMS = {
         " + a0*lam*S*Z^[1-lam] ox p{i}"
     ),
 }
+CASES = tuple(BOOST_CLOSED_FORMS)  # the preset realization cases
 
 
 def boost_closed_form_string(i: int, case: str) -> str:
@@ -189,7 +189,7 @@ def closed_form_string(node, case: str | None) -> str:
         return _PRIMITIVE.format(g=f"M[{node[1]},{node[2]}]")
     if kind == "Mhat":
         if case is None:
-            raise UsageError("boost coproducts need --case i|ii|iii")
+            raise UsageError(f"boost coproducts need --case {'|'.join(CASES)}")
         return boost_closed_form_string(node[1], case)
     raise UsageError("--gen must name a single generator")
 

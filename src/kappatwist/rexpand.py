@@ -36,8 +36,8 @@ coefficients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 from .algebra import DIM, ZERO_EXP, Monomial
 from .hopf import TwistContext
@@ -49,8 +49,7 @@ from .tensor import TensorElement, canonical_exp, canonicalize, tau0
 I_NEG = GaussianRational(0, -1)
 
 
-@dataclass(frozen=True)
-class AnsatzTerm:
+class AnsatzTerm(NamedTuple):
     """One rotation-invariant basis term of the order-k ansatz.
 
     `element` is the bare invariant sum (no a0 power, no -i), truncated at
@@ -62,14 +61,13 @@ class AnsatzTerm:
     element: TensorElement
 
 
-@dataclass
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     order: int
     status: str  # unique | parametric | infeasible
     terms: list[AnsatzTerm]
     solution: SolutionSpace
     equations: int
-    element: TensorElement | None = None
+    element: TensorElement | None  # r_k; None when infeasible
 
     @property
     def dimension(self) -> int:
@@ -294,10 +292,9 @@ def solve_order(
     equations = sum(map(_is_generic, {_index_pattern(key) for key in keys}))
 
     sol = fit(target, columns, (k,))
-    result = ExpansionResult(k, sol.status, terms, sol, equations)
-    if sol.status != "infeasible":
-        result.element = assemble(terms, sol.particular, k, ctx)
-    return result
+    solved = sol.status != "infeasible"
+    element = assemble(terms, sol.particular, k, ctx) if solved else None
+    return ExpansionResult(k, sol.status, terms, sol, equations, element)
 
 
 def assemble(
@@ -363,6 +360,8 @@ def named_parameters(result: ExpansionResult) -> dict[str, GaussianRational]:
     """Read (alpha1, beta1, alpha2) off a k=3 solution's coefficients."""
     if result.order != 3:
         raise UsageError("named parameters exist at order 3 only")
+    if result.solution.particular is None:
+        raise UsageError("named parameters need a solution; this order is infeasible")
     coeffs = {t.name: c for t, c in zip(result.terms, result.solution.particular)}
     out = {}
     for pname, (tname, factor) in zip(PARAM_NAMES, _PARAM_POSITIONS):

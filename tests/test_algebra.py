@@ -295,3 +295,20 @@ def test_monomial_coefficients_go_through_scale(build):
         build(Scalar.one(N + 1))
     with pytest.raises(UsageError):
         build(1.5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # a 3-tuple once zipped against a 4-tuple in the product: x0*x1
+        lambda: Polynomial.x_monomial((1, 0, 0), N) * Polynomial.x_monomial((0, 1, 0, 0), N),
+        # a negative exponent once printed as 1
+        lambda: Polynomial.x_monomial((-1, 0, 0, 0), N),
+        # a short monomial once raised IndexError in monomial_product
+        lambda: AlgebraElement.monomial(Monomial((2,), (1,)), N) * x(1, N),
+    ],
+    ids=["short-x-monomial", "negative-x-monomial", "short-monomial"],
+)
+def test_monomial_constructors_reject_malformed_exponents(build):
+    with pytest.raises(UsageError, match="4 non-negative integers"):
+        build()

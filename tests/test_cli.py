@@ -397,6 +397,43 @@ def test_closed_pipe_is_a_quiet_exit(tmp_path):
             assert err.read() == ""
 
 
+def test_a_cli_run_loads_neither_verify_nor_dataclasses():
+    """`eval`, `coproduct` and `rexpand` leave `verify`, `dataclasses` and
+    `inspect` unloaded: only the `verify` subcommand imports `verify`.  The
+    interpreter runs with -S, so that nothing in site-packages preloads them."""
+    src = str(Path(kappatwist.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "from kappatwist.cli import run\n"
+        "for argv in (['eval', 'p1*x1', '--order', '3'],\n"
+        "             ['coproduct', '--gen', 'Mhat[1,0]', '--case', 'i', '--order', '3'],\n"
+        "             ['rexpand', '--order', '1']):\n"
+        "    assert run(argv) == 0, argv\n"
+        "names = ('dataclasses', 'inspect', 'kappatwist.verify')\n"
+        "print([name for name in names if name in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_an_unknown_suite_is_a_usage_error(capsys):
+    """`--suite` has no argparse choices: `run_suite` rejects an unknown
+    name, naming the five suites and 'all'."""
+    assert run(["verify", "--suite", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: unknown suite 'nope'; choose from algebra, coalgebra, twist,"
+        " rmatrix, poincare or 'all'\n"
+    )
+
+
 def test_rexpand_lambda_solves_sym_at_one_half():
     """The re-expansion solves at exact rationals: `sym` means 1/2."""
     assert rexpand_lambda("sym") == Fraction(1, 2)

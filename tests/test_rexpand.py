@@ -1,7 +1,6 @@
 """Perturbative R-matrix re-expression: ansatz enumeration, order-by-order
 solving, golden third-order family, and the negative result."""
 
-import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -157,6 +156,20 @@ class TestCaseIII:
         assert [r.status for r in results] == ["unique", "unique", "infeasible"]
         assert results[2].equations == 35
 
+    def test_named_parameters_need_a_solution(self):
+        ctx = TwistContext(order=3, lam=Fraction(1, 2))
+        infeasible = expand(3, realization("iii", ctx), ctx)[-1]
+        assert infeasible.status == "infeasible"
+        with pytest.raises(UsageError, match="infeasible"):
+            named_parameters(infeasible)
+
+
+def test_results_are_built_once(results):
+    """An expansion result and its solution space are immutable records."""
+    for record, name in ((results[0], "element"), (results[0].solution, "particular")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
 
 class TestSymbolicRejected:
     def test_requires_rational_lambda(self):
@@ -273,14 +286,14 @@ class TestSolutionChecks:
             assert _row_check(sol, concrete)
             assert _tensor_check(sol, columns, target)
             j = next(i for i, col in enumerate(columns) if col)
-            wrong = dataclasses.replace(sol, particular=_bumped(sol.particular, j))
+            wrong = sol._replace(particular=_bumped(sol.particular, j))
             assert not _row_check(wrong, concrete)
             assert not _tensor_check(wrong, columns, target)
             if sol.nullspace:
                 v = sol.nullspace[0]
                 j = next(i for i, col in enumerate(columns) if col and v[i])
                 nullspace = [_bumped(v, j)] + sol.nullspace[1:]
-                wrong = dataclasses.replace(sol, nullspace=nullspace)
+                wrong = sol._replace(nullspace=nullspace)
                 assert not _row_check(wrong, concrete)
                 assert not _tensor_check(wrong, columns, target)
             prior.append(res.element)
