@@ -338,13 +338,13 @@ class AlgebraElement(SparseElement):
 def x(mu: int, order: int) -> AlgebraElement:
     if not 0 <= mu < DIM:
         raise UsageError(f"index {mu} out of range")
-    return AlgebraElement.monomial(Monomial(_bump(ZERO_EXP, mu), ZERO_EXP), order)
+    return AlgebraElement({Monomial(_bump(ZERO_EXP, mu), ZERO_EXP): Scalar.one(order)}, order)
 
 
 def p(mu: int, order: int) -> AlgebraElement:
     if not 0 <= mu < DIM:
         raise UsageError(f"index {mu} out of range")
-    return AlgebraElement.monomial(Monomial(ZERO_EXP, _bump(ZERO_EXP, mu)), order)
+    return AlgebraElement({Monomial(ZERO_EXP, _bump(ZERO_EXP, mu)): Scalar.one(order)}, order)
 
 
 def dilatation(order: int) -> AlgebraElement:

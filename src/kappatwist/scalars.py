@@ -8,12 +8,11 @@ of that triple:
 
 * ``GaussianRational`` -- one triple as a number object, with ``re`` and
   ``im`` read back as ``Fraction``,
-* ``LambdaPoly`` -- polynomials in the twist parameter ``lam``, stored as
-  the a0-free terms ``{(0, j): (a, b, d)}`` of a ``Scalar``; used for
-  exponents and the twist parameter,
 * ``Scalar`` -- a sparse dict ``{(k, j): (a, b, d)}`` for the coefficient
   ``sum (a + b*i)/d * a0^k * lam^j``, truncated at a fixed order ``N``:
-  every term above ``a0^N`` is dropped, which is a filter on ``k``.
+  every term above ``a0^N`` is dropped, which is a filter on ``k``,
+* ``LambdaPoly`` -- a polynomial in the twist parameter ``lam``: a Scalar
+  at truncation order 0, used for exponents and the twist parameter.
 
 ``exact_triple`` is the one test of what an exact number is: an int, a
 ``Fraction`` or a ``GaussianRational``.  Every constructor and operator
@@ -21,10 +20,11 @@ reads constants through it, so a float, a string or a ``Decimal`` never
 enters the arithmetic: a named constructor or method raises
 ``UsageError`` for it, and an operator returns ``NotImplemented``.
 
-``Scalar`` is the one graded type.  Its kernels, which ``LambdaPoly``
-shares, work on the integer triples directly and build no intermediate
-``GaussianRational`` or ``Fraction`` objects; monomial products hand
-their coefficients to ``Scalar.scale`` as triples.  Functions of
+``Scalar`` is the one graded type, and ``LambdaPoly`` is that type at
+order 0 with its arithmetic inherited.  The kernels work on the integer
+triples directly and build no intermediate ``GaussianRational`` or
+``Fraction`` objects; monomial products hand their coefficients to
+``Scalar.scale`` as triples.  Functions of
 ``A = a0*p0`` (the boost profile functions, ``Z^c``) are algebra
 elements, built in ``algebra`` and ``poincare``.
 
@@ -286,122 +286,6 @@ def _triple_str(triple: Triple) -> str:
     return parts[0]
 
 
-class LambdaPoly:
-    """Polynomial in ``lam`` with Gaussian rational coefficients, sparse.
-
-    ``terms`` holds the a0-free terms ``{(0, j): triple}`` of the same
-    polynomial as a ``Scalar``, with no zero value.  It equals only a
-    ``LambdaPoly``, since equal values must hash equal and its hash covers its terms.
-    """
-
-    # hashed once: lam-polynomials key the z_power and relation-set memos, read per call
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, coeffs: Mapping[int, object] | None = None):
-        terms = {}
-        for deg, val in (coeffs or {}).items():
-            if deg < 0:
-                raise UsageError("negative lam degree")
-            t = _exact(val)
-            if t[0] or t[1]:
-                terms[(0, deg)] = t
-        _fill_lp(self, terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaPoly is immutable")
-
-    @staticmethod
-    def const(value) -> "LambdaPoly":
-        return LambdaPoly({0: value})
-
-    @staticmethod
-    def gen() -> "LambdaPoly":
-        return _lp({(0, 1): (1, 0, 1)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return self._hash
-
-    def __add__(self, other):
-        terms = _const_terms(other)
-        if terms is None:
-            return NotImplemented
-        return _lp(_add(self.terms, terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        terms = _const_terms(other)
-        if terms is None:
-            return NotImplemented
-        return _lp(_add(self.terms, _neg(terms)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return _lp(_neg(self.terms))
-
-    def __mul__(self, other):
-        if isinstance(other, LambdaPoly):
-            return _lp(_mul(self.terms, other.terms, 0))
-        t = exact_triple(other)
-        if t is None:
-            return NotImplemented
-        return _lp(_scale(self.terms, t))
-
-    __rmul__ = __mul__
-
-    def scale(self, factor) -> "LambdaPoly":
-        return _lp(_scale(self.terms, _exact(factor)))
-
-    def eval(self, value: RationalLike) -> GaussianRational:
-        t = _substitute(self.terms, value).get((0, 0))
-        return GR_ZERO if t is None else _gr(t)
-
-    def __repr__(self):
-        return f"LambdaPoly({ {j: _gr(t) for (_, j), t in self.terms.items()} !r})"
-
-
-def _fill_lp(poly: LambdaPoly, terms: Terms) -> None:
-    object.__setattr__(poly, "terms", terms)
-    object.__setattr__(poly, "_hash", hash(frozenset(terms.items())))
-
-
-def _lp(terms: Terms) -> LambdaPoly:
-    """Wrap already normalised a0-free terms."""
-    poly = _new(LambdaPoly)
-    _fill_lp(poly, terms)
-    return poly
-
-
-LP_ZERO = LambdaPoly()
-LP_ONE = LambdaPoly.const(1)
-LP_LAM = LambdaPoly.gen()
-
-
-def as_lambda_poly(value) -> LambdaPoly:
-    """A constant as a lam-polynomial.  A Scalar qualifies when it is a
-    rational polynomial in lam: no a0 and no I."""
-    if isinstance(value, LambdaPoly):
-        return value
-    terms = _const_terms(value)
-    if terms is None and isinstance(value, Scalar) and not any(
-        k or b for (k, _), (_, b, _) in value.terms.items()
-    ):
-        terms = value.terms
-    if terms is None:
-        raise UsageError(f"cannot interpret {value} as a rational lam-polynomial")
-    return _lp(terms)
-
-
 def _const_terms(value, grade: int = 0) -> Terms | None:
     """Terms of a constant (an exact number or a LambdaPoly) placed at one
     grade; None for anything else."""
@@ -499,9 +383,14 @@ class Scalar:
 
     ``terms`` maps (a0 power, lam power) to a normalised triple; it holds no
     zero value and no grade above ``order``.  Build values with the static
-    constructors below.  It equals only a ``Scalar`` (``Scalar.one(2) == 1``
-    is False), since equal values must hash equal and its hash covers its
-    terms and its truncation order.
+    constructors below.  It equals only a value of its own class
+    (``Scalar.one(2) == 1`` is False), since equal values must hash equal
+    and its hash covers its terms and its truncation order.
+
+    The ring operations build their result in the class of ``self``, so
+    a ``LambdaPoly`` (a Scalar at order 0) stays one under them.  A
+    Scalar at ``N`` takes a ``LambdaPoly`` operand as a constant and gives
+    a Scalar at ``N``, in either operand order.
     """
 
     __slots__ = ("terms", "order")
@@ -552,7 +441,7 @@ class Scalar:
         return not self.terms
 
     def __eq__(self, other):
-        if other.__class__ is not Scalar:
+        if other.__class__ is not self.__class__:
             return NotImplemented
         if self.order != other.order:
             raise self._mismatch(other)
@@ -562,8 +451,9 @@ class Scalar:
         return hash((frozenset(self.terms.items()), self.order))
 
     def _operand(self, other) -> Terms | None:
-        """Terms of a Scalar operand or of a constant; None otherwise."""
-        if other.__class__ is Scalar:
+        """Terms of an operand of this class or of a constant; None
+        otherwise."""
+        if other.__class__ is self.__class__:
             if self.order != other.order:
                 raise self._mismatch(other)
             return other.terms
@@ -573,7 +463,7 @@ class Scalar:
         terms = self._operand(other)
         if terms is None:
             return NotImplemented
-        return _build(_add(self.terms, terms), self.order)
+        return _build(_add(self.terms, terms), self.order, self.__class__)
 
     __radd__ = __add__
 
@@ -581,25 +471,24 @@ class Scalar:
         terms = self._operand(other)
         if terms is None:
             return NotImplemented
-        return _build(_add(self.terms, _neg(terms)), self.order)
+        return _build(_add(self.terms, _neg(terms)), self.order, self.__class__)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return _build(_neg(self.terms), self.order)
+        return _build(_neg(self.terms), self.order, self.__class__)
 
     def __mul__(self, other):
-        if other.__class__ is Scalar:
+        if other.__class__ is self.__class__:
             if self.order != other.order:
                 raise self._mismatch(other)
-            return _build(_mul(self.terms, other.terms, self.order), self.order)
-        if isinstance(other, LambdaPoly):
-            return _build(_mul(self.terms, other.terms, self.order), self.order)
-        t = exact_triple(other)
-        if t is None:
-            return NotImplemented
-        return self.scale(t)
+        elif not isinstance(other, LambdaPoly):
+            t = exact_triple(other)
+            if t is None:
+                return NotImplemented
+            return self.scale(t)
+        return _build(_mul(self.terms, other.terms, self.order), self.order, self.__class__)
 
     __rmul__ = __mul__
 
@@ -609,7 +498,7 @@ class Scalar:
         t = factor if factor.__class__ is tuple else _exact(factor)
         if t == (1, 0, 1):
             return self
-        return _build(_scale(self.terms, t), self.order)
+        return _build(_scale(self.terms, t), self.order, self.__class__)
 
     def min_grade(self) -> int | None:
         """Lowest a0 power with a nonzero coefficient, or None for zero."""
@@ -639,7 +528,7 @@ class Scalar:
         return GR_ZERO if t is None else _gr(t)
 
     def __repr__(self):
-        return f"Scalar({scalar_str(self)!r}, N={self.order})"
+        return f"{type(self).__name__}({scalar_str(self)!r}, N={self.order})"
 
     def __str__(self):
         return scalar_str(self)
@@ -649,11 +538,69 @@ _set_terms = Scalar.terms.__set__
 _set_order = Scalar.order.__set__
 
 
-def _build(terms: Terms, order: int) -> Scalar:
-    obj = _new(Scalar)
+def _build(terms: Terms, order: int, cls: type = Scalar) -> Scalar:
+    obj = _new(cls)
     _set_terms(obj, terms)
     _set_order(obj, order)
     return obj
+
+
+class LambdaPoly(Scalar):
+    """Polynomial in ``lam`` with Gaussian rational coefficients: a
+    ``Scalar`` at truncation order 0, whose terms are ``{(0, j): triple}``.
+
+    Its ring operations are the Scalar ones; it adds only the
+    ``{degree: value}`` constructor, ``const``, ``gen`` and ``eval``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Mapping[int, object] | None = None):
+        terms = {}
+        for deg, val in (coeffs or {}).items():
+            if deg < 0:
+                raise UsageError("negative lam degree")
+            t = _exact(val)
+            if t[0] or t[1]:
+                terms[(0, deg)] = t
+        _set_terms(self, terms)
+        _set_order(self, 0)
+
+    # its own entry, so that a tracer can count lam-polynomial products
+    # apart from the Scalar ones (perfbench/layers.py)
+    __mul__ = Scalar.__mul__
+
+    @staticmethod
+    def const(value) -> "LambdaPoly":
+        return LambdaPoly({0: value})
+
+    @staticmethod
+    def gen() -> "LambdaPoly":
+        return _build({(0, 1): (1, 0, 1)}, 0, LambdaPoly)
+
+    def eval(self, value: RationalLike) -> GaussianRational:
+        t = _substitute(self.terms, value).get((0, 0))
+        return GR_ZERO if t is None else _gr(t)
+
+
+LP_ZERO = LambdaPoly()
+LP_ONE = LambdaPoly.const(1)
+LP_LAM = LambdaPoly.gen()
+
+
+def as_lambda_poly(value) -> LambdaPoly:
+    """A constant as a lam-polynomial.  A Scalar qualifies when it is a
+    rational polynomial in lam: no a0 and no I."""
+    if isinstance(value, LambdaPoly):
+        return value
+    terms = _const_terms(value)
+    if terms is None and isinstance(value, Scalar) and not any(
+        k or b for (k, _), (_, b, _) in value.terms.items()
+    ):
+        terms = value.terms
+    if terms is None:
+        raise UsageError(f"cannot interpret {value} as a rational lam-polynomial")
+    return _build(terms, 0, LambdaPoly)
 
 
 def as_scalar(value, order: int) -> Scalar | None:

@@ -111,9 +111,7 @@ def _random_element(rng: random.Random, order: int, max_deg: int = 2) -> Algebra
         coeff = Scalar.from_value(
             Fraction(rng.randint(-4, 4), rng.randint(1, 4)), order
         )
-        out = out + AlgebraElement.monomial(
-            Monomial(tuple(alpha), tuple(beta)), order
-        ).scale(coeff)
+        out = out + AlgebraElement({Monomial(tuple(alpha), tuple(beta)): coeff}, order)
     return out
 
 
@@ -121,9 +119,8 @@ def _random_poly(rng: random.Random, order: int, max_deg: int = 2) -> Polynomial
     exps = [0] * DIM
     for _ in range(rng.randint(0, max_deg)):
         exps[rng.randrange(DIM)] += 1
-    return Polynomial.x_monomial(
-        tuple(exps), order, Scalar.from_value(Fraction(rng.randint(1, 3)), order)
-    )
+    coeff = Scalar.from_value(Fraction(rng.randint(1, 3)), order)
+    return Polynomial({tuple(exps): coeff}, order)
 
 
 # -- suites ---------------------------------------------------------------

@@ -17,7 +17,9 @@ extension one monomial at a time.  Last come the members of the twist
 family written out per relation set, with lam and 1-lam by hand, as the
 engine wrote them before it read every one off its (sigma, tau) pair, and
 the commutator's own walk over the pairs of terms, as it was before the
-commutator became the product's walk over `key_commutator` pairs.
+commutator became the product's walk over `key_commutator` pairs, and the
+lam-polynomial class as it was before `LambdaPoly` became a Scalar at
+truncation order 0.
 """
 
 from __future__ import annotations
@@ -75,9 +77,17 @@ from kappatwist.scalars import (
     DomainError,
     GaussianRational,
     Scalar,
+    Terms,
     UsageError,
+    _add,
     _build,
+    _exact,
+    _gr,
+    _mul,
+    _neg,
+    _scale,
     _substitute,
+    exact_triple,
 )
 from kappatwist.tensor import (
     TensorElement,
@@ -565,3 +575,111 @@ def commutator_by_pair_walk(a: SparseElement, b: SparseElement) -> SparseElement
                 cur = out.get(k)
                 out[k] = contrib if cur is None else cur + contrib
     return a.__class__(out, order)
+
+
+# -- the standalone lam-polynomial class ---------------------------------------
+
+
+class StandaloneLambdaPoly:
+    """Polynomial in lam as a class of its own over the `scalars` kernels,
+    with its hash computed once: the oracle for `scalars.LambdaPoly`.
+
+    ``terms`` holds the a0-free terms ``{(0, j): triple}`` of the same
+    polynomial as a ``Scalar``, with no zero value.  It equals only a
+    ``StandaloneLambdaPoly``, since equal values must hash equal and its
+    hash covers its terms.
+    """
+
+    __slots__ = ("terms", "_hash")
+
+    def __init__(self, coeffs=None):
+        terms = {}
+        for deg, val in (coeffs or {}).items():
+            if deg < 0:
+                raise UsageError("negative lam degree")
+            t = _exact(val)
+            if t[0] or t[1]:
+                terms[(0, deg)] = t
+        _fill_standalone(self, terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StandaloneLambdaPoly is immutable")
+
+    @staticmethod
+    def const(value) -> "StandaloneLambdaPoly":
+        return StandaloneLambdaPoly({0: value})
+
+    @staticmethod
+    def gen() -> "StandaloneLambdaPoly":
+        return _standalone({(0, 1): (1, 0, 1)})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, StandaloneLambdaPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return self._hash
+
+    def __add__(self, other):
+        terms = _standalone_terms(other)
+        if terms is None:
+            return NotImplemented
+        return _standalone(_add(self.terms, terms))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        terms = _standalone_terms(other)
+        if terms is None:
+            return NotImplemented
+        return _standalone(_add(self.terms, _neg(terms)))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return _standalone(_neg(self.terms))
+
+    def __mul__(self, other):
+        if isinstance(other, StandaloneLambdaPoly):
+            return _standalone(_mul(self.terms, other.terms, 0))
+        t = exact_triple(other)
+        if t is None:
+            return NotImplemented
+        return _standalone(_scale(self.terms, t))
+
+    __rmul__ = __mul__
+
+    def scale(self, factor) -> "StandaloneLambdaPoly":
+        return _standalone(_scale(self.terms, _exact(factor)))
+
+    def eval(self, value) -> GaussianRational:
+        t = _substitute(self.terms, value).get((0, 0))
+        return GR_ZERO if t is None else _gr(t)
+
+
+def _fill_standalone(poly: StandaloneLambdaPoly, terms: Terms) -> None:
+    object.__setattr__(poly, "terms", terms)
+    object.__setattr__(poly, "_hash", hash(frozenset(terms.items())))
+
+
+def _standalone(terms: Terms) -> StandaloneLambdaPoly:
+    """Wrap already normalised a0-free terms."""
+    poly = object.__new__(StandaloneLambdaPoly)
+    _fill_standalone(poly, terms)
+    return poly
+
+
+def _standalone_terms(value) -> Terms | None:
+    """Terms of a StandaloneLambdaPoly or of an exact number; None for
+    anything else."""
+    if isinstance(value, StandaloneLambdaPoly):
+        return value.terms
+    t = exact_triple(value)
+    if t is None:
+        return None
+    return {(0, 0): t} if t[0] or t[1] else {}

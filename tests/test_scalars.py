@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kappatwist.algebra import UNIT_MONOMIAL, z_power
+from kappatwist.hopf import TwistContext
+from kappatwist.parser import elaborate, parse
 from kappatwist.scalars import (
     LP_LAM,
     LP_ONE,
@@ -16,8 +19,9 @@ from kappatwist.scalars import (
     Scalar,
     UsageError,
     as_gaussian,
+    as_lambda_poly,
 )
-from paper_reference import substitute_lambda
+from paper_reference import StandaloneLambdaPoly, substitute_lambda
 
 rationals = st.builds(
     Fraction, st.integers(-30, 30), st.integers(1, 12)
@@ -236,3 +240,82 @@ class TestScalar:
         assert lowered.order == m
         assert lowered.at_order(n) == low
         assert a.at_order(n + 2).at_order(n) == a
+
+
+coefficient_dicts = st.dictionaries(st.integers(0, 3), gaussians(), max_size=3)
+
+
+class TestLambdaPolyIsOrder0Scalar:
+    """`LambdaPoly` is a Scalar at truncation order 0; the standalone class
+    it replaced (`paper_reference.StandaloneLambdaPoly`) is the oracle."""
+
+    @given(coefficient_dicts, coefficient_dicts, gaussians(), rationals)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_standalone_class(self, da, db, c, v):
+        a, b = LambdaPoly(da), LambdaPoly(db)
+        ra, rb = StandaloneLambdaPoly(da), StandaloneLambdaPoly(db)
+        results = [
+            (a + b, ra + rb),
+            (a - b, ra - rb),
+            (-a, -ra),
+            (a * b, ra * rb),
+            (a.scale(c), ra.scale(c)),
+            (a + c, ra + c),
+            (c + a, c + ra),
+            (a - c, ra - c),
+            (c - a, c - ra),
+            (a * c, ra * c),
+            (c * a, c * ra),
+            (LambdaPoly.const(c), StandaloneLambdaPoly.const(c)),
+            (LambdaPoly.gen(), StandaloneLambdaPoly.gen()),
+        ]
+        for got, want in results:
+            assert type(got) is LambdaPoly and got.order == 0
+            assert got.terms == want.terms
+            assert bool(got) == bool(want)
+        assert a.eval(v) == ra.eval(v)
+        for left, right, rleft, rright in (
+            (a, b, ra, rb),
+            ((a + b) - b, a, (ra + rb) - rb, ra),
+            (a * b, b * a, ra * rb, rb * ra),
+        ):
+            assert (left == right) == (rleft == rright)
+            assert (left != right) == (rleft != rright)
+            if rleft == rright:
+                assert hash(left) == hash(right)
+                assert hash(rleft) == hash(rright)
+
+    @given(coefficient_dicts, st.integers(1, 6).flatmap(scalars))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_with_a_scalar_at_n(self, da, s):
+        a, n = LambdaPoly(da), s.order
+        lifted = a.at_order(n)
+        assert type(lifted) is Scalar and lifted.order == n
+        assert lifted == Scalar.from_value(a, n)
+        assert (a == Scalar.from_value(a, 0)) is False
+        for got, want in (
+            (s + a, s + lifted),
+            (a + s, lifted + s),
+            (s - a, s - lifted),
+            (a - s, lifted - s),
+            (s * a, s * lifted),
+            (a * s, lifted * s),
+        ):
+            assert type(got) is Scalar and got.order == n
+            assert got == want
+
+    def test_equal_polys_share_one_z_power_entry(self):
+        """lam - 1 built by the constructor, by arithmetic and from a parsed
+        Z^[lam-1] exponent is one z_power memo entry."""
+        n = 2
+        ctx = TwistContext(order=n)
+        node = parse("Z^[lam-1]")
+        parsed = as_lambda_poly(elaborate(node[1], ctx).coefficient(UNIT_MONOMIAL))
+        built = [LambdaPoly({0: -1, 1: 1}), LP_LAM - LP_ONE, parsed]
+        assert all(type(poly) is LambdaPoly for poly in built)
+        first = z_power(built[0], n)
+        before = z_power.cache_info()
+        assert all(z_power(poly, n) is first for poly in built[1:])
+        assert elaborate(node, ctx) is first
+        after = z_power.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
