@@ -253,17 +253,10 @@ def _cmd_eval(args) -> int:
 # -- argument parsing -----------------------------------------------------
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 # built once per process: parsing leaves the parser unchanged
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    top = _ArgumentParser(
+    top = argparse.ArgumentParser(
         prog="kappatwist",
         description="Exact symbolic engine for the twist-deformed "
         "Heisenberg and Poincare algebras.",

@@ -526,12 +526,9 @@ class TwistContext:
 
     def verify_counit(self) -> bool:
         """(eps (x) id)F == 1 with eps the unit-coefficient projection."""
-        n = self.order
-        acc = AlgebraElement.zero(n)
-        for (l, r), s in self.twist().terms.items():
-            if l == UNIT_MONOMIAL:
-                acc = acc + AlgebraElement.monomial(r, n, s)
-        return acc == self.one
+        terms = self.twist().terms.items()
+        unit_left = {r: s for (l, r), s in terms if l == UNIT_MONOMIAL}
+        return AlgebraElement(unit_left, self.order) == self.one
 
     # -- coordinates and star products -----------------------------------
 

@@ -15,16 +15,25 @@ grammar (CLOSED_FORMS, BOOST_CLOSED_FORMS); `closed_form_string` renders it
 and `closed_form_coproduct` takes the rendered text to its canonical
 tensor mod R.  The algebra-sector checks (`kappa_commutator_check`,
 `lorentz_algebra_check`, `momentum_sector_closed_forms`) are the ones the
-verify suites run.
+verify suites run; each lists its (name, a, b, [a, b] wanted) brackets
+for one comparison loop, `_failures`.  The closure check reads so(3,1)
+off one structure-constant formula over M_mu,nu, with M_i0 = B_i = -M_0i
+and M_ij the rotations:
+
+    [M_mu,nu, M_rho,sigma] = -i(eta_nu,rho M_mu,sigma - eta_mu,rho M_nu,sigma
+                                - eta_nu,sigma M_mu,rho + eta_mu,sigma M_nu,rho)
+
+with eta = algebra.ETA, the [B_i, B_j] side times cosh A in case (ii).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 from .algebra import (
-    ZERO_EXP, AlgebraElement, Monomial, _bump, commutator, exp_coeffs, p, power_series, x
+    ETA, ZERO_EXP, AlgebraElement, Monomial, _bump, commutator, exp_coeffs, p, power_series, x
 )
 from .hopf import TwistContext
 from .parser import evaluate
@@ -111,23 +120,26 @@ def mij(i: int, j: int, ctx: TwistContext) -> AlgebraElement:
     return AlgebraElement({xi_pj: one, Monomial(xi_pj.beta, xi_pj.alpha): -one}, ctx.order)
 
 
+def _failures(entries) -> list[str]:
+    """The names of the (name, a, b, want) entries with [a, b] != want."""
+    return [name for name, a, b, want in entries if commutator(a, b) != want]
+
+
 def kappa_commutator_check(ctx: TwistContext) -> list[str]:
     """[xhat_mu, xhat_nu] = i(a_mu xhat_nu - a_nu xhat_mu), a = (a0,0,0,0);
     the names of the failing pairs, empty when all hold."""
-    n = ctx.order
-    i_a0 = Scalar.i(n) * Scalar.a0(n)
-    failed = []
-    for mu in range(4):
-        for nu in range(4):
-            lhs = commutator(ctx.xhat(mu), ctx.xhat(nu))
-            rhs = AlgebraElement.zero(n)
-            if mu == 0:
-                rhs = rhs + ctx.xhat(nu).scale(i_a0)
-            if nu == 0:
-                rhs = rhs - ctx.xhat(mu).scale(i_a0)
-            if lhs != rhs:
-                failed.append(f"[xhat{mu},xhat{nu}]")
-    return failed
+    xh = [ctx.xhat(mu) for mu in range(4)]
+    i_a = (Scalar.i(ctx.order) * Scalar.a0(ctx.order), 0, 0, 0)
+    return _failures(
+        (
+            f"[xhat{mu},xhat{nu}]",
+            xh[mu],
+            xh[nu],
+            xh[nu].scale(i_a[mu]) - xh[mu].scale(i_a[nu]),
+        )
+        for mu in range(4)
+        for nu in range(4)
+    )
 
 
 def lorentz_coproduct(i: int, real: LorentzRealization, ctx: TwistContext) -> TensorElement:
@@ -214,69 +226,52 @@ def boost_coproduct_closed_form(
 # -- algebra sector ------------------------------------------------------
 
 
-def _delta(i: int, j: int) -> int:
-    return 1 if i == j else 0
-
-
 def lorentz_algebra_check(real: LorentzRealization, ctx: TwistContext) -> list[str]:
     """Commutator structure of the boost/rotation sector: the names of the
     failing commutators, empty when all hold.
 
-    Cases (i) and (iii) must reproduce the undeformed structure constants;
-    case (ii) deforms only [B_i, B_j] into -i M_ij cosh A.
+    The six generators M_mu,nu are the boosts M_i0 = B_i = -M_0i and the
+    rotations M_ij, and each unordered pair of them is checked once against
+
+        [M_mu,nu, M_rho,sigma] = -i(eta_nu,rho M_mu,sigma - eta_mu,rho M_nu,sigma
+                                    - eta_nu,sigma M_mu,rho + eta_mu,sigma M_nu,rho)
+
+    with eta = ETA: [B_i, B_j] = -i M_ij and [B_i, M_jk] = i(delta_ik B_j -
+    delta_ij B_k).  Cases (i) and (iii) reproduce these undeformed structure
+    constants; case (ii) deforms only [B_i, B_j] into -i M_ij cosh A.
     """
     n = ctx.order
-    i_s = Scalar.i(n)
-    boosts = {i: mhat(i, real, ctx) for i in SPATIAL}
-    rots = {(i, j): mij(i, j, ctx) for i in SPATIAL for j in SPATIAL if i != j}
-
-    def rot(i, j):
-        if i == j:
-            return AlgebraElement.zero(n)
-        return rots[(i, j)]
-
+    gens = {(i, 0): mhat(i, real, ctx) for i in SPATIAL}
+    gens.update({(i, j): mij(i, j, ctx) for i, j in combinations(SPATIAL, 2)})
+    minus_i = -Scalar.i(n)
+    cosh_a = None
     if real.label == "ii":
         cosh_a = (ctx.z(1) + ctx.z(-1)).scale(Fraction(1, 2))
-    else:
-        cosh_a = ctx.one
 
-    failed = []
+    def gen(mu: int, nu: int) -> AlgebraElement:
+        return gens[mu, nu] if (mu, nu) in gens else -gens[nu, mu]
 
-    def check(name: str, lhs: AlgebraElement, rhs: AlgebraElement) -> None:
-        if lhs != rhs:
-            failed.append(name)
+    def want(mu: int, nu: int, rho: int, sigma: int) -> AlgebraElement:
+        rhs = AlgebraElement.zero(n)
+        for sign, (e1, e2), (a, b) in (
+            (1, (nu, rho), (mu, sigma)),
+            (-1, (mu, rho), (nu, sigma)),
+            (-1, (nu, sigma), (mu, rho)),
+            (1, (mu, sigma), (nu, rho)),
+        ):
+            if e1 == e2:  # eta is diagonal
+                rhs = rhs + gen(a, b).scale(minus_i * (sign * ETA[e1]))
+        return rhs * cosh_a if cosh_a is not None and nu == sigma == 0 else rhs
 
-    for i in SPATIAL:
-        for j in SPATIAL:
-            if i < j:
-                check(
-                    f"[B{i},B{j}]",
-                    commutator(boosts[i], boosts[j]),
-                    (rot(i, j) * cosh_a).scale(-i_s),
-                )
-    for i in SPATIAL:
-        for j in SPATIAL:
-            for k in SPATIAL:
-                if j < k:
-                    check(
-                        f"[B{i},M{j}{k}]",
-                        commutator(boosts[i], rot(j, k)),
-                        boosts[j].scale(i_s * _delta(i, k))
-                        - boosts[k].scale(i_s * _delta(i, j)),
-                    )
-    for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        for (k, l) in ((1, 2), (1, 3), (2, 3)):
-            check(
-                f"[M{i}{j},M{k}{l}]",
-                commutator(rot(i, j), rot(k, l)),
-                -(
-                    rot(i, l).scale(i_s * _delta(j, k))
-                    + rot(j, k).scale(i_s * _delta(i, l))
-                    - rot(i, k).scale(i_s * _delta(j, l))
-                    - rot(j, l).scale(i_s * _delta(i, k))
-                ),
-            )
-    return failed
+    def name(mu: int, nu: int) -> str:
+        return f"B{mu}" if nu == 0 else f"M{mu}{nu}"
+
+    # the [B,B] pairs, then [B,M], then [M,M]
+    pairs = sorted(combinations(gens, 2), key=lambda pair: sum(nu > 0 for _, nu in pair))
+    return _failures(
+        (f"[{name(*k1)},{name(*k2)}]", gens[k1], gens[k2], want(*k1, *k2))
+        for k1, k2 in pairs
+    )
 
 
 def momentum_sector_closed_forms(
@@ -292,22 +287,22 @@ def momentum_sector_closed_forms(
     i_s = Scalar.i(n)
     a0 = Scalar.a0(n)
     psq = momentum_square(ctx)
-    failed = []
-    for i in SPATIAL:
-        b = mhat(i, real, ctx)
-        lhs = commutator(b, p(0, n))
-        rhs = (p(i, n) * real.f2).scale(i_s)
-        if lhs != rhs:
-            failed.append(f"[B{i},p0]")
-        for j in SPATIAL:
-            lhs = commutator(b, p(j, n))
-            rhs = AlgebraElement.zero(n)
-            if i == j:
-                rhs = rhs + (p(0, n) * real.f1).scale(i_s)
-                if not real.f4.is_zero():
-                    rhs = rhs + (psq * real.f4).scale(i_s * a0)
-            if not real.f3.is_zero():
-                rhs = rhs + (p(i, n) * p(j, n) * real.f3).scale(i_s * a0)
-            if lhs != rhs:
-                failed.append(f"[B{i},p{j}]")
-    return failed
+
+    def want(i: int, mu: int) -> AlgebraElement:
+        if mu == 0:
+            return (p(i, n) * real.f2).scale(i_s)
+        rhs = AlgebraElement.zero(n)
+        if i == mu:
+            rhs = rhs + (p(0, n) * real.f1).scale(i_s)
+            if not real.f4.is_zero():
+                rhs = rhs + (psq * real.f4).scale(i_s * a0)
+        if not real.f3.is_zero():
+            rhs = rhs + (p(i, n) * p(mu, n) * real.f3).scale(i_s * a0)
+        return rhs
+
+    boosts = {i: mhat(i, real, ctx) for i in SPATIAL}
+    return _failures(
+        (f"[B{i},p{mu}]", boosts[i], p(mu, n), want(i, mu))
+        for i in SPATIAL
+        for mu in range(4)
+    )

@@ -17,9 +17,11 @@ extension one monomial at a time.  Last come the members of the twist
 family written out per relation set, with lam and 1-lam by hand, as the
 engine wrote them before it read every one off its (sigma, tau) pair, and
 the commutator's own walk over the pairs of terms, as it was before the
-commutator became the product's walk over `key_commutator` pairs, and the
+commutator became the product's walk over `key_commutator` pairs, the
 lam-polynomial class as it was before `LambdaPoly` became a Scalar at
-truncation order 0.
+truncation order 0, and the boost/rotation closure check as three blocks
+written by hand, as it was before it read every bracket off one
+structure-constant formula.
 """
 
 from __future__ import annotations
@@ -575,6 +577,74 @@ def commutator_by_pair_walk(a: SparseElement, b: SparseElement) -> SparseElement
                 cur = out.get(k)
                 out[k] = contrib if cur is None else cur + contrib
     return a.__class__(out, order)
+
+
+# -- the boost/rotation closure as three blocks --------------------------------
+
+
+def _delta(i: int, j: int) -> int:
+    return 1 if i == j else 0
+
+
+def lorentz_algebra_check_by_blocks(
+    real: LorentzRealization, ctx: TwistContext
+) -> list[str]:
+    """The names of the failing [B,B], [B,M] and [M,M] commutators, each
+    block written out with its own Kronecker deltas, the [M,M] block over
+    all nine ordered pairs: the oracle for `poincare.lorentz_algebra_check`.
+    Case (ii) deforms only [B_i, B_j] into -i M_ij cosh A."""
+    n = ctx.order
+    i_s = Scalar.i(n)
+    boosts = {i: mhat(i, real, ctx) for i in SPATIAL}
+    rots = {(i, j): mij(i, j, ctx) for i in SPATIAL for j in SPATIAL if i != j}
+
+    def rot(i, j):
+        if i == j:
+            return AlgebraElement.zero(n)
+        return rots[(i, j)]
+
+    if real.label == "ii":
+        cosh_a = (ctx.z(1) + ctx.z(-1)).scale(Fraction(1, 2))
+    else:
+        cosh_a = ctx.one
+
+    failed = []
+
+    def check(name: str, lhs: AlgebraElement, rhs: AlgebraElement) -> None:
+        if lhs != rhs:
+            failed.append(name)
+
+    for i in SPATIAL:
+        for j in SPATIAL:
+            if i < j:
+                check(
+                    f"[B{i},B{j}]",
+                    commutator(boosts[i], boosts[j]),
+                    (rot(i, j) * cosh_a).scale(-i_s),
+                )
+    for i in SPATIAL:
+        for j in SPATIAL:
+            for k in SPATIAL:
+                if j < k:
+                    check(
+                        f"[B{i},M{j}{k}]",
+                        commutator(boosts[i], rot(j, k)),
+                        boosts[j].scale(i_s * _delta(i, k))
+                        - boosts[k].scale(i_s * _delta(i, j)),
+                    )
+    for (i, j) in ((1, 2), (1, 3), (2, 3)):
+        for (k, l) in ((1, 2), (1, 3), (2, 3)):
+            check(
+                f"[M{i}{j},M{k}{l}]",
+                commutator(rot(i, j), rot(k, l)),
+                -(
+                    rot(i, l).scale(i_s * _delta(j, k))
+                    + rot(j, k).scale(i_s * _delta(i, l))
+                    - rot(i, k).scale(i_s * _delta(j, l))
+                    - rot(j, l).scale(i_s * _delta(i, k))
+                ),
+            )
+    return failed
 
 
 # -- the standalone lam-polynomial class ---------------------------------------

@@ -124,7 +124,6 @@ SCANNED = [
 # Definitions and fields that nothing in src/, scripts/ or perfbench/
 # names, kept on purpose
 UNREFERENCED_ALLOWED = {
-    "cli._ArgumentParser.error": "argparse calls it",
     "parser.ParseError.position": "the public offset of a parse error for library callers",
 }
 

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from kappatwist import poincare
 from kappatwist.algebra import AlgebraElement, commutator, p, x
 from kappatwist.hopf import GENERATORS, TwistContext
 from kappatwist.parser import elaborate, parse
 from kappatwist.poincare import (
+    CASES,
     CLOSED_FORMS,
     SPATIAL,
     boost_closed_form_string,
@@ -26,10 +28,12 @@ from kappatwist.poincare import (
 )
 from kappatwist.scalars import LP_ONE, LambdaPoly, Scalar, UsageError
 from kappatwist.tensor import canonicalize, tensor
+import paper_reference
 from paper_reference import (
     boost_coproduct_order1_match,
     case_iii_x_leg_mismatch,
     coproduct_homomorphism_check,
+    lorentz_algebra_check_by_blocks,
     mhat_from_case_i,
     nonpoincare_leg_kinds,
     p_leftward,
@@ -159,6 +163,69 @@ class TestAlgebraClosure:
             assert mhat(i, real, half_ctx) == mhat_from_case_i(i, half_ctx)
 
 
+# Three ways to break the boosts, each B_i -> f(B_i, i, order)
+BROKEN_BOOSTS = {
+    "B+x": lambda b, i, n: b + x(i, n),
+    "2B": lambda b, i, n: b.scale(2),
+    "B+p0": lambda b, i, n: b + p(0, n),
+}
+BB = ["[B1,B2]", "[B1,B3]", "[B2,B3]"]
+BM_SHIFTED = ["[B1,M12]", "[B1,M13]", "[B2,M12]", "[B2,M23]", "[B3,M13]", "[B3,M23]"]
+# what each broken boost fails in the closure check, per case
+BROKEN_CLOSURE = {
+    ("i", "B+x"): BB,
+    ("ii", "B+x"): [],
+    ("iii", "B+x"): [],
+    **{(case, "2B"): BB for case in CASES},
+    **{(case, "B+p0"): BB + BM_SHIFTED for case in CASES},
+}
+
+
+def _break_boosts(monkeypatch, mutation: str) -> None:
+    """Replace `mhat` in the engine and in the oracle by a broken boost."""
+    mhat_ = poincare.mhat
+    change = BROKEN_BOOSTS[mutation]
+
+    def broken(i, real, ctx):
+        return change(mhat_(i, real, ctx), i, ctx.order)
+
+    monkeypatch.setattr(poincare, "mhat", broken)
+    monkeypatch.setattr(paper_reference, "mhat", broken)
+
+
+class TestClosureAgainstBlocks:
+    """`lorentz_algebra_check` (one structure-constant formula over the 15
+    pairs of so(3,1) generators) against the three hand-written blocks."""
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_both_pass_the_presets(self, case, sym_ctx, half_ctx):
+        ctx = half_ctx if case == "ii" else sym_ctx
+        real = realization(case, ctx)
+        assert lorentz_algebra_check(real, ctx) == []
+        assert lorentz_algebra_check_by_blocks(real, ctx) == []
+
+    @pytest.mark.parametrize("mutation", BROKEN_BOOSTS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_broken_boost_fails_the_same_brackets(
+        self, case, mutation, sym_ctx, half_ctx, monkeypatch
+    ):
+        ctx = half_ctx if case == "ii" else sym_ctx
+        real = realization(case, ctx)
+        _break_boosts(monkeypatch, mutation)
+        failed = lorentz_algebra_check(real, ctx)
+        assert failed == lorentz_algebra_check_by_blocks(real, ctx)
+        assert failed == BROKEN_CLOSURE[case, mutation]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_shifted_boost_fails_the_diagonal_momentum_brackets(
+        self, case, sym_ctx, half_ctx, monkeypatch
+    ):
+        ctx = half_ctx if case == "ii" else sym_ctx
+        _break_boosts(monkeypatch, "B+x")
+        failed = momentum_sector_closed_forms(realization(case, ctx), ctx)
+        assert failed == ["[B1,p1]", "[B2,p2]", "[B3,p3]"]
+
+
 class TestBoostCoproducts:
     @pytest.mark.parametrize("case", ["i", "ii", "iii"])
     def test_methods_agree_and_match_closed_form(self, case, sym_ctx, half_ctx):
@@ -219,6 +286,18 @@ class TestCoordinateCoproducts:
 
     def test_kappa_commutators(self, sym_ctx):
         assert kappa_commutator_check(sym_ctx) == []
+
+    def test_kappa_check_builds_each_xhat_once(self, sym_ctx, monkeypatch):
+        built = []
+        xhat = TwistContext.xhat
+
+        def counted(ctx, mu):
+            built.append(mu)
+            return xhat(ctx, mu)
+
+        monkeypatch.setattr(TwistContext, "xhat", counted)
+        assert kappa_commutator_check(sym_ctx) == []
+        assert sorted(built) == [0, 1, 2, 3]
 
 
 class TestSpatialIndexing:
