@@ -358,9 +358,7 @@ def dilatation(order: int) -> AlgebraElement:
 
 def time_translation(order: int) -> AlgebraElement:
     """A = a0 * p0 (the lower-index contraction -a.p with a = (a0,0,0,0))."""
-    return AlgebraElement.monomial(
-        Monomial(ZERO_EXP, (1, 0, 0, 0)), order, Scalar.a0(order)
-    )
+    return AlgebraElement({Monomial(ZERO_EXP, _bump(ZERO_EXP, 0)): Scalar.a0(order)}, order)
 
 
 def key_commutator(key_product: Callable, k1, k2) -> list:

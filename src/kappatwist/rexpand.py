@@ -24,7 +24,13 @@ The ansatz is built by exponent arithmetic: a candidate gen*p^taken (x)
 p^rest shifts the momentum exponents of the generator's terms, since a
 momentum on the right contracts with nothing.  The column of order k
 reads only a candidate's grade-0 part and r_k only its grades <= N - k,
-so the generators are truncated at N - k before they are expanded.
+so the generators are truncated at N - k before they are expanded.  The
+columns are exponent arithmetic too (`_term_column`): at grade 0 the
+rules of R~ move every coordinate of a left leg to the right leg
+unchanged, so a column is the candidate's grade-0 part with each key
+x^alpha p^beta (x) m sent to p^beta (x) x^alpha m, with no tensor
+product and no `canonicalize`.  It is therefore the same in every case
+and at every lambda; only the target depends on them.
 The whole order-k identity sum_j c_j col_j == target is then solved once,
 on its distinct coefficient rows (`linsolve.fit`); the number of generic
 index patterns is reported beside the solution as its equation count.
@@ -44,7 +50,7 @@ from .hopf import TwistContext
 from .linsolve import SolutionSpace, fit
 from .poincare import SPATIAL, LorentzRealization, mhat, mij
 from .scalars import GaussianRational, Scalar, UsageError
-from .tensor import TensorElement, canonical_exp, canonicalize, tau0
+from .tensor import TensorElement, canonical_exp, tau0
 
 I_NEG = GaussianRational(0, -1)
 
@@ -169,9 +175,10 @@ def _expand_term(
 
 
 def _ansatz_order(k: int, ctx: TwistContext) -> int:
-    """The truncation of the order-k ansatz terms: the order-k column reads
-    only a term's grade-0 part, and r_k = -i a0^k * (sum of c * term) only
-    its grades <= N - k."""
+    """The truncation of the order-k ansatz terms: the order-k column,
+    built from a term's grade-0 part by exponent arithmetic
+    (`_term_column`), reads nothing above grade 0, and
+    r_k = -i a0^k * (sum of c * term) only its grades <= N - k."""
     return max(ctx.order - k, 0)
 
 
@@ -233,10 +240,28 @@ def bch_target(k: int, prior: list[TensorElement], ctx: TwistContext) -> TensorE
 
 
 def _term_column(term: AnsatzTerm, k: int, ctx: TwistContext) -> TensorElement:
-    """Canonical -i a0^k * term; at truncation k it is all of grade k."""
-    scaled = term.element.at_order(k).scale(Scalar.graded(I_NEG, k, k))
-    rtilde = ctx.Rtilde._replace(order=k)
-    return canonicalize(scaled, rtilde).at_order(ctx.order)
+    """Canonical -i a0^k * term mod R~, at truncation k: all of grade k.
+
+    Built by exponent arithmetic, with no tensor product and no
+    `canonicalize`.  The factor a0^k leaves only the term's grade-0 part
+    below the truncation, and at grade 0 every rule of the twist family
+    moves a coordinate across unchanged: the x0 rule is 1 (x) x0 + O(a0)
+    and shift(d) is 1 (x) 1 + O(a0).  A coordinate multiplied onto the
+    left of a normal-ordered right leg only adds to its x exponents, so
+    each key x^alpha p^beta (x) x^gamma p^delta of the grade-0 part goes
+    to p^beta (x) x^(alpha + gamma) p^delta with its coefficient."""
+    out: dict = {}
+    for (ml, mr), s in term.element.grade_part(0).terms.items():
+        key = (
+            Monomial(ZERO_EXP, ml.beta),
+            Monomial(tuple(map(add, ml.alpha, mr.alpha)), mr.beta),
+        )
+        cur = out.get(key)
+        out[key] = s if cur is None else cur + s
+    n = ctx.order
+    return TensorElement(out, term.element.order).at_order(n).scale(
+        Scalar.graded(I_NEG, k, n)
+    )
 
 
 def _index_pattern(key):

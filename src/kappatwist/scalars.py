@@ -327,8 +327,21 @@ def _add(t1: Terms, t2: Terms) -> Terms:
 
 
 def _mul(t1: Terms, t2: Terms, order: int) -> Terms:
-    """Product truncated above grade `order`; sums are collected over a
-    common denominator and reduced once at the end."""
+    """Product truncated above grade `order`.
+
+    Two one-term operands, most of the products the engine makes (a
+    coefficient usually holds one a0 grade and one lam power), give their
+    one product directly, reduced; a product of two nonzero Gaussian
+    rationals is nonzero.  Otherwise every pair of terms goes through one
+    double loop, whose sums are collected over a common denominator and
+    reduced once at the end."""
+    if len(t1) == 1 == len(t2):
+        [((k1, j1), (a1, b1, d1))] = t1.items()
+        [((k2, j2), (a2, b2, d2))] = t2.items()
+        if k1 + k2 > order:
+            return {}
+        t = _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+        return {(k1 + k2, j1 + j2): t}
     # min() of the keys gives the lowest grade; most products in a
     # truncated exponential vanish by this test alone
     if not t1 or not t2 or min(t1)[0] + min(t2)[0] > order:

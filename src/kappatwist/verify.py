@@ -265,12 +265,16 @@ def _suite_rmatrix(report: VerificationReport, ctx: TwistContext, rng: random.Ra
     report.run("rmatrix-twist-factorization", factorization)
 
 
-def _suite_poincare(report: VerificationReport, ctx: TwistContext, rng: random.Random, quick: bool):
-    def kappa_commutators():
-        failures = kappa_commutator_check(ctx)
-        return "[xhat,xhat] structure failed: " + ", ".join(failures) if failures else ""
+def _failed(what: str, failures: list[str]) -> str:
+    """The residual text of a check that returns the names that fail."""
+    return f"{what} failed: " + ", ".join(failures) if failures else ""
 
-    report.run("kappa-coordinate-commutators", kappa_commutators)
+
+def _suite_poincare(report: VerificationReport, ctx: TwistContext, rng: random.Random, quick: bool):
+    report.run(
+        "kappa-coordinate-commutators",
+        lambda: _failed("[xhat,xhat] structure", kappa_commutator_check(ctx)),
+    )
 
     cases = CASES[:1] if quick else CASES
     for case in cases:
@@ -280,17 +284,17 @@ def _suite_poincare(report: VerificationReport, ctx: TwistContext, rng: random.R
         case_ctx = ctx if lam == ctx.lam else TwistContext(ctx.order, lam)
         real = realization(case, case_ctx)
 
-        def algebra_closure(real=real, case_ctx=case_ctx):
-            failures = lorentz_algebra_check(real, case_ctx)
-            return "closure failed: " + ", ".join(failures) if failures else ""
-
-        report.run(f"lorentz-closure-case-{case}", algebra_closure)
-
-        def momentum_sector(real=real, case_ctx=case_ctx):
-            failures = momentum_sector_closed_forms(real, case_ctx)
-            return "momentum sector failed: " + ", ".join(failures) if failures else ""
-
-        report.run(f"momentum-sector-case-{case}", momentum_sector)
+        # `run` calls each check at once, so the lambdas read this case
+        report.run(
+            f"lorentz-closure-case-{case}",
+            lambda: _failed("closure", lorentz_algebra_check(real, case_ctx)),
+        )
+        report.run(
+            f"momentum-sector-case-{case}",
+            lambda: _failed(
+                "momentum sector", momentum_sector_closed_forms(real, case_ctx)
+            ),
+        )
 
         def closed_coproduct(real=real, case_ctx=case_ctx):
             d = lorentz_coproduct(1, real, case_ctx)

@@ -21,7 +21,11 @@ commutator became the product's walk over `key_commutator` pairs, the
 lam-polynomial class as it was before `LambdaPoly` became a Scalar at
 truncation order 0, and the boost/rotation closure check as three blocks
 written by hand, as it was before it read every bracket off one
-structure-constant formula.
+structure-constant formula.  The last two are the rexpand column as a
+full canonicalization of the scaled ansatz term, as it was before it was
+read off the term's grade-0 part by exponent arithmetic, and the
+coefficient product as the general double loop alone, as it was before
+one-term operands got their own path.
 """
 
 from __future__ import annotations
@@ -69,6 +73,8 @@ from kappatwist.poincare import (
 )
 from kappatwist.rexpand import (
     _PARAM_POSITIONS,
+    I_NEG,
+    AnsatzTerm,
     ExpansionResult,
     assemble,
     generate_ansatz,
@@ -87,6 +93,7 @@ from kappatwist.scalars import (
     _gr,
     _mul,
     _neg,
+    _normed,
     _scale,
     _substitute,
     exact_triple,
@@ -753,3 +760,46 @@ def _standalone_terms(value) -> Terms | None:
     if t is None:
         return None
     return {(0, 0): t} if t[0] or t[1] else {}
+
+
+# -- the rexpand column by canonicalization -------------------------------------
+
+
+def term_column_by_canonicalize(
+    term: AnsatzTerm, k: int, ctx: TwistContext
+) -> TensorElement:
+    """-i a0^k * term canonicalized mod R~ at truncation k, lifted to the
+    context's truncation: the oracle for `rexpand._term_column`."""
+    scaled = term.element.at_order(k).scale(Scalar.graded(I_NEG, k, k))
+    rtilde = ctx.Rtilde._replace(order=k)
+    return canonicalize(scaled, rtilde).at_order(ctx.order)
+
+
+# -- the coefficient product as the general loop --------------------------------
+
+
+def mul_by_double_loop(t1: Terms, t2: Terms, order: int) -> Terms:
+    """Product truncated above grade `order`, every pair of terms through
+    one double loop, sums collected over a common denominator and reduced
+    once at the end: the oracle for `scalars._mul`."""
+    if not t1 or not t2 or min(t1)[0] + min(t2)[0] > order:
+        return {}
+    acc: Terms = {}
+    for (k1, j1), (a1, b1, d1) in t1.items():
+        room = order - k1
+        for (k2, j2), (a2, b2, d2) in t2.items():
+            if k2 > room:
+                continue
+            key = (k1 + k2, j1 + j2)
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * d2
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = (a, b, d)
+            elif cur[2] == d:
+                acc[key] = (cur[0] + a, cur[1] + b, d)
+            else:
+                dc = cur[2]
+                acc[key] = (cur[0] * d + a * dc, cur[1] * d + b * dc, dc * d)
+    return _normed(acc)

@@ -40,6 +40,7 @@ from paper_reference import (
     reference_third_order,
     specialize,
     specialize_coefficients,
+    term_column_by_canonicalize,
 )
 
 
@@ -577,3 +578,59 @@ def test_dummy_pairs_are_derived_from_the_order():
         with_l = rexpand._expand_term(kind, ("i",), ("l", "l"), "left", gens, 2)
         with_k = rexpand._expand_term(kind, ("i",), ("k", "k"), "left", gens, 2)
         assert with_l == with_k and with_l, kind
+
+
+# -- the columns by exponent arithmetic against canonicalization -----------
+#
+# The oracle is the column as it was built before `_term_column` read it
+# off the term's grade-0 part: -i a0^k * term canonicalized mod R~ at
+# truncation k (`paper_reference.term_column_by_canonicalize`).
+
+_COLUMN_SETTINGS = [
+    ("ii", Fraction(1, 2)),
+    ("i", Fraction(1, 3)),
+    ("i", Fraction(2, 3)),
+    ("i", None),
+    ("iii", Fraction(1, 2)),
+]
+
+
+@pytest.fixture(scope="module")
+def ansatz_by_setting():
+    """{(case, lam, N): [(k, ansatz terms, ctx) for k = 1..N]} for N = 3..6."""
+    out = {}
+    for case, lam in _COLUMN_SETTINGS:
+        for n in range(3, 7):
+            ctx = TwistContext(order=n, lam=lam)
+            real = realization(case, ctx)
+            out[case, lam, n] = [
+                (k, generate_ansatz(k, real, ctx), ctx) for k in range(1, n + 1)
+            ]
+    return out
+
+
+class TestColumnsByExponentArithmetic:
+    def test_columns_match_canonicalization(self, ansatz_by_setting):
+        for (case, lam, n), orders in ansatz_by_setting.items():
+            for k, terms, ctx in orders:
+                for t in terms:
+                    got = _term_column(t, k, ctx)
+                    assert got.order == n
+                    assert got == term_column_by_canonicalize(t, k, ctx), (
+                        case, lam, n, k, t.name
+                    )
+
+    def test_columns_are_the_same_for_every_case_and_lambda(self, ansatz_by_setting):
+        """The column matrix belongs to the ansatz alone: it reads only the
+        terms' grade-0 parts, the undeformed boosts and rotations."""
+        lists = {
+            (case, lam): [
+                [(t.name, _term_column(t, k, ctx)) for t in terms]
+                for k, terms, ctx in ansatz_by_setting[case, lam, 5]
+            ]
+            for case, lam in _COLUMN_SETTINGS
+        }
+        first = lists[_COLUMN_SETTINGS[0]]
+        assert [len(cols) for cols in first] == [4, 10, 28, 52, 100]
+        for setting, cols in lists.items():
+            assert cols == first, setting

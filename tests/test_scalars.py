@@ -18,10 +18,12 @@ from kappatwist.scalars import (
     LambdaPoly,
     Scalar,
     UsageError,
+    _build,
+    _mul,
     as_gaussian,
     as_lambda_poly,
 )
-from paper_reference import StandaloneLambdaPoly, substitute_lambda
+from paper_reference import StandaloneLambdaPoly, mul_by_double_loop, substitute_lambda
 
 rationals = st.builds(
     Fraction, st.integers(-30, 30), st.integers(1, 12)
@@ -319,3 +321,40 @@ class TestLambdaPolyIsOrder0Scalar:
         assert elaborate(node, ctx) is first
         after = z_power.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+
+
+# -- the coefficient product against the general loop ----------------------
+
+
+def nonzero_triples():
+    """Normalised nonzero triples, Gaussian or rational."""
+    values = st.one_of(gaussians(), st.builds(GaussianRational, rationals))
+    return values.filter(bool).map(lambda g: g.triple)
+
+
+@st.composite
+def term_dicts(draw, order):
+    """Terms at `order`: one term as often as any other size up to four."""
+    size = draw(st.one_of(st.just(1), st.integers(0, 4)))
+    keys = st.tuples(st.integers(0, order), st.integers(0, 2))
+    chosen = draw(st.lists(keys, min_size=size, max_size=size, unique=True))
+    return {key: draw(nonzero_triples()) for key in chosen}
+
+
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.tuples(st.just(n), term_dicts(n), term_dicts(n))
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_the_general_loop(operands):
+    """`_mul`, one-term path included, gives the terms of the double loop
+    (`paper_reference.mul_by_double_loop`), grades that cross the
+    truncation dropped; order 0 is the lam-polynomial product."""
+    n, t1, t2 = operands
+    want = mul_by_double_loop(t1, t2, n)
+    assert _mul(t1, t2, n) == want
+    cls = LambdaPoly if n == 0 else Scalar
+    product = _build(t1, n, cls) * _build(t2, n, cls)
+    assert type(product) is cls and product.order == n
+    assert product.terms == want
