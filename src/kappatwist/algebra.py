@@ -289,11 +289,6 @@ class SparseElement:
             {k: s.at_order(order) for k, s in self.terms.items()}, order
         )
 
-    def a0_limit(self):
-        return self.__class__(
-            {k: s.a0_limit() for k, s in self.terms.items()}, self.order
-        )
-
     def coefficient(self, key) -> Scalar:
         return self.terms.get(key, Scalar.zero(self.order))
 

@@ -4,10 +4,9 @@ Gaussian elimination with deterministic pivoting (first nonzero entry in
 column order), returning a `SolutionSpace`: a unique solution, a particular
 solution plus a nullspace basis, or an infeasibility verdict.  The rows
 are dense lists, but each elimination step touches only the columns where
-its pivot row is nonzero.  `coefficient_rows` reads the rows of an exact
-fit of sparse elements off their coefficients in one pass over each
-element's terms, and `fit` solves that fit on its distinct rows.  Entries
-must be exact numbers (`scalars.as_gaussian`).
+its pivot row is nonzero.  `fit` solves an exact fit of sparse
+{key: number} maps, one row per key, on its distinct rows.  Entries must
+be exact numbers (`scalars.as_gaussian`).
 """
 
 from __future__ import annotations
@@ -114,43 +113,31 @@ def solve(matrix, rhs) -> SolutionSpace:
     return SolutionSpace(status, particular, nullspace, rank)
 
 
-def coefficient_rows(target, columns, grades) -> dict:
-    """The rows of the exact fit sum_j x_j * columns[j] = target of sparse
-    elements, as {(key, grade): (row, value)}: for every basis key of the
-    target or a column, in sorted key order, and every a0 grade in
-    `grades`, the numbers multiplying a0^grade at that key in each column
-    and in the target.  Rows whose entries and value are all zero are left
-    out; a symbolic twist parameter raises (`Scalar.numeric_coefficient`).
-    """
+def fit(target, columns) -> SolutionSpace:
+    """Solve sum_j x_j * columns[j] = target for sparse maps {key: exact
+    number}, a missing key standing for zero.
+
+    Each key of the target or of a column, in sorted key order, gives one
+    equation; the zero ones are left out, and the rest are solved on their
+    distinct rows, keyed on packed triples: the reduced echelon form that
+    `solve` reaches depends only on the row space, so this is the solution
+    of the whole system."""
     by_key: dict = {}
     for j, col in enumerate(columns):
-        for key, s in col.terms.items():
-            by_key.setdefault(key, {})[j] = s
-    target_terms = target.terms
+        for key, value in col.items():
+            by_key.setdefault(key, {})[j] = value
     width = len(columns)
-    out = {}
-    for key in sorted(by_key.keys() | target_terms.keys()):
-        entries = by_key.get(key, {})
-        value = target_terms.get(key)
-        for grade in grades:
-            row = [GR_ZERO] * width
-            for j, s in entries.items():
-                row[j] = s.numeric_coefficient(grade)
-            val = GR_ZERO if value is None else value.numeric_coefficient(grade)
-            if val or any(row):
-                out[(key, grade)] = (tuple(row), val)
-    return out
-
-
-def fit(target, columns, grades) -> SolutionSpace:
-    """Solve the fit of `coefficient_rows` on its distinct rows, keyed on
-    packed triples: the reduced echelon form that `solve` reaches depends
-    only on the row space, so this is the solution of the whole system."""
     distinct = {}
-    for row, val in coefficient_rows(target, columns, grades).values():
-        distinct.setdefault((*(c.triple for c in row), val.triple), (row, val))
+    for key in sorted(by_key.keys() | target.keys()):
+        row = [GR_ZERO] * width
+        for j, value in by_key.get(key, {}).items():
+            row[j] = as_gaussian(value)
+        val = as_gaussian(target.get(key, GR_ZERO))
+        if val or any(row):
+            packed = (*(c.triple for c in row), val.triple)
+            distinct.setdefault(packed, (tuple(row), val))
     if not distinct:
         # no row survives: one zero row keeps all len(columns) unknowns free
-        return solve([(GR_ZERO,) * len(columns)], [GR_ZERO])
+        return solve([(GR_ZERO,) * width], [GR_ZERO])
     equations = distinct.values()
     return solve([row for row, _ in equations], [val for _, val in equations])

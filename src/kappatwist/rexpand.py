@@ -11,9 +11,9 @@ basis).
 
 Rewriting never lowers an a0 grade, so the grade-k part of a canonical
 form reads only the grades <= k of its input.  Order k is therefore solved
-at truncation k: the earlier r's, the scaled ansatz terms and R~ are taken
-at order k, R's canonical form is built once per context and truncated,
-and only the grade-k parts are lifted back to the context's truncation N.
+at truncation k: the earlier r's and R~ are taken at order k, R's
+canonical form is built once per context and truncated, and only the
+grade-k parts are lifted back to the context's truncation N.
 The exponential of the earlier r's, like R itself, is formed in canonical
 form (`tensor.canonical_exp`): each of its powers is canonicalized as it is
 built, so the fully expanded series never exists, and is kept on
@@ -27,13 +27,13 @@ reads only a candidate's grade-0 part and r_k only its grades <= N - k,
 so the generators are truncated at N - k before they are expanded.  The
 columns are exponent arithmetic too (`_term_column`): at grade 0 the
 rules of R~ move every coordinate of a left leg to the right leg
-unchanged, so a column is the candidate's grade-0 part with each key
-x^alpha p^beta (x) m sent to p^beta (x) x^alpha m, with no tensor
-product and no `canonicalize`.  It is therefore the same in every case
-and at every lambda; only the target depends on them.
-The whole order-k identity sum_j c_j col_j == target is then solved once,
-on its distinct coefficient rows (`linsolve.fit`); the number of generic
-index patterns is reported beside the solution as its equation count.
+unchanged, so the order-k column is -i a0^k times the candidate's grade-0
+numbers, each key x^alpha p^beta (x) m sent to p^beta (x) x^alpha m: no
+tensor product, no `canonicalize`, and nothing that depends on k, the
+case or lambda.  The whole order-k identity sum_j c_j col_j == target is
+then solved once on {key: number} maps (`linsolve.fit`), the target's
+grade-k numbers divided by -i; the number of generic index patterns is
+reported beside the solution as its equation count.
 At k = 3 the solution is a three-parameter family; `named_parameters`
 reads its conventional labels (alpha1, beta1, alpha2) off the
 coefficients.
@@ -50,7 +50,7 @@ from .hopf import TwistContext
 from .linsolve import SolutionSpace, fit
 from .poincare import SPATIAL, LorentzRealization, mhat, mij
 from .scalars import GaussianRational, Scalar, UsageError
-from .tensor import TensorElement, canonical_exp, tau0
+from .tensor import TensorElement, canonical_exp, move_coordinates, tau0
 
 I_NEG = GaussianRational(0, -1)
 
@@ -239,29 +239,23 @@ def bch_target(k: int, prior: list[TensorElement], ctx: TwistContext) -> TensorE
     return _residual_at(prior, ctx, k).grade_part(k).at_order(ctx.order)
 
 
-def _term_column(term: AnsatzTerm, k: int, ctx: TwistContext) -> TensorElement:
-    """Canonical -i a0^k * term mod R~, at truncation k: all of grade k.
+def _term_column(term: AnsatzTerm) -> dict:
+    """The numbers of the term's grade-0 part, each key moved by
+    `tensor.move_coordinates`: canonical -i a0^k * term mod R~ at
+    truncation k is -i a0^k times them, for every k.
 
-    Built by exponent arithmetic, with no tensor product and no
-    `canonicalize`.  The factor a0^k leaves only the term's grade-0 part
-    below the truncation, and at grade 0 every rule of the twist family
-    moves a coordinate across unchanged: the x0 rule is 1 (x) x0 + O(a0)
-    and shift(d) is 1 (x) 1 + O(a0).  A coordinate multiplied onto the
-    left of a normal-ordered right leg only adds to its x exponents, so
-    each key x^alpha p^beta (x) x^gamma p^delta of the grade-0 part goes
-    to p^beta (x) x^(alpha + gamma) p^delta with its coefficient."""
+    The factor a0^k leaves only the term's grade-0 part below the
+    truncation, and at grade 0 every rule of the twist family moves a
+    coordinate across unchanged: the x0 rule is 1 (x) x0 + O(a0) and
+    shift(d) is 1 (x) 1 + O(a0)."""
     out: dict = {}
-    for (ml, mr), s in term.element.grade_part(0).terms.items():
-        key = (
-            Monomial(ZERO_EXP, ml.beta),
-            Monomial(tuple(map(add, ml.alpha, mr.alpha)), mr.beta),
-        )
-        cur = out.get(key)
-        out[key] = s if cur is None else cur + s
-    n = ctx.order
-    return TensorElement(out, term.element.order).at_order(n).scale(
-        Scalar.graded(I_NEG, k, n)
-    )
+    for (ml, mr), s in term.element.terms.items():
+        c = s.numeric_coefficient(0)
+        if c:
+            key = move_coordinates(ml, mr)
+            cur = out.get(key)
+            out[key] = c if cur is None else cur + c
+    return out
 
 
 def _index_pattern(key):
@@ -304,19 +298,26 @@ def solve_order(
     """Match the order-k remainder with the ansatz and solve exactly.
 
     The whole order-k identity, index coincidences included, is solved
-    once on its distinct coefficient rows.  `equations` counts the generic
-    index patterns (contracted dummies distinct) of its canonical monomials,
-    the equations of the matching done by hand.
+    once on numbers: every column is -i a0^k times the numbers of
+    `_term_column`, so the target's grade-k numbers are read once and
+    divided by -i, which leaves the reduced echelon form, and so the
+    solution, unchanged.  `equations` counts the generic index patterns
+    (contracted dummies distinct) of its canonical monomials, the
+    equations of the matching done by hand.
     """
     if ctx.lam is None:
         raise UsageError("the expansion needs a rational twist parameter")
     target = bch_target(k, prior, ctx)
     terms = generate_ansatz(k, real, ctx)
-    columns = [_term_column(t, k, ctx) for t in terms]
-    keys = set(target.terms).union(*(col.terms for col in columns))
+    columns = [_term_column(t) for t in terms]
+    rhs = {}
+    for key, s in target.terms.items():
+        c = s.numeric_coefficient(k)
+        rhs[key] = GaussianRational(-c.im, c.re)  # c / -i
+    keys = set(rhs).union(*columns)
     equations = sum(map(_is_generic, {_index_pattern(key) for key in keys}))
 
-    sol = fit(target, columns, (k,))
+    sol = fit(rhs, columns)
     solved = sol.status != "infeasible"
     element = assemble(terms, sol.particular, k, ctx) if solved else None
     return ExpansionResult(k, sol.status, terms, sol, equations, element)

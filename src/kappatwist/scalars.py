@@ -527,10 +527,6 @@ class Scalar:
             return _build(self.terms, order)
         return _build({key: t for key, t in self.terms.items() if key[0] <= order}, order)
 
-    def a0_limit(self) -> "Scalar":
-        """Drop every positive power of a0."""
-        return self.grade_part(0)
-
     def numeric_coefficient(self, grade: int) -> GaussianRational:
         """The number multiplying a0^grade; the twist parameter must not
         appear at that grade."""

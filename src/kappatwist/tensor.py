@@ -142,6 +142,17 @@ def _add_into(acc: dict, key, s: Scalar) -> None:
     acc[key] = s if cur is None else cur + s
 
 
+def move_coordinates(ml: Monomial, mr: Monomial) -> TensorKey:
+    """The key x^alpha p^beta (x) x^gamma p^delta with its left coordinates
+    moved across unchanged: p^beta (x) x^(alpha + gamma) p^delta.  A
+    coordinate multiplied onto the left of a normal-ordered right leg only
+    adds to its x exponents."""
+    return (
+        Monomial(ZERO_EXP, ml.beta),
+        Monomial(tuple(map(add, ml.alpha, mr.alpha)), mr.beta),
+    )
+
+
 def canonicalize(t: TensorElement, rel) -> TensorElement:
     """Rewrite until the left leg of every term is coordinate-free.
 
@@ -154,10 +165,11 @@ def canonicalize(t: TensorElement, rel) -> TensorElement:
 
         canon(x^alpha p^beta (x) m) = shift(d) * (p^beta (x) x^alpha m),
 
-    where x^alpha m only adds exponents and the left leg p^beta is already
-    canonical.  Such terms are collected per d and multiplied by shift(d)
-    once per d.  Rewriting in another order reaches the same normal form
-    (Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978).
+    where x^alpha m only adds exponents (`move_coordinates`) and the left
+    leg p^beta is already canonical.  Such terms are collected per d and
+    multiplied by shift(d) once per d.  Rewriting in another order reaches
+    the same normal form (Bergman, "The diamond lemma for ring theory",
+    Adv. Math. 29, 1978).
     Each x0 peel counts one step against MAX_REWRITE_STEPS and each
     closed-form move d, the number of rewrites it stands for.
     """
@@ -184,11 +196,7 @@ def canonicalize(t: TensorElement, rel) -> TensorElement:
                 rest = Monomial(_bump(ml.alpha, 0, -1), ml.beta)
                 _add_into(peeled, (rest, mr), s)
             else:
-                moved = (
-                    Monomial(ZERO_EXP, ml.beta),
-                    Monomial(tuple(map(add, ml.alpha, mr.alpha)), mr.beta),
-                )
-                _add_into(by_degree.setdefault(d, {}), moved, s)
+                _add_into(by_degree.setdefault(d, {}), move_coordinates(ml, mr), s)
         work = (rel.x0_rule() * TensorElement(peeled, t.order)).terms if peeled else {}
     for d, bucket in by_degree.items():
         for k2, s2 in (rel.shift(d) * TensorElement(bucket, t.order)).terms.items():

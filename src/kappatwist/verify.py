@@ -181,7 +181,7 @@ def _suite_coalgebra(report: VerificationReport, ctx: TwistContext, rng: random.
         bad = []
         for name in COORDINATES + MOMENTA:
             d = ctx.generator_coproduct(name)
-            limit = d.a0_limit()
+            limit = d.grade_part(0)
             d0 = ctx.coproduct0(ctx.generator(name))
             if limit != d0:
                 bad.append(name)

@@ -25,7 +25,10 @@ structure-constant formula.  The last two are the rexpand column as a
 full canonicalization of the scaled ansatz term, as it was before it was
 read off the term's grade-0 part by exponent arithmetic, and the
 coefficient product as the general double loop alone, as it was before
-one-term operands got their own path.
+one-term operands got their own path.  Last of all is the fit as it read
+its rows off graded elements at given a0 grades, as it was before
+`linsolve.fit` took {key: number} maps; `numbers_by_grade` turns a graded
+element into such a map.
 """
 
 from __future__ import annotations
@@ -388,7 +391,11 @@ def boost_coproduct_order1_match(
     columns = [
         canonicalize(c.scale(Scalar.a0(n)), ctx.R) for c in candidates
     ]
-    return fit(target, columns, (0, 1))
+    grades = (0, 1)
+    return fit(
+        numbers_by_grade(target, grades),
+        [numbers_by_grade(c, grades) for c in columns],
+    )
 
 
 def embed(t: TensorElement, at: int) -> TensorElement3:
@@ -803,3 +810,58 @@ def mul_by_double_loop(t1: Terms, t2: Terms, order: int) -> Terms:
                 dc = cur[2]
                 acc[key] = (cur[0] * d + a * dc, cur[1] * d + b * dc, dc * d)
     return _normed(acc)
+
+
+# -- the fit of graded elements -------------------------------------------------
+
+
+def numbers_by_grade(element: SparseElement, grades) -> dict:
+    """{(key, grade): the number multiplying a0^grade at key} over the
+    nonzero ones: a graded element as one map for `linsolve.fit`."""
+    return {
+        (key, grade): c
+        for key, s in element.terms.items()
+        for grade in grades
+        if (c := s.numeric_coefficient(grade))
+    }
+
+
+def coefficient_rows(target, columns, grades) -> dict:
+    """The rows of the exact fit sum_j x_j * columns[j] = target of sparse
+    elements, as {(key, grade): (row, value)}: for every basis key of the
+    target or a column, in sorted key order, and every a0 grade in
+    `grades`, the numbers multiplying a0^grade at that key in each column
+    and in the target.  Rows whose entries and value are all zero are left
+    out; a symbolic twist parameter raises (`Scalar.numeric_coefficient`).
+    """
+    by_key: dict = {}
+    for j, col in enumerate(columns):
+        for key, s in col.terms.items():
+            by_key.setdefault(key, {})[j] = s
+    target_terms = target.terms
+    width = len(columns)
+    out = {}
+    for key in sorted(by_key.keys() | target_terms.keys()):
+        entries = by_key.get(key, {})
+        value = target_terms.get(key)
+        for grade in grades:
+            row = [GR_ZERO] * width
+            for j, s in entries.items():
+                row[j] = s.numeric_coefficient(grade)
+            val = GR_ZERO if value is None else value.numeric_coefficient(grade)
+            if val or any(row):
+                out[(key, grade)] = (tuple(row), val)
+    return out
+
+
+def fit_by_grades(target, columns, grades) -> SolutionSpace:
+    """The fit of `coefficient_rows` solved on its distinct rows, keyed on
+    packed triples: the oracle for `linsolve.fit`, which takes the
+    elements' numbers as {key: number} maps instead."""
+    distinct = {}
+    for row, val in coefficient_rows(target, columns, grades).values():
+        distinct.setdefault((*(c.triple for c in row), val.triple), (row, val))
+    if not distinct:
+        return solve([(GR_ZERO,) * len(columns)], [GR_ZERO])
+    equations = distinct.values()
+    return solve([row for row, _ in equations], [val for _, val in equations])

@@ -214,7 +214,7 @@ class TestExponentials:
         assert za * zb == AlgebraElement.one(N)
         z1 = z_power(LambdaPoly.const(1), N)
         assert za * za == z1
-        assert za.a0_limit() == AlgebraElement.one(N)
+        assert za.grade_part(0) == AlgebraElement.one(N)
 
     def test_z_symbolic_exponent(self):
         lam = LambdaPoly.gen()

@@ -10,7 +10,8 @@ import pytest
 
 from kappatwist.hopf import GENERATORS, TwistContext
 from kappatwist.poincare import realization
-from kappatwist.rexpand import _term_column, bch_target, generate_ansatz, solve_order
+from kappatwist.rexpand import bch_target, generate_ansatz, solve_order
+from paper_reference import term_column_by_canonicalize
 
 
 def grade_offsets(t) -> set[int]:
@@ -49,7 +50,8 @@ def test_targets_columns_and_solutions_of_case_ii_are_homogeneous():
     for k in range(1, 5):
         target = bch_target(k, prior, ctx)
         for term in generate_ansatz(k, real, ctx):
-            assert grade_offsets(_term_column(term, k, ctx)) == {0}, (k, term.name)
+            column = term_column_by_canonicalize(term, k, ctx)
+            assert grade_offsets(column) == {0}, (k, term.name)
         r_k = solve_order(k, real, ctx, prior).element
         # at lam = 1/2 the even-order targets, and so r_2 and r_4, are zero
         for t in (target, r_k):

@@ -240,7 +240,7 @@ class TestGeneratorCoproducts:
         for name in ("x0", "x1", "p0", "p1", "p2"):
             d = ctx.generator_coproduct(name)
             d0 = ctx.coproduct0(ctx.generator(name))
-            assert d.a0_limit() == d0
+            assert d.grade_part(0) == d0
 
     def test_homomorphism_random_pairs(self, ctx):
         import random

@@ -11,17 +11,21 @@ from hypothesis import strategies as st
 from kappatwist import linsolve
 from kappatwist.algebra import AlgebraElement, p, x
 from kappatwist.hopf import TwistContext
-from kappatwist.linsolve import ExactMatrix, coefficient_rows, fit, solve
+from kappatwist.linsolve import ExactMatrix, fit, solve
 from kappatwist.poincare import realization
-from kappatwist.rexpand import _term_column, bch_target, expand
+from kappatwist.rexpand import I_NEG, bch_target, expand
 from kappatwist.scalars import (
     GR_ONE,
     GR_ZERO,
-    LP_LAM,
     GaussianRational,
     Scalar,
     UsageError,
     as_gaussian,
+)
+from paper_reference import (
+    fit_by_grades,
+    numbers_by_grade,
+    term_column_by_canonicalize,
 )
 
 entries = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
@@ -44,6 +48,10 @@ def _element(terms) -> AlgebraElement:
 
 
 elements = st.lists(_TERMS, max_size=8).map(_element)
+
+# {key: number} maps over a few keys, zeros included, for `fit`
+_NUMBERS = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-1, 1))
+number_maps = st.dictionaries(st.integers(0, 4), _NUMBERS, max_size=5)
 
 
 def _mat_vec(rows, vec):
@@ -136,54 +144,61 @@ class TestCorrectness:
 
 
 class TestCoefficientRows:
-    N = 2
-
     def test_rows_sorted_and_zero_rows_left_out(self):
-        n = self.N
-        a0 = Scalar.a0(n)
-        col0 = x(1, n) + p(1, n).scale(a0)
-        col1 = x(1, n).scale(2)
-        # p2 sits at grade 2 only, outside the grades read below
-        target = x(1, n).scale(3) + p(1, n).scale(a0) + p(2, n).scale(a0 * a0)
-        rows = coefficient_rows(target, [col0, col1], (0, 1))
-        (key_x1,), (key_p1,) = x(1, n).terms, p(1, n).terms
-        assert key_p1 < key_x1
-        assert list(rows) == [(key_p1, 1), (key_x1, 0)]
-        assert rows[(key_p1, 1)] == ((GR_ONE, GR_ZERO), GR_ONE)
-        assert rows[(key_x1, 0)] == (
-            (GR_ONE, GaussianRational(2)),
-            GaussianRational(3),
-        )
-        equations = rows.values()
-        sol = solve([r for r, _ in equations], [v for _, v in equations])
+        """`fit` hands `solve` one row per key, in sorted key order, with
+        the zero rows left out; an int or a Fraction is an exact number."""
+        col0 = {"x1": 1, "p1": Fraction(1)}
+        col1 = {"x1": GaussianRational(2), "x2": 0}
+        target = {"x1": 3, "p1": GR_ONE, "x2": GR_ZERO}
+        with mock.patch.object(linsolve, "solve", wraps=linsolve.solve) as spy:
+            sol = fit(target, [col0, col1])
+        ((rows, rhs), _), = spy.call_args_list
+        assert list(zip(rows, rhs)) == [
+            ((GR_ONE, GR_ZERO), GR_ONE),
+            ((GR_ONE, GaussianRational(2)), GaussianRational(3)),
+        ]
         assert sol.status == "unique"
         assert sol.particular == [GR_ONE, GR_ONE]
 
-    def test_symbolic_coefficient_raises(self):
-        n = self.N
-        col = x(1, n).scale(Scalar.from_value(LP_LAM, n))
-        with pytest.raises(UsageError, match="symbolic twist parameter leaked"):
-            coefficient_rows(x(1, n), [col], (0,))
-
 
 class TestFit:
-    @given(elements, st.lists(elements, min_size=1, max_size=3))
+    @given(number_maps, st.lists(number_maps, min_size=1, max_size=3))
     @settings(max_examples=80, deadline=None)
     def test_fit_solves_the_whole_system_on_distinct_rows(self, target, columns):
-        equations = list(coefficient_rows(target, columns, (0, 1)).values())
+        equations = []
+        for key in sorted(set(target).union(*columns)):
+            row = tuple(col.get(key, GR_ZERO) for col in columns)
+            val = target.get(key, GR_ZERO)
+            if val or any(row):
+                equations.append((row, val))
         # with no row left, the system is 0 = 0 in len(columns) unknowns
         equations = equations or [((GR_ZERO,) * len(columns), GR_ZERO)]
         whole = solve([r for r, _ in equations], [v for _, v in equations])
         with mock.patch.object(linsolve, "solve", wraps=linsolve.solve) as spy:
-            assert fit(target, columns, (0, 1)) == whole
+            assert fit(target, columns) == whole
         ((rows, rhs), _), = spy.call_args_list
         handed = list(zip(rows, rhs))
         assert len(set(handed)) == len(handed)
         assert set(handed) == set(equations)
 
+    @given(
+        elements,
+        st.lists(elements, min_size=1, max_size=3),
+        st.sampled_from([(0,), (1,), (0, 1)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_numbers_match_the_fit_of_graded_elements(self, target, columns, grades):
+        """`fit` on the {(key, grade): number} maps of sparse elements
+        gives the solution space of the fit read off the elements' graded
+        coefficients (`paper_reference.fit_by_grades`)."""
+        got = fit(
+            numbers_by_grade(target, grades),
+            [numbers_by_grade(c, grades) for c in columns],
+        )
+        assert got == fit_by_grades(target, columns, grades)
+
     def test_no_surviving_row_leaves_every_column_free(self):
-        zero = AlgebraElement.zero(1)
-        sol = fit(zero, [zero, zero], (1,))
+        sol = fit({}, [{}, {"x1": 0}])
         assert sol.status == "parametric"
         assert sol.particular == [GR_ZERO, GR_ZERO]
         assert sol.nullspace == [[GR_ONE, GR_ZERO], [GR_ZERO, GR_ONE]]
@@ -191,8 +206,7 @@ class TestFit:
         assert sol == solve([[0, 0]], [0])
 
     def test_zero_target_with_a_nonzero_column(self):
-        zero = AlgebraElement.zero(1)
-        sol = fit(zero, [x(1, 1), zero], (0,))
+        sol = fit({}, [{"x1": 1}, {}])
         assert sol.status == "parametric"
         assert sol.particular == [GR_ZERO, GR_ZERO]
         assert sol.nullspace == [[GR_ZERO, GR_ONE]]
@@ -201,9 +215,9 @@ class TestFit:
 
 # -- support-only elimination and one-pass rows against the dense forms ----
 #
-# The oracles are `solve` and `coefficient_rows` as they were before the
-# elimination touched only the pivot row's support and the rows were read
-# in one pass over each element's terms.
+# The oracles are `solve` as it was before the elimination touched only
+# the pivot row's support, and the rows of rexpand's fit read key by key
+# off the canonicalized columns.
 
 
 def _dense_solve(matrix, rhs) -> linsolve.SolutionSpace:
@@ -317,18 +331,25 @@ class TestAgainstDenseOracles:
         ],
     )
     def test_rexpand_rows_and_solutions_match(self, case, lam, n):
+        """The rows rexpand hands to `solve` at order k are the distinct
+        grade-k rows of the identity between the canonicalized columns
+        -i a0^k * term and the target, each divided by -i, and `solve`
+        solves them as the dense elimination does."""
         ctx = TwistContext(order=n, lam=lam)
+        with mock.patch.object(linsolve, "solve", wraps=linsolve.solve) as spy:
+            results = expand(n, realization(case, ctx), ctx)
+        assert len(spy.call_args_list) == len(results)
         prior = []
-        for res in expand(n, realization(case, ctx), ctx):
+        for res, ((matrix, rhs), _) in zip(results, spy.call_args_list):
             k = res.order
             target = bch_target(k, prior, ctx)
-            columns = [_term_column(t, k, ctx) for t in res.terms]
-            rows = coefficient_rows(target, columns, (k,))
-            assert list(rows.items()) == list(
-                _dense_coefficient_rows(target, columns, (k,)).items()
-            ), (case, k)
-            equations = rows.values()
-            matrix, rhs = [r for r, _ in equations], [v for _, v in equations]
+            columns = [term_column_by_canonicalize(t, k, ctx) for t in res.terms]
+            dense = _dense_coefficient_rows(target, columns, (k,)).values()
+            divided = {
+                (tuple(c / I_NEG for c in row), val / I_NEG): None
+                for row, val in dense
+            }
+            assert list(zip(matrix, rhs)) == list(divided), (case, k)
             assert _fields(solve(matrix, rhs)) == _fields(_dense_solve(matrix, rhs))
             if res.status != "infeasible":
                 prior.append(res.element)

@@ -132,7 +132,7 @@ class TestRealizations:
             for i in SPATIAL:
                 b = mhat(i, real, sym_ctx)
                 undeformed = x(i, N) * p(0, N) - x(0, N) * p(i, N)
-                assert b.a0_limit() == undeformed, (case, i)
+                assert b.grade_part(0) == undeformed, (case, i)
 
 
 class TestAlgebraClosure:

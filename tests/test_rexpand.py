@@ -11,7 +11,7 @@ import pytest
 from kappatwist import cli, rexpand
 from kappatwist.algebra import DIM, ZERO_EXP, AlgebraElement, Monomial, p
 from kappatwist.hopf import TwistContext
-from kappatwist.linsolve import SolutionSpace, coefficient_rows, solve
+from kappatwist.linsolve import SolutionSpace, solve
 from kappatwist.poincare import SPATIAL, mhat, mij, realization
 from kappatwist.rexpand import (
     I_NEG,
@@ -32,9 +32,17 @@ from kappatwist.rexpand import (
     solve_order,
     wedge_check,
 )
-from kappatwist.scalars import GR_ONE, GR_ZERO, GaussianRational, Scalar, UsageError
+from kappatwist.scalars import (
+    GR_ONE,
+    GR_ZERO,
+    LP_LAM,
+    GaussianRational,
+    Scalar,
+    UsageError,
+)
 from kappatwist.tensor import TensorElement, canonicalize, equal_mod, t_exp, tensor
 from paper_reference import (
+    coefficient_rows,
     coefficient_wedge_check,
     particular_coefficients,
     reference_third_order,
@@ -179,6 +187,22 @@ class TestSymbolicRejected:
         with pytest.raises(UsageError):
             solve_order(1, real, ctx, [])
 
+    def test_symbolic_coefficient_raises(self):
+        """The numbers of the order-k system are read through
+        `Scalar.numeric_coefficient`, which refuses a lambda that leaked
+        into them: a column's grade-0 numbers and the target's grade-k
+        numbers."""
+        n = 2
+        lam = Scalar.from_value(LP_LAM, n)
+        leaked = tensor(p(1, n).scale(lam), AlgebraElement.one(n))
+        with pytest.raises(UsageError, match="symbolic twist parameter leaked"):
+            _term_column(rexpand.AnsatzTerm("lam*p_1 ox 1", leaked))
+        ctx = TwistContext(order=n, lam=Fraction(1, 2))
+        target = leaked.scale(Scalar.a0(n))
+        with mock.patch.object(rexpand, "bch_target", return_value=target):
+            with pytest.raises(UsageError, match="symbolic twist parameter leaked"):
+                solve_order(1, realization("ii", ctx), ctx, [])
+
 
 # -- solving order k at truncation k ---------------------------------------
 
@@ -281,7 +305,7 @@ class TestSolutionChecks:
         for res in results4:
             k = res.order
             target = bch_target(k, prior, ctx4)
-            columns = [_term_column(t, k, ctx4) for t in res.terms]
+            columns = [term_column_by_canonicalize(t, k, ctx4) for t in res.terms]
             concrete = _concrete_equations(columns, target, k)
             sol = res.solution
             assert _row_check(sol, concrete)
@@ -421,7 +445,7 @@ class TestWholeIdentitySolve:
         for res in results:
             k = res.order
             target = bch_target(k, prior, ctx)
-            columns = [_term_column(t, k, ctx) for t in res.terms]
+            columns = [term_column_by_canonicalize(t, k, ctx) for t in res.terms]
             oracle, equations = _generic_pattern_solve(target, columns, k)
             sol = res.solution
             assert (sol.status, sol.particular, sol.nullspace) == (
@@ -543,7 +567,7 @@ class TestAnsatzAgainstProducts:
     def test_columns_and_assembly_match(self, ansatz_pairs):
         for n, k, terms, oracle, ctx in ansatz_pairs:
             for t, o in zip(terms, oracle):
-                assert _term_column(t, k, ctx) == _term_column(o, k, ctx), (n, k, t.name)
+                assert _term_column(t) == _term_column(o), (n, k, t.name)
             coeffs = [
                 GaussianRational(j % 5 - 2, j % 3 - 1) for j in range(len(terms))
             ]
@@ -584,7 +608,8 @@ def test_dummy_pairs_are_derived_from_the_order():
 #
 # The oracle is the column as it was built before `_term_column` read it
 # off the term's grade-0 part: -i a0^k * term canonicalized mod R~ at
-# truncation k (`paper_reference.term_column_by_canonicalize`).
+# truncation k (`paper_reference.term_column_by_canonicalize`), whose
+# grade-k numbers divided by -i are the column's numbers.
 
 _COLUMN_SETTINGS = [
     ("ii", Fraction(1, 2)),
@@ -611,21 +636,25 @@ def ansatz_by_setting():
 
 class TestColumnsByExponentArithmetic:
     def test_columns_match_canonicalization(self, ansatz_by_setting):
+        """Canonical -i a0^k * term is all of grade k, and its numbers
+        there, divided by -i, are the term's column."""
         for (case, lam, n), orders in ansatz_by_setting.items():
             for k, terms, ctx in orders:
                 for t in terms:
-                    got = _term_column(t, k, ctx)
-                    assert got.order == n
-                    assert got == term_column_by_canonicalize(t, k, ctx), (
-                        case, lam, n, k, t.name
-                    )
+                    oracle = term_column_by_canonicalize(t, k, ctx)
+                    assert oracle.grade_part(k) == oracle
+                    numbers = {
+                        key: s.numeric_coefficient(k) / I_NEG
+                        for key, s in oracle.terms.items()
+                    }
+                    assert _term_column(t) == numbers, (case, lam, n, k, t.name)
 
     def test_columns_are_the_same_for_every_case_and_lambda(self, ansatz_by_setting):
         """The column matrix belongs to the ansatz alone: it reads only the
         terms' grade-0 parts, the undeformed boosts and rotations."""
         lists = {
             (case, lam): [
-                [(t.name, _term_column(t, k, ctx)) for t in terms]
+                [(t.name, _term_column(t)) for t in terms]
                 for k, terms, ctx in ansatz_by_setting[case, lam, 5]
             ]
             for case, lam in _COLUMN_SETTINGS

@@ -172,7 +172,7 @@ class TestScalar:
 
     def test_a0_limit(self):
         s = Scalar.one(4) + Scalar.a0(4)
-        assert s.a0_limit() == Scalar.one(4)
+        assert s.grade_part(0) == Scalar.one(4)
 
     def test_substitute_lambda(self):
         s = Scalar.from_value(LP_LAM, 3) * Scalar.from_value(LP_LAM, 3)

@@ -53,6 +53,17 @@ def test_rexpand_report_header_names_what_was_solved():
     assert proc.stdout.splitlines()[0] == "case=iii lambda=1/2 truncation=3"
 
 
+def test_rexpand_report_blocked_expansion():
+    """Case (iii) has no solution at order 3: the report says so last and
+    exits 1."""
+    proc = _run_script("rexpand_report.py", "--case", "iii", "--up-to", "3")
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "case=iii lambda=1/2 truncation=3"
+    assert lines[-2].startswith("order 3: infeasible ")
+    assert lines[-1] == "expansion blocked: no solution at the last reported order"
+
+
 @pytest.mark.parametrize(
     "args",
     [
