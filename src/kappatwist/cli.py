@@ -14,7 +14,8 @@ Subcommands:
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error.  JSON output has sorted keys and is byte-stable
 for identical inputs and seeds.  No formulas live here: the published
-coproducts are in `poincare`, the generator names in `hopf.GENERATORS`.
+coproducts are in `poincare`, the generator names in `hopf.GENERATORS`,
+the paper's coefficient names in `rexpand.PAPER_NAMES`.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def parse_lambda(text: str):
-    """The twist parameter of a `--lambda` option: None for "sym" (symbolic
-    lambda), else an exact rational."""
+def parse_lambda(text: str, case: str | None = None):
+    """The twist parameter of a `--lambda` option: an exact rational, or for
+    "sym" the one lam of realization `case` (`poincare.case_lambda`),
+    which is None (symbolic lambda) unless the case is (ii)."""
     if text == "sym":
-        return None
+        return case_lambda(case, None)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -81,12 +83,9 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_coproduct(args) -> int:
-    lam = parse_lambda(args.lam)
     case = args.case
     node = parse(args.gen)
-    if node[0] == "Mhat" and lam is None:
-        lam = case_lambda(case, lam)
-    ctx = TwistContext(order=args.order, lam=lam)
+    ctx = TwistContext(order=args.order, lam=parse_lambda(args.lam, case))
     closed_text = closed_form_string(node, case)
     closed = closed_form_coproduct(closed_text, ctx, case)
     coproduct = ctx.coproduct if args.method == "twist" else ctx.coproduct_hom
@@ -96,7 +95,7 @@ def _cmd_coproduct(args) -> int:
         "subcommand": "coproduct",
         "generator": args.gen,
         "case": case,
-        "lambda": args.lam if lam is None else str(lam),
+        "lambda": ctx.lam_text,
         "order": args.order,
         "method": args.method,
         "closed_form": closed_text,
@@ -115,14 +114,6 @@ def _cmd_coproduct(args) -> int:
 
 
 # -- rexpand --------------------------------------------------------------
-
-_K1_LABELS = {
-    "Mh_i0 ox p_i": "c1",
-    "Mh_i0*p_i ox 1": "c2",
-    "1 ox Mh_i0*p_i": "d1",
-    "p_i ox Mh_i0": "d2",
-}
-
 
 def _coefficient_strings(result) -> dict[str, str]:
     """Coefficient name -> value, or a linear expression in the free
@@ -171,7 +162,7 @@ def _cmd_rexpand(args) -> int:
     payload = {
         "subcommand": "rexpand",
         "case": args.case,
-        "lambda": str(lam),
+        "lambda": ctx.lam_text,
         "order": args.order,
         "truncation": order,
         "status": result.status if at_order else "blocked",
@@ -182,12 +173,11 @@ def _cmd_rexpand(args) -> int:
         "linear_combination": combination,
         "verified_order": args.order <= 3,
     }
-    if reached and args.order == 1:
-        payload.update({_K1_LABELS[name]: c for name, c in coefficients.items()})
-    if reached and result.order == 3 and result.status == "parametric":
-        payload["parameters"] = {
-            k: str(v) for k, v in named_parameters(result).items()
-        }
+    if reached and args.order in (1, 3):
+        # the paper's names: c1..d2 at the top level, and the order-3
+        # family's (a solved order 3 is always parametric) as "parameters"
+        named = {k: str(v) for k, v in named_parameters(result).items()}
+        payload.update(named if args.order == 1 else {"parameters": named})
     if args.format == "json":
         _emit_json(payload)
     else:
@@ -224,8 +214,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    lam = parse_lambda(args.lam)
-    ctx = TwistContext(order=args.order, lam=lam)
+    ctx = TwistContext(order=args.order, lam=parse_lambda(args.lam, args.case))
     value = evaluate(args.expr, ctx, args.case)
     if args.canonicalize:
         rel = getattr(ctx, args.canonicalize)
@@ -239,7 +228,7 @@ def _cmd_eval(args) -> int:
                 "subcommand": "eval",
                 "expr": args.expr,
                 "canonicalize": args.canonicalize,
-                "lambda": args.lam,
+                "lambda": ctx.lam_text,
                 "order": args.order,
                 "result": text,
                 "tensor": isinstance(value, TensorElement),

@@ -268,6 +268,12 @@ class TwistContext:
         self.Rtilde = RelationSet(lam_less_1, self.lam_poly, n)
         self._cache: dict[object, object] = {}
 
+    @property
+    def lam_text(self) -> str:
+        """lam as every JSON record echoes it: "sym" for symbolic lam, else
+        its exact value."""
+        return "sym" if self.lam is None else str(self.lam)
+
     # The two exponents are built on first read: coproduct and eval
     # requests never read them.
 

@@ -20,9 +20,10 @@ built, so the fully expanded series never exists, and is kept on
 representatives of its orbits under the permutations of the spatial axes,
 which fix every r_k.  The exponential checks that invariance, so every
 run checks the symmetry of the solved r's as it goes.
-The ansatz is built by exponent arithmetic: a candidate gen*p^taken (x)
-p^rest shifts the momentum exponents of the generator's terms, since a
-momentum on the right contracts with nothing.  The column of order k
+The ansatz is built by exponent arithmetic, in leg-flip pairs: a
+candidate gen*p^taken (x) p^rest shifts the momentum exponents of the
+generator's terms, since a momentum on the right contracts with nothing,
+and its mirror p^rest (x) gen*p^taken is its `tau0`.  The column of order k
 reads only a candidate's grade-0 part and r_k only its grades <= N - k,
 so the generators are truncated at N - k before they are expanded.  The
 columns are exponent arithmetic too (`_term_column`): at grade 0 the
@@ -34,9 +35,9 @@ case or lambda.  The whole order-k identity sum_j c_j col_j == target is
 then solved once on {key: number} maps (`linsolve.fit`), the target's
 grade-k numbers divided by -i; the number of generic index patterns is
 reported beside the solution as its equation count.
-At k = 3 the solution is a three-parameter family; `named_parameters`
-reads its conventional labels (alpha1, beta1, alpha2) off the
-coefficients.
+The paper names some coefficients, c1, c2, d1, d2 at k = 1 and the
+three-parameter family's alpha1, beta1, alpha2 at k = 3; `PAPER_NAMES`
+is their one table, and `named_parameters` reads it.
 """
 
 from __future__ import annotations
@@ -87,19 +88,16 @@ class ExpansionResult(NamedTuple):
 # dummy indices (each one contracted pair) the letters after them, and
 # '0' names a time-like momentum.  They are written in alphabetical
 # order, '0' last.
-_FRAME_SIZE = {"boost": 1, "rotation": 2}
-
-
 def _letters(start: int, stop: int) -> tuple[str, ...]:
     return tuple(chr(ord("i") + n) for n in range(start, stop))
 
 
-# Momentum content per order; its total degree equals the order.  Every
-# content with up to floor((k - frame)/2) contracted dummy pairs is listed,
-# which spans the parity-even rotation invariants (the first fundamental
-# theorem for O(3)); epsilon-contractions are parity-odd and left out.
-def _content(kind: str, k: int) -> list[tuple[str, ...]]:
-    f = _FRAME_SIZE[kind]
+# Momentum content per order for a generator of f frame indices; its
+# total degree equals the order.  Every content with up to
+# floor((k - f)/2) contracted dummy pairs is listed, which spans the
+# parity-even rotation invariants (the first fundamental theorem for
+# O(3)); epsilon-contractions are parity-odd and left out.
+def _content(f: int, k: int) -> list[tuple[str, ...]]:
     base = _letters(0, f)
     remaining = k - f
     return [
@@ -148,27 +146,26 @@ def _label_str(gname, labels):
 
 
 def _expand_term(
-    kind: str, taken: tuple, rest: tuple, side: str, gens: dict, order: int
+    f: int, taken: tuple, rest: tuple, gens: dict, order: int
 ) -> TensorElement:
-    """The candidate gen*p^taken (x) p^rest (or its mirror), summed over the
-    frames and dummy indices.
+    """The candidate gen*p^taken (x) p^rest, summed over the generator's
+    frames of f indices and the dummy indices.
 
     A momentum monomial on the right contracts with nothing, so each term
     x^alpha p^gamma of the generator becomes x^alpha p^(gamma + taken) with
     its coefficient unchanged, and the other leg p^rest has coefficient 1:
     every term is an exponent shift of a generator term."""
     out: dict = {}
-    base = _letters(0, _FRAME_SIZE[kind])
+    base = _letters(0, f)
     dummies = sorted((set(taken) | set(rest)) - set(base) - {"0"})
-    for frame in itertools.permutations(SPATIAL, len(base)):
+    for frame in itertools.permutations(SPATIAL, f):
         gen = gens[frame]
         for assign in itertools.product(SPATIAL, repeat=len(dummies)):
             idx = {"0": 0, **dict(zip(base, frame)), **dict(zip(dummies, assign))}
             shift = _momentum_exponents(taken, idx)
             other = Monomial(ZERO_EXP, _momentum_exponents(rest, idx))
             for (alpha, gamma), s in gen.terms.items():
-                leg = Monomial(alpha, tuple(map(add, gamma, shift)))
-                key = (leg, other) if side == "left" else (other, leg)
+                key = (Monomial(alpha, tuple(map(add, gamma, shift))), other)
                 cur = out.get(key)
                 out[key] = s if cur is None else cur + s
     return TensorElement(out, order)
@@ -202,19 +199,14 @@ def generate_ansatz(
         if element and not any(t.element in (element, negated) for t in out):
             out.append(term)
 
-    for kind, gname in (("boost", "Mh_i0"), ("rotation", "M_ij")):
-        for content in _content(kind, k):
+    # each candidate and its leg flip, the generator on the left first
+    for gname, f in (("Mh_i0", 1), ("M_ij", 2)):
+        for content in _content(f, k):
             for taken, rest in _sub_multisets(content):
-                for side in ("left", "right"):
-                    element = _expand_term(kind, taken, rest, side, gens, order)
-                    gtext = _label_str(gname, taken)
-                    otext = _label_str("", rest)
-                    name = (
-                        f"{gtext} ox {otext}"
-                        if side == "left"
-                        else f"{otext} ox {gtext}"
-                    )
-                    push(AnsatzTerm(name, element))
+                element = _expand_term(f, taken, rest, gens, order)
+                gtext, otext = _label_str(gname, taken), _label_str("", rest)
+                push(AnsatzTerm(f"{gtext} ox {otext}", element))
+                push(AnsatzTerm(f"{otext} ox {gtext}", tau0(element)))
     return out
 
 
@@ -368,28 +360,33 @@ def wedge_check(element: TensorElement) -> bool:
     return tau0(element) == -element
 
 
-# -- named k=3 parameters ------------------------------------------------
+# -- the paper's names -----------------------------------------------------
 
-# The three-parameter family at k=3 is conventionally labelled by
-# alpha1, beta1, alpha2 read off from the coefficients of
-# M_ij p_j p_0 (x) p_i, p_i (x) M_ij p_j p_0 and M_ij p_j (x) p_i p_0
-# (times -24, +24, -24 with the -i a0^3 / 24 prefactor convention).
-_PARAM_POSITIONS = (
-    ("M_ij*p_j*p_0 ox p_i", -24),
-    ("p_i ox M_ij*p_j*p_0", 24),
-    ("M_ij*p_j ox p_i*p_0", -24),
-)
-PARAM_NAMES = ("alpha1", "beta1", "alpha2")
+# The coefficients the paper names, per order: (term, name, factor), the
+# named value being factor times the term's coefficient.  At k = 3 the
+# factors carry the paper's -i a0^3 / 24 prefactor convention.
+PAPER_NAMES = {
+    1: (
+        ("Mh_i0 ox p_i", "c1", 1),
+        ("Mh_i0*p_i ox 1", "c2", 1),
+        ("1 ox Mh_i0*p_i", "d1", 1),
+        ("p_i ox Mh_i0", "d2", 1),
+    ),
+    3: (
+        ("M_ij*p_j*p_0 ox p_i", "alpha1", -24),
+        ("p_i ox M_ij*p_j*p_0", "beta1", 24),
+        ("M_ij*p_j ox p_i*p_0", "alpha2", -24),
+    ),
+}
 
 
 def named_parameters(result: ExpansionResult) -> dict[str, GaussianRational]:
-    """Read (alpha1, beta1, alpha2) off a k=3 solution's coefficients."""
-    if result.order != 3:
-        raise UsageError("named parameters exist at order 3 only")
+    """The paper's names (`PAPER_NAMES`) for the coefficients of a solved
+    order, read off its particular solution."""
+    names = PAPER_NAMES.get(result.order)
+    if names is None:
+        raise UsageError(f"the paper names no coefficients at order {result.order}")
     if result.solution.particular is None:
         raise UsageError("named parameters need a solution; this order is infeasible")
     coeffs = {t.name: c for t, c in zip(result.terms, result.solution.particular)}
-    out = {}
-    for pname, (tname, factor) in zip(PARAM_NAMES, _PARAM_POSITIONS):
-        out[pname] = coeffs[tname] * factor
-    return out
+    return {name: coeffs[term] * factor for term, name, factor in names}

@@ -329,8 +329,7 @@ def run_suite(
             f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or 'all'"
         )
     ctx = TwistContext(order=order, lam=lam)
-    lam_text = "sym" if ctx.lam is None else str(ctx.lam)
-    report = VerificationReport(suite, order, lam_text, seed, [])
+    report = VerificationReport(suite, order, ctx.lam_text, seed, [])
     rng = random.Random(seed)
     names = SUITE_NAMES if suite == "all" else (suite,)
     for name in names:

@@ -75,8 +75,8 @@ from kappatwist.poincare import (
     realization,
 )
 from kappatwist.rexpand import (
-    _PARAM_POSITIONS,
     I_NEG,
+    PAPER_NAMES,
     AnsatzTerm,
     ExpansionResult,
     assemble,
@@ -129,7 +129,7 @@ def specialize_coefficients(
     # watched coefficient positions; solve the small square system for t.
     rows = []
     rhs = []
-    for (tname, factor), target in zip(_PARAM_POSITIONS, want):
+    for (tname, _, factor), target in zip(PAPER_NAMES[3], want):
         col = index[tname]
         rows.append([factor * vec[col] for vec in sol.nullspace])
         rhs.append(target - factor * sol.particular[col])

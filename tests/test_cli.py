@@ -465,9 +465,32 @@ def test_rexpand_renders_its_coefficients_once(fmt, monkeypatch, capsys):
 @pytest.mark.parametrize("lam", ["sym", "1/2"])
 def test_case_ii_boost_reads_its_lambda_from_poincare(lam, capsys):
     """A case-(ii) boost is read at poincare.CASE_II_LAM whether lambda is
-    symbolic or given at that value, and refused at any other value."""
-    args = ["coproduct", "--gen", "Mhat[1,0]", "--case", "ii", "--order", "2"]
+    symbolic or given at that value, and refused at any other value, by
+    `coproduct` and `eval` alike."""
+    for command in (["coproduct", "--gen"], ["eval"]):
+        args = [*command, "Mhat[1,0]", "--case", "ii", "--order", "2"]
+        assert run([*args, "--lambda", lam, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["lambda"] == str(CASE_II_LAM)
+        assert run([*args, "--lambda", str(CASE_II_LAM), "--format", "json"]) == 0
+        assert capsys.readouterr().out == out
+        assert run([*args, "--lambda", "1/3"]) == 2
+        assert "requires the lam = 1/2 context" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coproduct", "--gen", "p1", "--order", "2"],
+        ["rexpand", "--order", "1"],
+        ["verify", "--suite", "algebra", "--order", "2", "--quick"],
+        ["eval", "lam", "--order", "2"],
+    ],
+    ids=lambda args: args[0],
+)
+@pytest.mark.parametrize("lam", ["2/4", "0.5"])
+def test_every_subcommand_echoes_lambda_reduced(args, lam, capsys):
+    """Every JSON record writes lambda as its exact value, whatever text
+    gave it."""
     assert run([*args, "--lambda", lam, "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["lambda"] == str(CASE_II_LAM)
-    assert run([*args, "--lambda", "1/3"]) == 2
-    assert "requires the lam = 1/2 context" in capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["lambda"] == "1/2"

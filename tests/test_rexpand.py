@@ -15,7 +15,6 @@ from kappatwist.linsolve import SolutionSpace, solve
 from kappatwist.poincare import SPATIAL, mhat, mij, realization
 from kappatwist.rexpand import (
     I_NEG,
-    PARAM_NAMES,
     _content,
     _index_pattern,
     _is_generic,
@@ -137,8 +136,7 @@ class TestThirdOrderFamily:
 
     def test_named_parameters_roundtrip(self, results):
         r3 = results[2]
-        assert PARAM_NAMES == ("alpha1", "beta1", "alpha2")
-        assert set(named_parameters(r3)) == set(PARAM_NAMES)
+        assert list(named_parameters(r3)) == ["alpha1", "beta1", "alpha2"]
         coeffs = specialize_coefficients(r3, -6, -6, -2)
         assert coeffs["M_ij*p_j*p_0 ox p_i"] * -24 == GaussianRational(-6)
         assert coeffs["p_i ox M_ij*p_j*p_0"] * 24 == GaussianRational(-6)
@@ -155,6 +153,19 @@ class TestThirdOrderFamily:
         # the assembled members remain flip-antisymmetric either way
         assert wedge_check(specialize(r3, -6, -6, -2, ctx))
         assert wedge_check(specialize(r3, 1, 2, 3, ctx))
+
+
+class TestPaperNames:
+    def test_first_order_names_are_the_cli_keys(self, results, capsys):
+        named = named_parameters(results[0])
+        assert list(named) == ["c1", "c2", "d1", "d2"]
+        assert cli.run(["rexpand", "--order", "1", "--case", "ii"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {k: str(v) for k, v in named.items()} == {k: payload[k] for k in named}
+
+    def test_unnamed_order_raises(self, results):
+        with pytest.raises(UsageError, match="names no coefficients at order 2"):
+            named_parameters(results[1])
 
 
 class TestCaseIII:
@@ -220,8 +231,8 @@ def results4(ctx4):
 class TestMomentumProduct:
     def test_direct_monomials_match_products(self):
         n = 4
-        for k, kind in itertools.product((1, 2, 3, 4), ("boost", "rotation")):
-            for content in _content(kind, k):
+        for k, f in itertools.product((1, 2, 3, 4), (1, 2)):
+            for content in _content(f, k):
                 # the content itself and both sides of every split of it
                 label_tuples = {content}.union(*_sub_multisets(content))
                 spatial = sorted(set(content) - {"0"})
@@ -462,7 +473,8 @@ class TestWholeIdentitySolve:
 # The oracle is the ansatz as it was built before `_expand_term` wrote its
 # terms by exponent shifts: every candidate is a product gen * p^taken and
 # an outer product with p^rest, summed term by term, at the full truncation
-# N.
+# N, and its mirror p^rest (x) gen * p^taken is built the same way rather
+# than as its leg flip.
 
 
 def _oracle_momentum_product(labels, idx, n: int) -> AlgebraElement:
@@ -472,11 +484,11 @@ def _oracle_momentum_product(labels, idx, n: int) -> AlgebraElement:
     return AlgebraElement.monomial(Monomial(ZERO_EXP, tuple(beta)), n)
 
 
-def _oracle_expand_term(kind, taken, rest, side, gens, ctx) -> TensorElement:
+def _oracle_expand_term(f, taken, rest, side, gens, ctx) -> TensorElement:
     n = ctx.order
     acc = TensorElement.zero(n)
     labels = set(taken) | set(rest)
-    if kind == "boost":
+    if f == 1:
         dummies = tuple(d for d in ("j", "k") if d in labels)
         frames = [(i,) for i in SPATIAL]
     else:
@@ -486,7 +498,7 @@ def _oracle_expand_term(kind, taken, rest, side, gens, ctx) -> TensorElement:
         gen = gens[frame]
         for assign in itertools.product(SPATIAL, repeat=len(dummies)):
             idx = {"i": frame[0], "0": 0, **dict(zip(dummies, assign))}
-            if kind == "rotation":
+            if f == 2:
                 idx["j"] = frame[1]
             gleg = gen * _oracle_momentum_product(taken, idx, n)
             oleg = _oracle_momentum_product(rest, idx, n)
@@ -507,11 +519,11 @@ def _oracle_generate_ansatz(k, real, ctx) -> list[rexpand.AnsatzTerm]:
         if element and not any(t.element in (element, negated) for t in out):
             out.append(term)
 
-    for kind, gname in (("boost", "Mh_i0"), ("rotation", "M_ij")):
-        for content in _content(kind, k):
+    for gname, f in (("Mh_i0", 1), ("M_ij", 2)):
+        for content in _content(f, k):
             for taken, rest in _sub_multisets(content):
                 for side in ("left", "right"):
-                    element = _oracle_expand_term(kind, taken, rest, side, gens, ctx)
+                    element = _oracle_expand_term(f, taken, rest, side, gens, ctx)
                     gtext = _label_str(gname, taken)
                     otext = _label_str("", rest)
                     name = (
@@ -533,6 +545,7 @@ def _oracle_assemble(terms, coeffs, k, ctx) -> TensorElement:
 _ANSATZ_CASES = [
     ("i", Fraction(1, 3)),
     ("i", Fraction(1, 2)),
+    ("i", None),
     ("ii", Fraction(1, 2)),
     ("iii", Fraction(1, 2)),
 ]
@@ -581,27 +594,27 @@ def test_dummy_pairs_are_derived_from_the_order():
     dummy pairs, lettered after the frame ('j', 'k', ... for a boost, 'k',
     'l', ... for a rotation) and written before '0'; the ansatz sums a
     new letter over the spatial axes as it does 'k'."""
-    for kind, f in (("boost", 1), ("rotation", 2)):
+    for f in (1, 2):
         for k in range(1, 9):
-            contents = _content(kind, k)
-            assert len(contents) == max(k - f + 2, 0) // 2, (kind, k)
-            assert all(len(c) == k for c in contents), (kind, k)
-    assert _content("rotation", 8)[-1] == ("i", "j", "k", "k", "l", "l", "m", "m")
-    assert _content("rotation", 6) == [
+            contents = _content(f, k)
+            assert len(contents) == max(k - f + 2, 0) // 2, (f, k)
+            assert all(len(c) == k for c in contents), (f, k)
+    assert _content(2, 8)[-1] == ("i", "j", "k", "k", "l", "l", "m", "m")
+    assert _content(2, 6) == [
         ("i", "j", "0", "0", "0", "0"),
         ("i", "j", "k", "k", "0", "0"),
         ("i", "j", "k", "k", "l", "l"),
     ]
-    assert _content("boost", 7)[-1] == ("i", "j", "j", "k", "k", "l", "l")
+    assert _content(1, 7)[-1] == ("i", "j", "j", "k", "k", "l", "l")
     assert _label_str("M_ij", ("0", "l", "k", "l")) == "M_ij*p_k*p_l^2*p_0"
     ctx = TwistContext(order=2, lam=Fraction(1, 2))
     real = realization("ii", ctx)
     gens = {(i,): mhat(i, real, ctx) for i in SPATIAL}
     gens.update({(i, j): mij(i, j, ctx) for i, j in itertools.permutations(SPATIAL, 2)})
-    for kind in ("boost", "rotation"):
-        with_l = rexpand._expand_term(kind, ("i",), ("l", "l"), "left", gens, 2)
-        with_k = rexpand._expand_term(kind, ("i",), ("k", "k"), "left", gens, 2)
-        assert with_l == with_k and with_l, kind
+    for f in (1, 2):
+        with_l = rexpand._expand_term(f, ("i",), ("l", "l"), gens, 2)
+        with_k = rexpand._expand_term(f, ("i",), ("k", "k"), gens, 2)
+        assert with_l == with_k and with_l, f
 
 
 # -- the columns by exponent arithmetic against canonicalization -----------
